@@ -103,6 +103,9 @@ def cmd_exponent(args) -> int:
 def cmd_curve(args) -> int:
     model = _load_model_or_exit(args.model)
     stop = _stop_rule(args)
+    if args.check_bracketing and (stop.kind != "depth" or int(stop.value) < 1):
+        print("--check-bracketing requires --depth >= 1", file=sys.stderr)
+        raise SystemExit(2)
     grid = _parse_grid(args.grid)
     tree = sample_tree(model, stop, args.seed)
     if stop.kind == "depth":
@@ -114,8 +117,6 @@ def cmd_curve(args) -> int:
     export_curve_csv(samples, args.out, header=_header(model, args.seed),
                      boundary=args.boundary)
     if args.check_bracketing:
-        if stop.kind != "depth" or int(stop.value) < 1:
-            raise SystemExit("--check-bracketing requires --depth >= 1")
         for x in grid:
             ok = check_bracketing(tree, int(stop.value), float(x))
             print(f"x={float(x)!r} bracketing={'true' if ok else 'false'}")
@@ -123,17 +124,26 @@ def cmd_curve(args) -> int:
 
 
 def _mean_r_for_seed(model: IfsModel, tmax: float, at_n: int, alpha: float,
-                     seed: int) -> float:
-    return br.martingale_R(br.simulate_population(model, tmax, seed), at_n, alpha)
+                     seed: int) -> Optional[float]:
+    """R_at_n for one seed, or None when at_n is outside 0..(population size)."""
+    run = br.simulate_population(model, tmax, seed)
+    return br.martingale_R(run, at_n, alpha) if 0 <= at_n <= len(run.events) else None
 
 
 def cmd_branching(args) -> int:
     model = _load_model_or_exit(args.model)
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
+        raise SystemExit(2)
     seeds = [args.seed] if args.seed is not None else _parse_seeds(args.seeds)
     alpha = ex.solve_recursive_exponent(model)
     if args.stat == "mean-R":
         task = partial(_mean_r_for_seed, model, args.tmax, args.at_n, alpha)
         values = _map_seeds(task, seeds, args.workers)
+        if None in values:
+            print(f"--at-n {args.at_n} is outside the population of seed "
+                  f"{seeds[values.index(None)]} by --tmax {args.tmax}", file=sys.stderr)
+            raise SystemExit(2)
         arr = np.asarray(values)
         se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         _write_json({"stat": "mean-R", "n": args.at_n, "seeds": len(seeds),

@@ -27,6 +27,11 @@ equals the count. Ties are pulled inside the count by shifting to
 x * (1 + 1e-15); a vanishing pivot is replaced by a tiny negative value
 (the classical bisection safeguard), which only matters on a measure-zero
 set of shifts.
+
+Up to _SCALAR_SHIFTS shifts the recurrence is a plain-float loop per shift,
+beyond that one numpy pass with the shifts as a vector; both do the same
+IEEE operations in the same order, so the counts agree. check_bracketing
+builds its strings once per (tree, n) and keeps them in the tree's memo.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ from .tree import RandomTree
 
 TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
+_SCALAR_SHIFTS = 32  # numpy's per-row overhead costs ~50 shifts of the plain-float loop
 
 _BOUNDARIES = ("dirichlet", "neumann")
 
@@ -117,7 +123,20 @@ def _pivot_counts(diag: np.ndarray, off: np.ndarray, masses: np.ndarray,
     """Non-positive pivot counts of K - x' M for every shift, x' = x * (1 + 1e-15)."""
     shifts = xs * TIE_SHIFT
     off2 = off * off
-    pivmin = _SAFMIN * max(1.0, off2.max() if off2.size else 1.0)
+    pivmin = float(_SAFMIN * max(1.0, off2.max() if off2.size else 1.0))
+    if shifts.size <= _SCALAR_SHIFTS:
+        # the first row gets b^2 = 0 and d = 1, and a - 0.0 / 1.0 == a exactly
+        rows = list(zip(diag.tolist(), masses.tolist(), [0.0] + off2.tolist()))
+        counts = []
+        for x in shifts.tolist():
+            d, count = 1.0, 0
+            for dk, mk, bk in rows:
+                d = dk - x * mk - bk / d
+                if abs(d) < pivmin:
+                    d = -pivmin
+                count += d <= 0
+            counts.append(count)
+        return np.array(counts, dtype=np.int64)
     d = diag[0] - shifts * masses[0]
     np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
     counts = (d <= 0).astype(np.int64)
@@ -177,13 +196,8 @@ def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> 
         target = k + 1
     else:
         raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
-    diag, off = string.pencil(boundary)
-    floor = 1 if boundary == "neumann" else 0
-
     def count(x: float) -> int:
-        raw = int(_pivot_counts(diag, off, string.masses, np.array([x]))[0])
-        return max(raw, floor)
-
+        return int(_counts(string, [x], boundary)[0])
     if count(0.0) >= target:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -238,23 +252,24 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
 
     The whole string is the depth-n atomization; piece i is the depth-(n-1)
     atomization of the subtree rooted at child i, evaluated at the composed
-    scale r_i * m_i * x.
+    scale r_i * m_i * x. The strings are built on the first call for
+    (tree, n) and kept in ``tree.memo``.
     """
     if n < 1:
         raise ValueError(f"bracketing needs generation n >= 1, got {n}")
     if x < 0:
         raise ValueError("spectral parameter x must be >= 0")
-    whole = StieltjesString.from_measure(atomize(build_cells(tree, n)))
-    nd, nn = count_dirichlet(whole, x), count_neumann(whole, x)
-    root_letter = tree.letter_at(())
-    sum_d = 0
-    sum_n = 0
-    for i, (s, w) in enumerate(zip(root_letter.maps, root_letter.weights), start=1):
-        piece = StieltjesString.from_measure(atomize(build_cells(tree.subtree((i,)), n - 1)))
-        y = s.ratio * w * x
-        sum_d += count_dirichlet(piece, y)
-        sum_n += count_neumann(piece, y)
-    return sum_d <= nd <= nn <= sum_n
+    memo = tree.memo.setdefault("bracketing", {})
+    if n not in memo:
+        root = tree.letter_at(())
+        memo[n] = (StieltjesString.from_measure(atomize(build_cells(tree, n))),
+                   [(s.ratio * w, StieltjesString.from_measure(
+                       atomize(build_cells(tree.subtree((i,)), n - 1))))
+                    for i, (s, w) in enumerate(zip(root.maps, root.weights), start=1)])
+    whole, pieces = memo[n]
+    sum_d = sum(count_dirichlet(piece, scale * x) for scale, piece in pieces)
+    sum_n = sum(count_neumann(piece, scale * x) for scale, piece in pieces)
+    return sum_d <= count_dirichlet(whole, x) <= count_neumann(whole, x) <= sum_n
 
 
 # ---------------------------------------------------------------------------

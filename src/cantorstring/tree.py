@@ -43,7 +43,8 @@ class RandomTree:
     """A sampled finite labelled tree: address -> letter index.
 
     Complete generations: a node's children are either all present or all
-    absent. Instances are immutable and safe to share across threads.
+    absent. Instances are immutable and safe to share across threads; the
+    only mutable part, ``memo``, caches values derived from the labels.
     """
 
     def __init__(self, model: IfsModel, seed: int, stop: StopRule,
@@ -52,6 +53,7 @@ class RandomTree:
         self.seed = seed
         self.stop = stop
         self._labels = labels
+        self.memo: Dict[str, dict] = {}
 
     # -- node access ---------------------------------------------------------
 
@@ -126,14 +128,6 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
             labels[child] = sampler.letter_at(child)
             queue.append((child, length * s.ratio))
     return RandomTree(model, seed, stop, labels)
-
-
-def subtree(tree: RandomTree, at: Address) -> RandomTree:
-    return tree.subtree(at)
-
-
-def generation(tree: RandomTree, n: int) -> List[Address]:
-    return tree.generation(n)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,16 @@ class TestCurve:
                 run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 3,
                          "--grid", grid, "--out", tmp_path / "c.csv"])
 
+    def test_bracketing_without_depth_exit_2(self, tf_model, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        for stop in (["--epsilon", "0.1"], ["--depth", 0]):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["curve", "--model", tf_model, "--seed", 1, *stop,
+                         "--grid", "1:1e3:5", "--out", out, "--check-bracketing"])
+            assert err.value.code == 2
+            assert "--depth >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_boundary_selection(self, tf_model, tmp_path):
         out = tmp_path / "c.csv"
         run_cli(["curve", "--model", tf_model, "--seed", 2, "--depth", 4,
@@ -166,6 +176,26 @@ class TestBranching:
         run_cli(base + ["--out", serial])
         run_cli(base + ["--workers", 2, "--out", parallel])
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+    def test_at_n_beyond_population_exit_2(self, tf_model, tmp_path, capsys):
+        out = tmp_path / "stat.json"
+        for at_n in (10_000, -1):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
+                         "--stat", "mean-R", "--at-n", at_n, "--out", out])
+            assert err.value.code == 2
+            assert "outside the population" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_workers_below_one_exit_2(self, tf_model, tmp_path, capsys):
+        for workers in (0, -3):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
+                         "--stat", "mean-R", "--at-n", 2, "--workers", workers,
+                         "--out", tmp_path / "stat.json"])
+            assert err.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 class TestCompare:

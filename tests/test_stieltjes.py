@@ -10,6 +10,9 @@ Core claims:
       saturate at n
     - exact mass and geometric scaling identities of the pencil
     - the four-term bracketing chain holds on sampled trees
+    - the plain-float sweep (few shifts) and the numpy sweep (many shifts)
+      give identical counts, ties and vanishing pivots included
+    - the per-tree bracketing memo changes neither verdicts nor the tree
 """
 import math
 import random
@@ -31,8 +34,14 @@ from cantorstring import (
     eigenvalue,
     sample_tree,
 )
-from cantorstring.stieltjes import export_curve_csv, export_string_txt
-from cantorstring.tree import StopRule
+from cantorstring.stieltjes import (
+    TIE_SHIFT,
+    _SCALAR_SHIFTS,
+    _counts,
+    export_curve_csv,
+    export_string_txt,
+)
+from cantorstring.tree import StopRule, dump_tree
 
 
 def random_string(seed: int, max_atoms: int = 200) -> StieltjesString:
@@ -149,6 +158,56 @@ class TestEigenvalue:
             eigenvalue(s, s.n, "neumann")
 
 
+class TestSweepPaths:
+    """Counts of a shift alone (plain-float sweep) == its count in a numpy batch."""
+
+    @staticmethod
+    def assert_paths_agree(s, xs):
+        xs = [float(x) for x in xs]
+        assert len(xs) == _SCALAR_SHIFTS + 1  # one past the cutoff: numpy path
+        for boundary in ("dirichlet", "neumann"):
+            batch = _counts(s, xs, boundary).tolist()
+            assert _counts(s, xs[:-1], boundary).tolist() == batch[:-1]  # at the cutoff
+            assert [int(_counts(s, [x], boundary)[0]) for x in xs] == batch
+
+    def test_random_strings(self):
+        rng = random.Random(17)
+        for seed in range(30):
+            s = random_string(seed, max_atoms=300)
+            self.assert_paths_agree(
+                s, sorted(10 ** rng.uniform(-2, 9) for _ in range(_SCALAR_SHIFTS + 1)))
+
+    def test_exact_eigenvalue_ties(self):
+        # uniform(2) has the exact Dirichlet spectrum {8, 16} and Neumann {0, 8}
+        u = StieltjesString.uniform(2)
+        assert count_dirichlet(u, 8.0) == 1 and count_dirichlet(u, 16.0) == 2
+        assert count_neumann(u, 8.0) == 2
+        ties = [8.0, 16.0] + [float(x) for x in np.geomspace(1.0, 1e3, _SCALAR_SHIFTS - 1)]
+        self.assert_paths_agree(u, ties)
+
+    def test_vanishing_pivot_safeguard(self):
+        # uniform(2): K_D = [[6, -2], [-2, 6]], M = I/2. At x' = 12 the first
+        # pivot is exactly zero and, unguarded, the next row would divide by
+        # it; at x' = 16 the last pivot is exactly zero and must be counted
+        u = StieltjesString.uniform(2)
+        x12, x16 = 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT
+        assert (x12 * TIE_SHIFT, x16 * TIE_SHIFT) == (12.0, 16.0)
+        assert count_dirichlet(u, x12) == dense_count(u, x12, "dirichlet") == 1
+        assert count_dirichlet(u, x16) == dense_count(u, x16, "dirichlet") == 2
+        self.assert_paths_agree(u, ([x12, x16] * _SCALAR_SHIFTS)[:_SCALAR_SHIFTS + 1])
+
+    def test_eigenvalues_pinned(self):
+        # exact floats of the single-shift numpy sweep this path replaced
+        s = random_string(21, max_atoms=40)
+        assert [eigenvalue(s, k, "dirichlet") for k in (1, 6, 11)] == [
+            3.397571695037186, 521.3895064592361, 204323.2441253662]
+        assert [eigenvalue(s, k, "neumann") for k in (1, 10)] == [
+            3.0368057547602803, 204323.2441253662]
+        u = StieltjesString.uniform(200)
+        assert eigenvalue(u, 1, "dirichlet") == 9.869401467964053
+        assert eigenvalue(u, 7, "neumann") == 483.12356358766556
+
+
 class TestCurve:
     def test_zero_grid(self):
         s = random_string(8)
@@ -227,6 +286,23 @@ class TestBracketing:
                 sum_d += count_dirichlet(piece, s.ratio * w * x)
                 sum_n += count_neumann(piece, s.ratio * w * x)
             assert sum_n - sum_d <= 2 * letter.n_maps
+
+    def test_memo_matches_fresh_trees(self, third_fifth, tmp_path):
+        tree = sample_tree(third_fifth, StopRule.depth(6), 11)
+        dump_tree(tree, tmp_path / "before.txt")
+        for x in (0.0, 30.0, 1e3, 1e5, 3e6):
+            for n in (6, 4):
+                fresh = sample_tree(third_fifth, StopRule.depth(6), 11)
+                assert check_bracketing(tree, n, x) == check_bracketing(fresh, n, x)
+        assert set(tree.memo["bracketing"]) == {4, 6}
+        fresh = sample_tree(third_fifth, StopRule.depth(6), 11)
+        assert tree == fresh
+        assert tree.subtree((1,)) == fresh.subtree((1,))
+        dump_tree(tree, tmp_path / "after.txt")
+        dump_tree(fresh, tmp_path / "fresh.txt")
+        before = (tmp_path / "before.txt").read_bytes()
+        assert (tmp_path / "after.txt").read_bytes() == before
+        assert (tmp_path / "fresh.txt").read_bytes() == before
 
     def test_requires_positive_depth(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 2)
