@@ -64,17 +64,9 @@ from .exponent import (
 from .branching import (
     BirthEvent,
     PopulationRun,
-    estimate_W,
     martingale_R,
     martingale_trace,
     simulate_population,
     z_process,
 )
-from .estimator import (
-    AsymptoticsReport,
-    asymptotics_report,
-    fit_exponent,
-    normalized_limit,
-    tail_statistics,
-    w_proxies,
-)
+from .estimator import fit_exponent, tail_statistics

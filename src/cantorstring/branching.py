@@ -22,12 +22,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._rng import Address, LabelSampler
 from .ifs import IfsModel, contraction_products, require_valid
 from .exponent import solve_recursive_exponent
-from .tree import format_address
+from .tree import format_address, write_table
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,6 @@ def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[
     return trace
 
 
-class WEstimate(NamedTuple):
-    value: float
-    truncation: int
-
-
-def estimate_W(run: PopulationRun, n: Optional[int] = None,
-               alpha: Optional[float] = None) -> WEstimate:
-    """W estimated by truncation: R_n at the requested (default largest) n."""
-    if n is None:
-        n = len(run.events)
-    return WEstimate(martingale_R(run, n, alpha), n)
-
-
 def z_process(run: PopulationRun, t: float) -> int:
     """Individuals born after t to mothers born at or before t."""
     if t < 0 or t > run.t_max:
@@ -144,34 +131,19 @@ def z_process(run: PopulationRun, t: float) -> int:
 # ---------------------------------------------------------------------------
 
 def export_events_csv(run: PopulationRun, path: str | Path, header: str = "") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("order_index,address,sigma,letter")
-    for k, event in enumerate(run.events):
-        lines.append(f"{k},{format_address(event.address)},{event.sigma!r},{event.letter_id}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, header, ("order_index", "address", "sigma", "letter"),
+                ((k, format_address(e.address), e.sigma, e.letter_id)
+                 for k, e in enumerate(run.events)))
 
 
 def export_martingale_csv(run: PopulationRun, path: str | Path,
                           alpha: Optional[float] = None, header: str = "") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("n,R_n")
-    for n, value in enumerate(martingale_trace(run, alpha)):
-        lines.append(f"{n},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, header, ("n", "R_n"), enumerate(martingale_trace(run, alpha)))
 
 
 def export_z_csv(run: PopulationRun, ts: Sequence[float], gamma: float,
                  path: str | Path, header: str = "") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("t,z_t,scaled")
-    for t in ts:
-        t = float(t)
-        z = z_process(run, t)
-        lines.append(f"{t!r},{z},{math.exp(-gamma * t) * z!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    ts = [float(t) for t in ts]
+    zs = [z_process(run, t) for t in ts]
+    write_table(path, header, ("t", "z_t", "scaled"),
+                ((t, z, math.exp(-gamma * t) * z) for t, z in zip(ts, zs)))

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from . import __version__
 from . import branching as br
 from . import exponent as ex
 from .ifs import IfsModel, load_model, model_digest, random_model, validate_model
-from .measure import atomize, build_cells, leaf_cells
-from .stieltjes import StieltjesString, check_bracketing, counting_curve, export_curve_csv
+from .measure import atomize, leaf_cells
+from .stieltjes import (StieltjesString, check_bracketing, counting_curve, depth_string,
+                        export_curve_csv)
 from .tree import StopRule, sample_tree
 
 
@@ -30,17 +32,25 @@ def _header(model: IfsModel, seed) -> str:
     return f"# model={model_digest(model)} seed={seed} version={__version__}"
 
 
+def _meta(model: Optional[IfsModel], seed) -> dict:
+    return {"model_digest": model_digest(model) if model is not None else None,
+            "seed": seed, "version": __version__}
+
+
+def _fail(message: str) -> NoReturn:
+    """Reject bad input: the message on stderr, exit status 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_model_or_exit(path: str) -> IfsModel:
     try:
         model = load_model(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-        print(f"cannot read model file {path}: {err}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"cannot read model file {path}: {err}")
     violations = validate_model(model)
     if violations:
-        for v in violations:
-            print(v, file=sys.stderr)
-        raise SystemExit(2)
+        _fail("\n".join(violations))
     return model
 
 
@@ -49,25 +59,27 @@ def _parse_grid(spec: str) -> np.ndarray:
         xmin_s, xmax_s, pts_s = spec.split(":")
         xmin, xmax, points = float(xmin_s), float(xmax_s), int(pts_s)
     except ValueError:
-        raise SystemExit(f"grid must be XMIN:XMAX:POINTS, got {spec!r}")
+        _fail(f"grid must be XMIN:XMAX:POINTS, got {spec!r}")
     if not (0.0 < xmin < xmax) or points < 2:
-        raise SystemExit(f"grid needs 0 < XMIN < XMAX and POINTS >= 2, got {spec!r}")
+        _fail(f"grid needs 0 < XMIN < XMAX and POINTS >= 2, got {spec!r}")
     return np.geomspace(xmin, xmax, points)
 
 
 def _parse_seeds(text: str) -> List[int]:
-    if ".." in text:
-        a, _, b = text.partition("..")
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise SystemExit(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    a, dots, b = text.partition("..")
+    try:
+        lo = int(a)
+        hi = int(b) if dots else lo
+    except ValueError:
+        _fail(f"--seeds must be N or A..B, got {text!r}")
+    if hi < lo:
+        _fail(f"empty seed range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _stop_rule(args) -> StopRule:
     if (args.depth is None) == (args.epsilon is None):
-        raise SystemExit("exactly one of --depth / --epsilon is required")
+        _fail("exactly one of --depth / --epsilon is required")
     if args.depth is not None:
         return StopRule.depth(args.depth)
     return StopRule.resolution(args.epsilon)
@@ -94,8 +106,7 @@ def cmd_validate(args) -> int:
 def cmd_exponent(args) -> int:
     model = _load_model_or_exit(args.model)
     report = ex.build_report(model).to_dict()
-    report["meta"] = {"model_digest": model_digest(model), "seed": None,
-                      "version": __version__}
+    report["meta"] = _meta(model, None)
     _write_json(report, args.out)
     return 0
 
@@ -104,15 +115,13 @@ def cmd_curve(args) -> int:
     model = _load_model_or_exit(args.model)
     stop = _stop_rule(args)
     if args.check_bracketing and (stop.kind != "depth" or int(stop.value) < 1):
-        print("--check-bracketing requires --depth >= 1", file=sys.stderr)
-        raise SystemExit(2)
+        _fail("--check-bracketing requires --depth >= 1")
     grid = _parse_grid(args.grid)
     tree = sample_tree(model, stop, args.seed)
     if stop.kind == "depth":
-        measure = build_cells(tree, int(stop.value))
+        string = depth_string(tree, int(stop.value))
     else:
-        measure = leaf_cells(tree)
-    string = StieltjesString.from_measure(atomize(measure))
+        string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
     samples = counting_curve(string, grid)
     export_curve_csv(samples, args.out, header=_header(model, args.seed),
                      boundary=args.boundary)
@@ -133,27 +142,24 @@ def _mean_r_for_seed(model: IfsModel, tmax: float, at_n: int, alpha: float,
 def cmd_branching(args) -> int:
     model = _load_model_or_exit(args.model)
     if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"--workers must be >= 1, got {args.workers}")
     seeds = [args.seed] if args.seed is not None else _parse_seeds(args.seeds)
     alpha = ex.solve_recursive_exponent(model)
     if args.stat == "mean-R":
         task = partial(_mean_r_for_seed, model, args.tmax, args.at_n, alpha)
         values = _map_seeds(task, seeds, args.workers)
         if None in values:
-            print(f"--at-n {args.at_n} is outside the population of seed "
-                  f"{seeds[values.index(None)]} by --tmax {args.tmax}", file=sys.stderr)
-            raise SystemExit(2)
+            _fail(f"--at-n {args.at_n} is outside the population of seed "
+                  f"{seeds[values.index(None)]} by --tmax {args.tmax}")
         arr = np.asarray(values)
         se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         _write_json({"stat": "mean-R", "n": args.at_n, "seeds": len(seeds),
                      "mean": float(arr.mean()), "stderr": se,
-                     "meta": {"model_digest": model_digest(model),
-                              "seed": args.seeds, "version": __version__}},
+                     "meta": _meta(model, args.seeds)},
                     args.out)
         return 0
     if len(seeds) != 1:
-        raise SystemExit("event/martingale/z output needs a single --seed")
+        _fail("event/martingale/z output needs a single --seed")
     run = br.simulate_population(model, args.tmax, seeds[0])
     header = _header(model, seeds[0])
     if args.out:
@@ -184,8 +190,7 @@ def cmd_compare(args) -> int:
         _write_json({"models": args.random, "violations": violations,
                      "worst_gap": worst_gap, "equal": tallies[ex.EQUAL],
                      "strictly_less": tallies[ex.STRICTLY_LESS],
-                     "meta": {"model_digest": None, "seed": args.seed,
-                              "version": __version__}},
+                     "meta": _meta(None, args.seed)},
                     args.out)
         return 0
     model = _load_model_or_exit(args.model)
@@ -193,14 +198,15 @@ def cmd_compare(args) -> int:
     gh = ex.solve_homogeneous_exponent(model)
     _write_json({"gamma_r": gr, "gamma_h": gh, "difference": gr - gh,
                  "verdict": ex.check_equality_condition(model),
-                 "meta": {"model_digest": model_digest(model), "seed": None,
-                          "version": __version__}},
+                 "meta": _meta(model, None)},
                 args.out)
     return 0
 
 
 def _map_seeds(fn, seeds: Sequence[int], workers: int) -> List:
-    # fn must be picklable (module-level function or partial of one)
+    # fn must be picklable (module-level function or partial of one); more
+    # processes than cores or seeds only add start-up cost
+    workers = min(workers, os.cpu_count() or 1, len(seeds))
     if workers > 1:
         from multiprocessing import Pool
         with Pool(workers) as pool:
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "compare" and not args.random and not args.model:
-        raise SystemExit("compare needs --model or --random N")
+        _fail("compare needs --model or --random N")
     return args.fn(args)
 
 

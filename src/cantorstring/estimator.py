@@ -9,8 +9,7 @@ largest half-decade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -59,13 +58,6 @@ def fit_exponent(curve: Curve, window: Tuple[float, float] = DEFAULT_WINDOW) -> 
     return slope, stderr
 
 
-def normalized_limit(curve: Curve, gamma: float) -> List[Tuple[float, float]]:
-    """Pointwise (x, count * x^(-gamma))."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return [(x, c * x ** (-gamma)) for x, c in curve]
-
-
 def tail_statistics(curve: Curve, gamma: float,
                     window: Tuple[float, float] = DEFAULT_WINDOW) -> Tuple[float, float]:
     """(mean, coefficient of variation) of normalized counts in the window."""
@@ -76,48 +68,3 @@ def tail_statistics(curve: Curve, gamma: float,
     mean = float(vals.mean())
     cv = float(vals.std() / mean) if mean > 0 else math.inf
     return mean, cv
-
-
-def w_proxies(tail_means: Sequence[float]) -> List[float]:
-    """Per-seed tail means scaled by their cross-seed median; exploratory only."""
-    med = float(np.median(np.asarray(tail_means, dtype=float)))
-    return [m / med for m in tail_means]
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    slope: float
-    slope_stderr: float
-    gamma_target: float
-    tail_mean: float
-    tail_cv: float
-    slope_abs_error: float
-    slope_ok: bool
-    normalized_tail: List[Tuple[float, float]] = field(repr=False)
-    w_proxy: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "gamma_target": self.gamma_target,
-            "tail_mean": self.tail_mean,
-            "tail_cv": self.tail_cv,
-            "slope_abs_error": self.slope_abs_error,
-            "slope_ok": self.slope_ok,
-            "w_proxy": self.w_proxy,
-            "normalized_tail": [[x, v] for x, v in self.normalized_tail],
-        }
-
-
-def asymptotics_report(curve: Curve, gamma_target: float, *,
-                       slope_tol: float = 0.05,
-                       window: Tuple[float, float] = DEFAULT_WINDOW) -> AsymptoticsReport:
-    """Slope fit plus normalized-tail summary against a target exponent."""
-    slope, stderr = fit_exponent(curve, window)
-    mean, cv = tail_statistics(curve, gamma_target, window)
-    pts = _window_points(_usable(curve), window)
-    tail = [(float(x), float(c * x ** (-gamma_target))) for x, c in pts]
-    err = abs(slope - gamma_target)
-    return AsymptoticsReport(slope, stderr, gamma_target, mean, cv, err,
-                             err <= slope_tol, tail)

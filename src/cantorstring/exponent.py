@@ -32,21 +32,34 @@ def _support_products(model: IfsModel) -> List[Tuple[float, List[float]]]:
             for letter, p in zip(model.letters, model.probs) if p > 0.0]
 
 
-def _bisect_decreasing(fn: Callable[[float], float], hi_start: float = 1.0) -> float:
-    """Root of a strictly decreasing fn with fn(0) > 0, resolved to the last bit."""
-    lo, hi = 0.0, hi_start
+def _bisect(fn: Callable[[float], float], *, rel_tol: float,
+            floor: float) -> Tuple[float, float]:
+    """Bracket (lo, hi) of the root of fn, where fn(x) > 0 means x lies below it.
+
+    hi doubles from 1.0 until fn(hi) <= 0, then the bracket halves until
+    hi - lo <= rel_tol * max(floor, hi). It also stops once the midpoint is
+    no longer strictly inside: the bracket cannot move after that, and the
+    stop bounds the loop even where rel_tol is below the float spacing.
+    """
+    lo, hi = 0.0, 1.0
     while fn(hi) > 0.0:
         lo, hi = hi, hi * 2.0
-        if hi > 1e12:
+        if hi > 1e300:
             raise RuntimeError("no root found while expanding the bracket")
-    for _ in range(200):
+    while hi - lo > rel_tol * max(floor, hi):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, hi):
+        if not lo < mid < hi:
             break
         if fn(mid) > 0.0:
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def _root(fn: Callable[[float], float]) -> float:
+    """Root of a strictly decreasing fn with fn(0) > 0, resolved to the last bit."""
+    lo, hi = _bisect(fn, rel_tol=1e-16, floor=1.0)
     return 0.5 * (lo + hi)
 
 
@@ -65,7 +78,7 @@ def solve_recursive_exponent(model: IfsModel) -> float:
         return math.fsum(p * math.fsum(q ** s for q in products)
                          for p, products in terms) - 1.0
 
-    return _bisect_decreasing(f)
+    return _root(f)
 
 
 def solve_homogeneous_exponent(model: IfsModel) -> float:
@@ -77,13 +90,13 @@ def solve_homogeneous_exponent(model: IfsModel) -> float:
         return math.fsum(p * math.log(math.fsum(q ** s for q in products))
                          for p, products in terms)
 
-    return _bisect_decreasing(g)
+    return _root(g)
 
 
 def letter_alpha(letter: Letter) -> float:
     """Per-letter root alpha of sum_i (r_i m_i)^alpha = 1."""
     products = contraction_products(letter)
-    return _bisect_decreasing(lambda s: math.fsum(q ** s for q in products) - 1.0)
+    return _root(lambda s: math.fsum(q ** s for q in products) - 1.0)
 
 
 def hausdorff_dimension(letter: Letter) -> float:
@@ -92,15 +105,10 @@ def hausdorff_dimension(letter: Letter) -> float:
     total = math.fsum(ratios)
     if total >= 1.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-17:
-            break
-        if math.fsum(r ** mid for r in ratios) > 1.0:
-            lo = mid
-        else:
-            hi = mid
+    # hi <= 1 keeps the 1e-17 stop absolute: below dimension 1/32 it fires
+    # before the bracket converges
+    lo, hi = _bisect(lambda d: math.fsum(r ** d for r in ratios) - 1.0,
+                     rel_tol=1e-17, floor=1.0)
     return 0.5 * (lo + hi)
 
 

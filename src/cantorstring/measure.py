@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ._rng import Address
-from .tree import RandomTree, format_address
+from .tree import RandomTree
 
 MASS_TOL = 1e-10
 
@@ -123,19 +122,6 @@ def atomize(measure: MeasureApprox) -> AtomizedMeasure:
     return AtomizedMeasure(measure.interval, positions, masses)
 
 
-def cells_equal(cells_a: Sequence[Cell], cells_b: Sequence[Cell], tol: float = 1e-10) -> bool:
-    """Cell-by-cell match of addresses, geometry and masses within tol."""
-    if len(cells_a) != len(cells_b):
-        return False
-    for ca, cb in zip(cells_a, cells_b):
-        if ca.address != cb.address:
-            return False
-        if (abs(ca.left - cb.left) > tol or abs(ca.right - cb.right) > tol
-                or abs(ca.mass - cb.mass) > tol):
-            return False
-    return True
-
-
 def check_self_similarity(tree: RandomTree, n: int, tol: float = 1e-10) -> bool:
     """Generation n+1 cells == root-child subtree cells pushed through the root maps.
 
@@ -150,30 +136,7 @@ def check_self_similarity(tree: RandomTree, n: int, tol: float = 1e-10) -> bool:
         sub = tree.subtree((i,))
         for c in build_cells(sub, n).cells:
             pushed.append(Cell((i,) + c.address, s(c.left), s(c.right), w * c.mass))
-    return cells_equal(whole.cells, pushed, tol)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def export_cells_csv(measure: MeasureApprox, path: str | Path, header: str = "") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("generation,address,left,right,mass")
-    for c in measure.cells:
-        lines.append(f"{len(c.address)},{format_address(c.address)},"
-                     f"{c.left!r},{c.right!r},{c.mass!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def export_cdf_csv(measure: MeasureApprox, xs: Iterable[float], path: str | Path,
-                   header: str = "") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("x,F")
-    for x in xs:
-        lines.append(f"{float(x)!r},{cdf(measure, float(x))!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return len(whole.cells) == len(pushed) and all(
+        ca.address == cb.address and abs(ca.left - cb.left) <= tol
+        and abs(ca.right - cb.right) <= tol and abs(ca.mass - cb.mass) <= tol
+        for ca, cb in zip(whole.cells, pushed))

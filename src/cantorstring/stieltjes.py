@@ -42,8 +42,9 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
+from .exponent import _bisect
 from .measure import AtomizedMeasure, atomize, build_cells
-from .tree import RandomTree
+from .tree import RandomTree, write_table
 
 TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
@@ -196,22 +197,11 @@ def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> 
         target = k + 1
     else:
         raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
-    def count(x: float) -> int:
-        return int(_counts(string, [x], boundary)[0])
-    if count(0.0) >= target:
+    def missing(x: float) -> int:
+        return target - int(_counts(string, [x], boundary)[0])
+    if missing(0.0) <= 0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while count(hi) < target:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e300:
-            raise RuntimeError("eigenvalue bracket exceeded float range")
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(missing, rel_tol=1e-10, floor=0.0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +235,14 @@ def dense_count(string: StieltjesString, x: float, boundary: str) -> int:
 # Bracketing check
 # ---------------------------------------------------------------------------
 
+def depth_string(tree: RandomTree, n: int) -> StieltjesString:
+    """The atomized generation-n string of tree, built once and kept in ``tree.memo``."""
+    strings = tree.memo.setdefault("strings", {})
+    if n not in strings:
+        strings[n] = StieltjesString.from_measure(atomize(build_cells(tree, n)))
+    return strings[n]
+
+
 def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     """Four-term chain between the whole string and its root-child pieces.
 
@@ -262,11 +260,9 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:
         root = tree.letter_at(())
-        memo[n] = (StieltjesString.from_measure(atomize(build_cells(tree, n))),
-                   [(s.ratio * w, StieltjesString.from_measure(
-                       atomize(build_cells(tree.subtree((i,)), n - 1))))
-                    for i, (s, w) in enumerate(zip(root.maps, root.weights), start=1)])
-    whole, pieces = memo[n]
+        memo[n] = [(s.ratio * w, depth_string(tree.subtree((i,)), n - 1))
+                   for i, (s, w) in enumerate(zip(root.maps, root.weights), start=1)]
+    whole, pieces = depth_string(tree, n), memo[n]
     sum_d = sum(count_dirichlet(piece, scale * x) for scale, piece in pieces)
     sum_n = sum(count_neumann(piece, scale * x) for scale, piece in pieces)
     return sum_d <= count_dirichlet(whole, x) <= count_neumann(whole, x) <= sum_n
@@ -278,28 +274,7 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
 
 def export_curve_csv(samples: Iterable[CountingSample], path: str | Path,
                      header: str = "", boundary: str = "both") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    if boundary == "both":
-        lines.append("x,N_D,N_N")
-        for s in samples:
-            lines.append(f"{s.x!r},{s.count_dirichlet},{s.count_neumann}")
-    elif boundary == "dirichlet":
-        lines.append("x,N_D")
-        for s in samples:
-            lines.append(f"{s.x!r},{s.count_dirichlet}")
-    else:
-        lines.append("x,N_N")
-        for s in samples:
-            lines.append(f"{s.x!r},{s.count_neumann}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def export_string_txt(string: StieltjesString, path: str | Path, header: str = "") -> None:
-    lines = []
-    if header:
-        lines.append(header)
-    for p, m in zip(string.positions, string.masses):
-        lines.append(f"{float(p)!r} {float(m)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    keep = {"both": (0, 1, 2), "dirichlet": (0, 1)}.get(boundary, (0, 2))
+    write_table(path, header, [("x", "N_D", "N_N")[k] for k in keep],
+                ([(s.x, s.count_dirichlet, s.count_neumann)[k] for k in keep]
+                 for s in samples))

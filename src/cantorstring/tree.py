@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ._rng import Address, LabelSampler
 from .ifs import IfsModel, Letter, model_digest, require_valid
@@ -138,6 +138,18 @@ def format_address(address: Address) -> str:
     return ".".join(str(i) for i in address)
 
 
+def write_table(path: str | Path, header: str, columns: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write a table file: the header line and the column line, each only if
+    non-empty, then one comma-joined line per row (str of a float is its
+    shortest round-trip repr)."""
+    lines = [header] if header else []
+    if columns:
+        lines.append(",".join(columns))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def parse_address(text: str) -> Address:
     if not text:
         return ()
@@ -145,11 +157,11 @@ def parse_address(text: str) -> Address:
 
 
 def dump_tree(tree: RandomTree, path: str | Path, version: str = "0") -> None:
-    lines = [f"# model={model_digest(tree.model)} seed={tree.seed} "
-             f"version={version} stop={tree.stop.describe()}"]
-    for address in sorted(tree._labels, key=lambda a: (len(a), a)):
-        lines.append(f"{format_address(address)},{tree.letter_id(address)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = (f"# model={model_digest(tree.model)} seed={tree.seed} "
+              f"version={version} stop={tree.stop.describe()}")
+    addresses = sorted(tree._labels, key=lambda a: (len(a), a))
+    # no column line: load_tree reads every line not starting with '#' as a node
+    write_table(path, header, (), ((format_address(a), tree.letter_id(a)) for a in addresses))
 
 
 def load_tree(path: str | Path, model: IfsModel) -> RandomTree:

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from cantorstring import (
-    estimate_W,
     martingale_R,
     martingale_trace,
     nerman_constant_hat_phi,
@@ -146,17 +145,18 @@ class TestMartingale:
 
 
 class TestEstimateW:
+    """W estimated by truncation: R_n over the whole materialized population."""
+
     def test_deterministic_model(self, middle_third):
         run = simulate_population(middle_third, 3 * LN6, 5)
-        estimate = estimate_W(run)
-        assert estimate.value == pytest.approx(1.0, abs=1e-12)
-        assert estimate.truncation == len(run.events)
+        gamma = solve_recursive_exponent(middle_third)
+        assert martingale_R(run, len(run.events), gamma) == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_across_seeds(self, third_fifth):
         gamma = solve_recursive_exponent(third_fifth)
         for seed in range(500):
             run = simulate_population(third_fifth, 10.0, seed)
-            assert estimate_W(run, alpha=gamma).value > 0.0
+            assert martingale_R(run, len(run.events), gamma) > 0.0
 
     def test_cauchy_differences_shrink(self, third_fifth):
         gamma = solve_recursive_exponent(third_fifth)

@@ -13,6 +13,7 @@ Core claims:
       on a random batch
 """
 import json
+import os
 
 import pytest
 
@@ -110,19 +111,18 @@ class TestCurve:
         assert len(out.read_text().splitlines()) == 22
 
     def test_requires_exactly_one_stop_rule(self, tf_model, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli(["curve", "--model", tf_model, "--seed", 1,
-                     "--grid", "1:1e5:20", "--out", tmp_path / "c.csv"])
-        with pytest.raises(SystemExit):
-            run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 3,
-                     "--epsilon", "0.1", "--grid", "1:1e5:20",
-                     "--out", tmp_path / "c.csv"])
+        for stop in ([], ["--depth", 3, "--epsilon", "0.1"]):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["curve", "--model", tf_model, "--seed", 1, *stop,
+                         "--grid", "1:1e5:20", "--out", tmp_path / "c.csv"])
+            assert err.value.code == 2
 
     def test_bad_grid_rejected(self, tf_model, tmp_path):
         for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense"):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as err:
                 run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 3,
                          "--grid", grid, "--out", tmp_path / "c.csv"])
+            assert err.value.code == 2
 
     def test_bracketing_without_depth_exit_2(self, tf_model, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -133,6 +133,22 @@ class TestCurve:
             assert err.value.code == 2
             assert "--depth >= 1" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_bracketing_builds_whole_string_once(self, tf_model, tmp_path, monkeypatch):
+        from cantorstring import cli, stieltjes
+
+        real = stieltjes.build_cells
+        depths = []
+
+        def counting(tree, n):
+            depths.append(n)
+            return real(tree, n)
+
+        monkeypatch.setattr(stieltjes, "build_cells", counting)
+        monkeypatch.setattr(cli, "build_cells", counting, raising=False)
+        run_cli(["curve", "--model", tf_model, "--seed", 3, "--depth", 5,
+                 "--grid", "1:1e4:8", "--out", tmp_path / "c.csv", "--check-bracketing"])
+        assert depths.count(5) == 1  # the root-child pieces are depth 4
 
     def test_boundary_selection(self, tf_model, tmp_path):
         out = tmp_path / "c.csv"
@@ -198,6 +214,49 @@ class TestBranching:
             assert "--workers" in capsys.readouterr().err
 
 
+    def test_bad_seeds_exit_2(self, tf_model, tmp_path, capsys):
+        for seeds in ("abc", "1..x", "..4", "5..2"):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["branching", "--model", tf_model, "--seeds", seeds, "--tmax", 4,
+                         "--stat", "mean-R", "--at-n", 2])
+            assert err.value.code == 2
+            assert repr(seeds) in capsys.readouterr().err
+
+    def test_event_output_needs_single_seed_exit_2(self, tf_model, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
+                     "--out", tmp_path / "e.csv"])
+        assert err.value.code == 2
+
+    def test_workers_capped_before_spawning(self, tf_model, tmp_path, monkeypatch):
+        import multiprocessing
+
+        requested = []
+
+        class RecordingPool:
+            # stands in for multiprocessing.Pool so no process is ever started
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        serial, capped = tmp_path / "s.json", tmp_path / "c.json"
+        base = ["branching", "--model", tf_model, "--seeds", "0..7", "--tmax", 4,
+                "--stat", "mean-R", "--at-n", 2]
+        run_cli(base + ["--out", serial])
+        run_cli(base + ["--workers", 10 ** 6, "--out", capped])
+        assert all(n <= (os.cpu_count() or 1) for n in requested)
+        assert serial.read_bytes() == capped.read_bytes()
+
+
 class TestCompare:
     def test_third_fifth(self, tf_model, capsys):
         run_cli(["compare", "--model", tf_model])
@@ -215,5 +274,6 @@ class TestCompare:
         assert payload["worst_gap"] <= 1e-12
 
     def test_needs_model_or_random(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             run_cli(["compare"])
+        assert err.value.code == 2

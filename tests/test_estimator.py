@@ -16,14 +16,11 @@ import pytest
 
 from cantorstring import (
     StieltjesString,
-    asymptotics_report,
     counting_curve,
     fit_exponent,
-    normalized_limit,
     sample_tree,
     solve_recursive_exponent,
     tail_statistics,
-    w_proxies,
 )
 from cantorstring.measure import atomize, build_cells
 from cantorstring.tree import StopRule
@@ -75,8 +72,9 @@ class TestNormalizedLimit:
     def test_exact_power_is_constant(self):
         xs = np.geomspace(1.0, 1e6, 30)
         curve = [(float(x), float(x ** 0.4)) for x in xs]
-        normalized = normalized_limit(curve, 0.4)
-        assert [v for _, v in normalized] == pytest.approx([1.0] * len(xs))
+        mean, cv = tail_statistics(curve, 0.4)
+        assert mean == pytest.approx(1.0)
+        assert cv == pytest.approx(0.0, abs=1e-12)
 
     def test_weyl_constant(self):
         u = StieltjesString.uniform(10_000)
@@ -84,10 +82,6 @@ class TestNormalizedLimit:
         mean, cv = tail_statistics(curve, 0.5)
         assert mean == pytest.approx(1.0 / math.pi, rel=0.05)
         assert cv < 0.05
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            normalized_limit([(1.0, 1.0)], 0.0)
 
 
 class TestLatticeBoundedness:
@@ -105,21 +99,3 @@ class TestLatticeBoundedness:
         assert all(v > 0 for v in vals)
         assert max(vals) / min(vals) < 10.0
 
-
-class TestReport:
-    def test_report_fields(self, third_fifth):
-        gamma = solve_recursive_exponent(third_fifth)
-        tree = sample_tree(third_fifth, StopRule.depth(8), 3)
-        string = StieltjesString.from_measure(atomize(build_cells(tree, 8)))
-        curve = dirichlet_curve(string, np.geomspace(1.0, 1e6, 80))
-        report = asymptotics_report(curve, gamma)
-        assert report.slope == pytest.approx(gamma, abs=0.05)
-        assert report.slope_ok
-        assert report.tail_mean > 0
-        assert report.normalized_tail
-        payload = report.to_dict()
-        assert payload["gamma_target"] == gamma
-
-    def test_w_proxies_median_one(self):
-        proxies = w_proxies([0.5, 1.0, 2.0])
-        assert sorted(proxies)[1] == 1.0

@@ -11,6 +11,8 @@ Core claims:
     - atomization puts the full cell mass at the midpoint
     - generation n+1 equals the root-children pushforward (self-similarity)
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from cantorstring import (
     leaf_cells,
     sample_tree,
 )
-from cantorstring.measure import Cell, cells_equal, export_cells_csv
+from cantorstring import measure
+from cantorstring.measure import Cell
 from cantorstring.tree import StopRule
 
 SEED_ROOT_THIRD = 1  # third-fifth model: root label is "third" for this seed
@@ -83,7 +86,7 @@ class TestLeafCells:
 
     def test_depth_tree_leaves_match_generation(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(4), 2)
-        assert cells_equal(leaf_cells(tree).cells, build_cells(tree, 4).cells, 0.0)
+        assert leaf_cells(tree).cells == build_cells(tree, 4).cells
 
 
 class TestPersistence:
@@ -178,37 +181,20 @@ class TestSelfSimilarity:
             tree = sample_tree(third_fifth, StopRule.depth(4), seed)
             assert check_self_similarity(tree, 3)
 
-    def test_corrupted_mass_detected(self, third_fifth):
+    def test_corrupted_mass_detected(self, third_fifth, monkeypatch):
         tree = sample_tree(third_fifth, StopRule.depth(2), 5)
-        cells = list(build_cells(tree, 2).cells)
-        bad = list(cells)
-        c = bad[0]
-        bad[0] = Cell(c.address, c.left, c.right, c.mass + 1e-6)
-        assert cells_equal(cells, cells)
-        assert not cells_equal(cells, bad)
+        assert check_self_similarity(tree, 1)
+        real = measure.build_cells
 
+        def corrupted(t, n):
+            # only the depth-1 subtree side is perturbed, by 1e-6 >> tol
+            cells = real(t, n)
+            if n == 1:
+                c = cells.cells[0]
+                cells = replace(cells, cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
+                                + cells.cells[1:])
+            return cells
 
-def test_cdf_csv(tmp_path, middle_third):
-    from cantorstring.measure import export_cdf_csv
+        monkeypatch.setattr(measure, "build_cells", corrupted)
+        assert not check_self_similarity(tree, 1)
 
-    tree = sample_tree(middle_third, StopRule.depth(1), 0)
-    m = build_cells(tree, 1)
-    path = tmp_path / "cdf.csv"
-    export_cdf_csv(m, [0.0, 1 / 6, 0.5, 1.0], path, header="# h")
-    lines = path.read_text().splitlines()
-    assert lines[1] == "x,F"
-    values = [float(line.split(",")[1]) for line in lines[2:]]
-    assert values == pytest.approx([0.0, 0.25, 0.5, 1.0])
-
-
-def test_cells_csv_round_trip(tmp_path, third_fifth):
-    tree = sample_tree(third_fifth, StopRule.depth(2), 5)
-    m = build_cells(tree, 2)
-    path = tmp_path / "cells.csv"
-    export_cells_csv(m, path, header="# test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test"
-    assert lines[1] == "generation,address,left,right,mass"
-    assert len(lines) == 2 + len(m.cells)
-    total = sum(float(line.split(",")[4]) for line in lines[2:])
-    assert total == pytest.approx(1.0, abs=1e-10)

@@ -39,7 +39,6 @@ from cantorstring.stieltjes import (
     _SCALAR_SHIFTS,
     _counts,
     export_curve_csv,
-    export_string_txt,
 )
 from cantorstring.tree import StopRule, dump_tree
 
@@ -319,13 +318,3 @@ def test_curve_csv(tmp_path):
     assert lines[:2] == ["# h", "x,N_D,N_N"]
     assert len(lines) == 10
 
-
-def test_string_txt_dump(tmp_path):
-    s = random_string(6, max_atoms=10)
-    path = tmp_path / "string.txt"
-    export_string_txt(s, path, header="# h")
-    rows = [line.split() for line in path.read_text().splitlines()[1:]]
-    positions = [float(p) for p, _ in rows]
-    masses = [float(m) for _, m in rows]
-    assert positions == s.positions.tolist()
-    assert masses == s.masses.tolist()
