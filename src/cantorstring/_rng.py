@@ -2,15 +2,16 @@
 
 Tree labels must be reproducible from a single 64-bit seed, identical no
 matter in which order nodes are visited, and portable across platforms.
-Instead of advancing one sequential stream, every address owns a state
-derived by hashing the seed and the path components through splitmix64
-(Steele, Lea, Flood 2014). One extra mixing round turns the state into a
-uniform double in [0, 1).
+Every address owns a splitmix64 state (Steele, Lea, Flood 2014): the
+root's is one round of the seed, child i's one round of its parent's state
+xor i * SALT, so callers derive it in O(1) from the parent's they carry.
+One more round gives the uniform in [0, 1) that draws the node's letter.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Sequence, Tuple
 
 Address = Tuple[int, ...]
 
@@ -29,39 +30,24 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def address_state(seed: int, path: Sequence[int]) -> int:
-    """Hash state for an address: fold each path component into the seed state."""
-    state = splitmix64(seed & _MASK64)
-    for component in path:
-        state = splitmix64(state ^ ((component * _CHILD_SALT) & _MASK64))
-    return state
+def root_state(seed: int) -> int:
+    """Hash state of the root address () for a seed."""
+    return splitmix64(seed & _MASK64)
 
 
-def unit_uniform(state: int) -> float:
-    """Map a 64-bit state to a double in [0, 1) using the top 53 bits."""
-    return (splitmix64(state) >> 11) * (1.0 / (1 << 53))
+def child_state(state: int, i: int) -> int:
+    """Hash state of child i of the node whose state is `state`."""
+    return splitmix64(state ^ ((i * _CHILD_SALT) & _MASK64))
 
 
-class LabelSampler:
-    """Draws i.i.d. letter indices, one independent draw per tree address.
+def letter_draw(probs: Sequence[float]) -> Callable[[int], int]:
+    """state -> letter index: the first letter whose running float sum of
+    probs exceeds u (top 53 bits of one more round), capped at the last."""
+    cum = list(accumulate(probs))
+    last = len(cum) - 1
 
-    The draw at an address depends only on (seed, address), so sampling is
-    order-independent and safe to replay from any traversal.
-    """
+    def draw(state: int) -> int:
+        u = (splitmix64(state) >> 11) * (1.0 / (1 << 53))
+        return min(bisect_right(cum, u), last)
 
-    def __init__(self, probs: Sequence[float], seed: int):
-        self.seed = seed & _MASK64
-        cum = []
-        total = 0.0
-        for p in probs:
-            total += p
-            cum.append(total)
-        self._cum = cum
-
-    def uniform_at(self, path: Sequence[int]) -> float:
-        return unit_uniform(address_state(self.seed, path))
-
-    def letter_at(self, path: Sequence[int]) -> int:
-        u = self.uniform_at(path)
-        idx = bisect_right(self._cum, u)
-        return min(idx, len(self._cum) - 1)
+    return draw

@@ -12,9 +12,10 @@ evaluated at the Malthusian tilt alpha = gamma_r, has mean one for every n
 and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
-Labels reuse the per-address hash draws of the tree sampler, so a
-population and a sampled tree with the same (model, seed) carry identical
-letters at identical addresses.
+Heap entries carry each individual's hash state, and the same
+root_state / child_state / letter_draw rule as the tree sampler draws the
+letters, so a population and a tree with the same (model, seed) carry
+identical letters at identical addresses.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from ._rng import Address, LabelSampler
+from ._rng import Address, child_state, letter_draw, root_state
 from .ifs import IfsModel, contraction_products, require_valid
 from .exponent import solve_recursive_exponent
 from .tree import format_address, write_table
@@ -60,23 +61,24 @@ class PopulationRun:
 
 def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationRun:
     """Materialize every individual with birth time <= t_max; deterministic in seed."""
-    if t_max < 0:
+    if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     require_valid(model)
     offsets_per_letter = [tuple(-math.log(q) for q in contraction_products(letter))
                           for letter in model.letters]
-    sampler = LabelSampler(model.probs, seed)
-    heap: List[Tuple[float, Address]] = [(0.0, ())]
+    draw = letter_draw(model.probs)
+    # (sigma, address, hash state): addresses are unique, so states never compare
+    heap: List[Tuple[float, Address, int]] = [(0.0, (), root_state(seed))]
     events: List[BirthEvent] = []
     while heap:
-        sigma, address = heapq.heappop(heap)
-        letter_index = sampler.letter_at(address)
+        sigma, address, state = heapq.heappop(heap)
+        letter_index = draw(state)
         offsets = offsets_per_letter[letter_index]
         events.append(BirthEvent(address, sigma, model.letters[letter_index].id, offsets))
         for i, tau in enumerate(offsets, start=1):
             birth = sigma + tau
             if birth <= t_max:
-                heapq.heappush(heap, (birth, address + (i,)))
+                heapq.heappush(heap, (birth, address + (i,), child_state(state, i)))
     return PopulationRun(model, seed, t_max, events)
 
 

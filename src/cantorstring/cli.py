@@ -27,6 +27,8 @@ from .stieltjes import (StieltjesString, check_bracketing, counting_curve, depth
                         export_curve_csv)
 from .tree import StopRule, sample_tree
 
+MAX_SEEDS = 1_000_000  # longest --seeds range; its list is built before any work
+
 
 def _header(model: IfsModel, seed) -> str:
     return f"# model={model_digest(model)} seed={seed} version={__version__}"
@@ -60,8 +62,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         xmin, xmax, points = float(xmin_s), float(xmax_s), int(pts_s)
     except ValueError:
         _fail(f"grid must be XMIN:XMAX:POINTS, got {spec!r}")
-    if not (0.0 < xmin < xmax) or points < 2:
-        _fail(f"grid needs 0 < XMIN < XMAX and POINTS >= 2, got {spec!r}")
+    if not (0.0 < xmin < xmax < math.inf) or points < 2:
+        _fail(f"grid needs 0 < XMIN < XMAX < inf and POINTS >= 2, got {spec!r}")
     return np.geomspace(xmin, xmax, points)
 
 
@@ -74,15 +76,20 @@ def _parse_seeds(text: str) -> List[int]:
         _fail(f"--seeds must be N or A..B, got {text!r}")
     if hi < lo:
         _fail(f"empty seed range {text!r}")
+    if hi - lo >= MAX_SEEDS:
+        _fail(f"seed range {text!r} has more than {MAX_SEEDS} seeds")
     return list(range(lo, hi + 1))
 
 
 def _stop_rule(args) -> StopRule:
     if (args.depth is None) == (args.epsilon is None):
         _fail("exactly one of --depth / --epsilon is required")
-    if args.depth is not None:
-        return StopRule.depth(args.depth)
-    return StopRule.resolution(args.epsilon)
+    try:
+        if args.depth is not None:
+            return StopRule.depth(args.depth)
+        return StopRule.resolution(args.epsilon)
+    except ValueError as err:
+        _fail(str(err))
 
 
 def _write_json(payload: dict, out: Optional[str]) -> None:
@@ -143,6 +150,10 @@ def cmd_branching(args) -> int:
     model = _load_model_or_exit(args.model)
     if args.workers < 1:
         _fail(f"--workers must be >= 1, got {args.workers}")
+    if not 0.0 <= args.tmax < math.inf:
+        _fail(f"--tmax must be finite and >= 0, got {args.tmax}")
+    if args.z_points < 1:
+        _fail(f"--z-points must be >= 1, got {args.z_points}")
     seeds = [args.seed] if args.seed is not None else _parse_seeds(args.seeds)
     alpha = ex.solve_recursive_exponent(model)
     if args.stat == "mean-R":
@@ -173,6 +184,8 @@ def cmd_branching(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.random is not None and args.random < 1:
+        _fail(f"--random must be >= 1, got {args.random}")
     if args.random:
         rows = []
         worst_gap = -math.inf
@@ -193,6 +206,8 @@ def cmd_compare(args) -> int:
                      "meta": _meta(None, args.seed)},
                     args.out)
         return 0
+    if not args.model:
+        _fail("compare needs --model or --random N")
     model = _load_model_or_exit(args.model)
     gr = ex.solve_recursive_exponent(model)
     gh = ex.solve_homogeneous_exponent(model)
@@ -270,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compare" and not args.random and not args.model:
-        _fail("compare needs --model or --random N")
     return args.fn(args)
 
 

@@ -79,7 +79,7 @@ def _walk_cells(tree: RandomTree, emit_leaf_only: bool, max_depth: Optional[int]
                           ratio * s.ratio,
                           ratio * s.offset + offset,
                           mass * letter.weights[i]))
-    out.sort(key=lambda c: c.address)
+    # children pop in map order, so this preorder is lexicographic address order
     return out
 
 

@@ -3,8 +3,9 @@
 Every node carries an i.i.d. letter label; the label decides how many
 children the node has and how its cell subdivides. Trees are materialized
 eagerly up to a stop rule (fixed depth, or geometric cell resolution) and
-are immutable afterwards. Labels are a pure function of (seed, address),
-so replay is bit-identical and independent of traversal order.
+are immutable afterwards. Each node's hash state rides on the sampler's
+stack and gives its children's in O(1); labels stay a pure function of
+(seed, address), so replay is bit-identical in any traversal order.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from ._rng import Address, LabelSampler
+from ._rng import Address, child_state, letter_draw, root_state
 from .ifs import IfsModel, Letter, model_digest, require_valid
 
 
@@ -29,7 +30,7 @@ class StopRule:
 
     @staticmethod
     def resolution(epsilon: float) -> "StopRule":
-        if epsilon <= 0.0:
+        if not epsilon > 0.0:
             raise ValueError(f"resolution epsilon must be > 0, got {epsilon}")
         return StopRule("resolution", float(epsilon))
 
@@ -88,9 +89,6 @@ class RandomTree:
             raise ValueError(f"generation index must be >= 0, got {n}")
         return sorted(a for a in self._labels if len(a) == n)
 
-    def leaves(self) -> List[Address]:
-        return sorted(a for a in self._labels if not self.is_expanded(a))
-
     def subtree(self, at: Address) -> "RandomTree":
         """The tree rooted at `at`, with addresses relabelled relative to it."""
         at = tuple(at)
@@ -108,14 +106,13 @@ class RandomTree:
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic."""
     require_valid(model)
-    sampler = LabelSampler(model.probs, seed)
+    draw = letter_draw(model.probs)
     a, b = model.interval
-    labels: Dict[Address, int] = {}
-    root: Address = ()
-    labels[root] = sampler.letter_at(root)
-    queue: List[Tuple[Address, float]] = [(root, b - a)]
-    while queue:
-        address, length = queue.pop()
+    state = root_state(seed)
+    labels: Dict[Address, int] = {(): draw(state)}
+    stack: List[Tuple[Address, float, int]] = [((), b - a, state)]
+    while stack:
+        address, length, state = stack.pop()
         if stop.kind == "depth":
             expand = len(address) < int(stop.value)
         else:
@@ -124,9 +121,9 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
             continue
         letter = model.letters[labels[address]]
         for i, s in enumerate(letter.maps, start=1):
-            child = address + (i,)
-            labels[child] = sampler.letter_at(child)
-            queue.append((child, length * s.ratio))
+            child, child_hash = address + (i,), child_state(state, i)
+            labels[child] = draw(child_hash)
+            stack.append((child, length * s.ratio, child_hash))
     return RandomTree(model, seed, stop, labels)
 
 

@@ -41,8 +41,18 @@ class TestSimulation:
         assert all(tau > 0 for tau in event.child_offsets)
 
     def test_negative_horizon_rejected(self, third_fifth):
-        with pytest.raises(ValueError):
-            simulate_population(third_fifth, -1.0, 0)
+        for t_max in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                simulate_population(third_fifth, t_max, 0)
+
+    @pytest.mark.parametrize("probs", [(0.0, 1.0), (1.0, 0.0)])
+    def test_zero_probability_letter_never_drawn(self, third_fifth, probs):
+        from cantorstring import IfsModel
+        model = IfsModel(third_fifth.interval, third_fifth.letters, probs)
+        drawn = model.letters[probs.index(1.0)].id
+        for seed in range(20):
+            run = simulate_population(model, 6.0, seed)
+            assert {event.letter_id for event in run.events} == {drawn}
 
     def test_deterministic_clock(self, middle_third):
         run = simulate_population(middle_third, 3.5 * LN6, 7)

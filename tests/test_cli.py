@@ -26,6 +26,14 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def forbid(monkeypatch, module, name):
+    """Make module.name fail if called: bad input must be rejected before it
+    runs (an unchecked zero epsilon or infinite horizon would never stop)."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the input was rejected")
+    monkeypatch.setattr(module, name, called)
+
+
 @pytest.fixture
 def tf_model(models_dir):
     return models_dir / "third-fifth.json"
@@ -110,15 +118,20 @@ class TestCurve:
                  "--grid", "1:1e5:20", "--out", out])
         assert len(out.read_text().splitlines()) == 22
 
-    def test_requires_exactly_one_stop_rule(self, tf_model, tmp_path):
-        for stop in ([], ["--depth", 3, "--epsilon", "0.1"]):
+    def test_requires_exactly_one_stop_rule(self, tf_model, tmp_path, monkeypatch):
+        from cantorstring import cli
+        forbid(monkeypatch, cli, "sample_tree")
+        out = tmp_path / "c.csv"
+        for stop in ([], ["--depth", 3, "--epsilon", "0.1"], ["--depth", -1],
+                     ["--epsilon", "0"], ["--epsilon", "-1e-3"], ["--epsilon", "nan"]):
             with pytest.raises(SystemExit) as err:
                 run_cli(["curve", "--model", tf_model, "--seed", 1, *stop,
-                         "--grid", "1:1e5:20", "--out", tmp_path / "c.csv"])
+                         "--grid", "1:1e5:20", "--out", out])
             assert err.value.code == 2
+            assert not out.exists()
 
     def test_bad_grid_rejected(self, tf_model, tmp_path):
-        for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense"):
+        for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense", "1:inf:4", "nan:10:5"):
             with pytest.raises(SystemExit) as err:
                 run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 3,
                          "--grid", grid, "--out", tmp_path / "c.csv"])
@@ -204,18 +217,31 @@ class TestBranching:
             assert "outside the population" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_workers_below_one_exit_2(self, tf_model, tmp_path, capsys):
-        for workers in (0, -3):
+    def test_workers_below_one_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):
+        from cantorstring import branching
+        forbid(monkeypatch, branching, "simulate_population")
+        out = tmp_path / "stat.json"
+        for flag, value in (("--workers", 0), ("--workers", -3), ("--tmax", -1),
+                            ("--tmax", "nan"), ("--tmax", "inf")):
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
-                         "--stat", "mean-R", "--at-n", 2, "--workers", workers,
-                         "--out", tmp_path / "stat.json"])
+                         "--stat", "mean-R", "--at-n", 2, flag, value, "--out", out])
             assert err.value.code == 2
-            assert "--workers" in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+        z_out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
+                     "--z-points", -3, "--z-out", z_out])
+        assert err.value.code == 2
+        assert "--z-points" in capsys.readouterr().err
+        assert not z_out.exists()
 
 
-    def test_bad_seeds_exit_2(self, tf_model, tmp_path, capsys):
-        for seeds in ("abc", "1..x", "..4", "5..2"):
+    def test_bad_seeds_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):
+        from cantorstring import branching
+        forbid(monkeypatch, branching, "simulate_population")
+        for seeds in ("abc", "1..x", "..4", "5..2", "0..1000000"):
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--seeds", seeds, "--tmax", 4,
                          "--stat", "mean-R", "--at-n", 2])
@@ -273,7 +299,10 @@ class TestCompare:
         assert payload["equal"] + payload["strictly_less"] == 30
         assert payload["worst_gap"] <= 1e-12
 
-    def test_needs_model_or_random(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["compare"])
-        assert err.value.code == 2
+    def test_needs_model_or_random(self, tmp_path):
+        out = tmp_path / "batch.json"
+        for extra in ([], ["--random", -3], ["--random", 0]):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["compare", *extra, "--out", out])
+            assert err.value.code == 2
+            assert not out.exists()

@@ -73,6 +73,9 @@ class TestBuildCells:
         for prev, cur in zip(cells, cells[1:]):
             assert prev.right <= cur.left + 1e-12
             assert prev.left < cur.left
+        leaves = leaf_cells(sample_tree(third_fifth, StopRule.resolution(1e-3), 9)).cells
+        addresses = [c.address for c in leaves]
+        assert addresses == sorted(addresses)
 
 
 class TestLeafCells:

@@ -34,6 +34,8 @@ class TestStopRules:
             StopRule.resolution(0.0)
         with pytest.raises(ValueError):
             StopRule.resolution(-1e-3)
+        with pytest.raises(ValueError):
+            StopRule.resolution(math.nan)
 
     def test_resolution_expansion_boundary(self, third_fifth):
         eps = 0.05
@@ -87,6 +89,16 @@ class TestSampling:
             table[tree.label_index(())][tree.label_index((1,))] += 1
         res = stats.chi2_contingency(table)
         assert res.pvalue > 1e-3
+
+    @pytest.mark.parametrize("probs", [(0.0, 1.0), (1.0, 0.0)])
+    def test_zero_probability_letter_never_drawn(self, third_fifth, probs):
+        # the running sums tie at a zero-probability letter
+        from cantorstring import IfsModel
+        model = IfsModel(third_fifth.interval, third_fifth.letters, probs)
+        drawn = probs.index(1.0)
+        for seed in range(20):
+            tree = sample_tree(model, StopRule.resolution(1e-2), seed)
+            assert {tree.label_index(a) for a in tree.addresses()} == {drawn}
 
     def test_invalid_model_rejected(self, third_fifth):
         from cantorstring import IfsModel
