@@ -28,10 +28,18 @@ x * (1 + 1e-15); a vanishing pivot is replaced by a tiny negative value
 (the classical bisection safeguard), which only matters on a measure-zero
 set of shifts.
 
-Up to _SCALAR_SHIFTS shifts the recurrence is a plain-float loop per shift,
-beyond that one numpy pass with the shifts as a vector; both do the same
-IEEE operations in the same order, so the counts agree. check_bracketing
-builds its strings once per (tree, n) and keeps them in the tree's memo.
+The two pencils share M and the off-diagonal, so counting_curve sweeps
+both boundaries at once: a block whose columns are (boundary, shift) pairs,
+each column with its own diagonal. Up to _SCALAR_COLUMNS columns the
+recurrence is a plain-float loop per column. Beyond that it runs on numpy
+in chunks of _CHUNK_ROWS rows: one broadcast fills the chunk with
+K[k, k] - x' m_k, then each row costs one divide and one subtract over all
+columns. The safeguard is tested once per chunk. Until the first pivot
+below it the unguarded recurrence is the guarded one, bit for bit, so the
+chunk is redone with the per-row guard from that row on and the counts
+stay exact, zero pivots included. Both paths do the same IEEE operations
+in the same order, so the counts agree. check_bracketing builds its
+strings once per (tree, n) and keeps them in the tree's memo.
 """
 from __future__ import annotations
 
@@ -48,7 +56,8 @@ from .tree import RandomTree, write_table
 
 TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
-_SCALAR_SHIFTS = 32  # numpy's per-row overhead costs ~50 shifts of the plain-float loop
+_SCALAR_COLUMNS = 8  # boundaries x shifts up to which the plain-float loop is faster
+_CHUNK_ROWS = 256  # rows of the numpy block swept between two safeguard tests
 
 _BOUNDARIES = ("dirichlet", "neumann")
 
@@ -68,6 +77,9 @@ class StieltjesString:
         mas = np.asarray(masses, dtype=float)
         if pos.size == 0:
             raise ValueError("string needs at least one atom")
+        if not (np.isfinite([a, b]).all() and np.isfinite(pos).all()
+                and np.isfinite(mas).all()):
+            raise ValueError("interval, positions and masses must be finite")
         if np.any(mas <= 0):
             raise ValueError("masses must be positive")
         order = np.argsort(pos, kind="stable")
@@ -119,16 +131,25 @@ class CountingSample:
     count_neumann: int
 
 
-def _pivot_counts(diag: np.ndarray, off: np.ndarray, masses: np.ndarray,
+def _pivot_counts(diags: np.ndarray, off: np.ndarray, masses: np.ndarray,
                   xs: np.ndarray) -> np.ndarray:
-    """Non-positive pivot counts of K - x' M for every shift, x' = x * (1 + 1e-15)."""
+    """Non-positive pivot counts of K_g - x' M, x' = x * (1 + 1e-15).
+
+    ``diags`` holds one diagonal per row g; the pencils share ``off`` and
+    ``masses``. Returns a (len(diags), len(xs)) block of counts, one column
+    per diagonal and shift.
+    """
     shifts = xs * TIE_SHIFT
-    off2 = off * off
-    pivmin = float(_SAFMIN * max(1.0, off2.max() if off2.size else 1.0))
-    if shifts.size <= _SCALAR_SHIFTS:
-        # the first row gets b^2 = 0 and d = 1, and a - 0.0 / 1.0 == a exactly
-        rows = list(zip(diag.tolist(), masses.tolist(), [0.0] + off2.tolist()))
-        counts = []
+    # row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0 and d = 1,
+    # and a - 0.0 / 1.0 == a exactly
+    b2 = np.concatenate(([0.0], off * off))
+    pivmin = float(_SAFMIN * max(1.0, b2.max()))
+    groups = diags.shape[0]
+    if groups * shifts.size > _SCALAR_COLUMNS:
+        return _block_sweep(diags, b2, masses, shifts, pivmin)
+    counts = []
+    for diag in diags.tolist():
+        rows = list(zip(diag, masses.tolist(), b2.tolist()))
         for x in shifts.tolist():
             d, count = 1.0, 0
             for dk, mk, bk in rows:
@@ -137,46 +158,87 @@ def _pivot_counts(diag: np.ndarray, off: np.ndarray, masses: np.ndarray,
                     d = -pivmin
                 count += d <= 0
             counts.append(count)
-        return np.array(counts, dtype=np.int64)
-    d = diag[0] - shifts * masses[0]
-    np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-    counts = (d <= 0).astype(np.int64)
-    for k in range(1, diag.size):
-        d = diag[k] - shifts * masses[k] - off2[k - 1] / d
-        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-        counts += d <= 0
-    return counts
+    return np.array(counts, dtype=np.int64).reshape(groups, shifts.size)
 
 
-def _counts(string: StieltjesString, xs: Sequence[float], boundary: str) -> np.ndarray:
+def _block_sweep(diags: np.ndarray, b2: np.ndarray, masses: np.ndarray,
+                 shifts: np.ndarray, pivmin: float) -> np.ndarray:
+    """The pivot recurrence on _CHUNK_ROWS rows at a time, all columns at once.
+
+    A chunk is swept without the safeguard, then tested once for a pivot
+    below pivmin. Every row before the first such row equals the guarded
+    recurrence, so the chunk is redone with the guard from that row on.
+    """
+    groups, n = diags.shape
+    width = groups * shifts.size
+    height = min(n, _CHUNK_ROWS)
+    block = np.empty((height, groups, shifts.size))  # K_g[k, k] - x' m_k, then d_k
+    rows = list(block.reshape(height, width))
+    b2_block = np.empty((height, width))
+    b2_rows = list(b2_block)
+    m_x = np.empty((height, shifts.size))
+    q = np.empty(width)
+    last = np.ones(width)
+    counts = np.zeros(width, dtype=np.int64)
+    divide, subtract = np.divide, np.subtract
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n, height):
+            h = min(height, n - start)
+            np.multiply(masses[start:start + h, None], shifts, out=m_x[:h])
+            subtract(diags[:, start:start + h].T[:, :, None], m_x[:h, None, :], block[:h])
+            np.copyto(b2_block[:h], b2[start:start + h, None])
+            prev = last
+            for row, b2_row in zip(rows[:h], b2_rows):
+                divide(b2_row, prev, q)
+                subtract(row, q, row)
+                prev = row
+            pivots = block[:h].reshape(h, width)
+            tiny = np.abs(pivots) < pivmin
+            if tiny.any():
+                first = int(tiny.any(axis=1).argmax())
+                np.copyto(rows[first], -pivmin, where=tiny[first])
+                for j in range(first + 1, h):
+                    subtract(diags[:, start + j, None], m_x[j], block[j])
+                    divide(b2_rows[j], rows[j - 1], q)
+                    subtract(rows[j], q, rows[j])
+                    np.copyto(rows[j], -pivmin, where=np.abs(rows[j]) < pivmin)
+            counts += (pivots <= 0).sum(axis=0)
+            np.copyto(last, rows[h - 1])
+    return counts.reshape(groups, shifts.size)
+
+
+def _counts(string: StieltjesString, xs: Sequence[float],
+            boundaries: Sequence[str] = _BOUNDARIES) -> np.ndarray:
+    """(len(boundaries), len(xs)) counts, all boundaries in one pivot sweep."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs < 0):
+    if not np.all(xs >= 0):
         raise ValueError("spectral parameter x must be >= 0")
-    diag, off = string.pencil(boundary)
-    counts = _pivot_counts(diag, off, string.masses, xs)
-    if boundary == "neumann":
-        # the constant vector is an exact null vector of K_N, so the zero
-        # eigenvalue belongs to the count for every x >= 0; the final pivot
-        # carries it and floats may round it either way
-        np.maximum(counts, 1, out=counts)
+    pencils = [string.pencil(boundary) for boundary in boundaries]
+    counts = _pivot_counts(np.array([diag for diag, _ in pencils]), pencils[0][1],
+                           string.masses, xs)
+    for row, boundary in zip(counts, boundaries):
+        if boundary == "neumann":
+            # the constant vector is an exact null vector of K_N, so the zero
+            # eigenvalue belongs to the count for every x >= 0; the final pivot
+            # carries it and floats may round it either way
+            np.maximum(row, 1, out=row)
     return counts
 
 
 def count_dirichlet(string: StieltjesString, x: float) -> int:
     """Number of Dirichlet eigenvalues <= x."""
-    return int(_counts(string, [x], "dirichlet")[0])
+    return int(_counts(string, [x], ("dirichlet",))[0, 0])
 
 
 def count_neumann(string: StieltjesString, x: float) -> int:
     """Number of Neumann eigenvalues <= x, the zero mode included."""
-    return int(_counts(string, [x], "neumann")[0])
+    return int(_counts(string, [x], ("neumann",))[0, 0])
 
 
 def counting_curve(string: StieltjesString, xs: Sequence[float]) -> List[CountingSample]:
-    """Both counting functions on a grid, one pivot sweep per boundary."""
+    """Both counting functions on a grid, in one pivot sweep."""
     xs = sorted(float(x) for x in xs)
-    nd = _counts(string, xs, "dirichlet")
-    nn = _counts(string, xs, "neumann")
+    nd, nn = _counts(string, xs)
     return [CountingSample(x, int(d), int(n)) for x, d, n in zip(xs, nd, nn)]
 
 
@@ -198,7 +260,7 @@ def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> 
     else:
         raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
     def missing(x: float) -> int:
-        return target - int(_counts(string, [x], boundary)[0])
+        return target - int(_counts(string, [x], (boundary,))[0, 0])
     if missing(0.0) <= 0:
         return 0.0
     return _bisect(missing, rel_tol=1e-10, floor=0.0)[1]
@@ -223,7 +285,7 @@ def dense_eigenvalues(string: StieltjesString, boundary: str) -> np.ndarray:
 
 
 def dense_count(string: StieltjesString, x: float, boundary: str) -> int:
-    if x < 0:
+    if not x >= 0:
         raise ValueError("spectral parameter x must be >= 0")
     count = int((dense_eigenvalues(string, boundary) <= x * TIE_SHIFT).sum())
     if boundary == "neumann":
@@ -255,7 +317,7 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     """
     if n < 1:
         raise ValueError(f"bracketing needs generation n >= 1, got {n}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("spectral parameter x must be >= 0")
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:

@@ -10,10 +10,15 @@ Core claims:
       saturate at n
     - exact mass and geometric scaling identities of the pencil
     - the four-term bracketing chain holds on sampled trees
-    - the plain-float sweep (few shifts) and the numpy sweep (many shifts)
-      give identical counts, ties and vanishing pivots included
+    - the plain-float sweep (few columns) and the chunked numpy sweep (many
+      columns, both boundaries fused) give identical counts, ties and
+      vanishing pivots included, whatever the chunk size
+    - NaN shifts and non-finite atoms are refused
+    - counting_curve keeps every count of a 3672-atom string at 120 shifts
+      (sha256 digest recorded from the per-boundary numpy sweep)
     - the per-tree bracketing memo changes neither verdicts nor the tree
 """
+import hashlib
 import math
 import random
 
@@ -32,15 +37,21 @@ from cantorstring import (
     dense_count,
     dense_eigenvalues,
     eigenvalue,
+    leaf_cells,
     sample_tree,
+    third_fifth_model,
 )
+from cantorstring import stieltjes
 from cantorstring.stieltjes import (
     TIE_SHIFT,
-    _SCALAR_SHIFTS,
+    _SCALAR_COLUMNS,
     _counts,
     export_curve_csv,
 )
 from cantorstring.tree import StopRule, dump_tree
+
+
+CURVE_COUNTS_DIGEST = "35540df57d7afccccc9311bfbdbeea6f3676ffd128a4e178a285c27945e363cb"
 
 
 def random_string(seed: int, max_atoms: int = 200) -> StieltjesString:
@@ -76,12 +87,28 @@ class TestBasics:
             count_dirichlet(s, -1.0)
         with pytest.raises(ValueError):
             count_neumann(s, -0.5)
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                count_dirichlet(s, bad)
+            with pytest.raises(ValueError):
+                count_neumann(s, bad)
+            with pytest.raises(ValueError):
+                counting_curve(s, [1.0, bad, 50.0])
 
     def test_atoms_outside_interval_rejected(self):
         with pytest.raises(ValueError):
             StieltjesString((0.0, 1.0), [0.0, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
             StieltjesString((0.0, 1.0), [0.5], [-1.0])
+
+    def test_non_finite_atoms_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                StieltjesString((0.0, 1.0), [0.2, bad], [0.5, 0.5])
+            with pytest.raises(ValueError):
+                StieltjesString((0.0, 1.0), [0.2, 0.5], [0.5, bad])
+            with pytest.raises(ValueError):
+                StieltjesString((0.0, bad), [0.2, 0.5], [0.5, 0.5])
 
     def test_duplicate_atoms_merged(self):
         s = StieltjesString((0.0, 1.0), [0.5, 0.5, 0.7], [0.3, 0.2, 0.5])
@@ -158,42 +185,70 @@ class TestEigenvalue:
 
 
 class TestSweepPaths:
-    """Counts of a shift alone (plain-float sweep) == its count in a numpy batch."""
+    """Counts of a shift alone (plain-float sweep) == its count in a numpy block."""
 
     @staticmethod
     def assert_paths_agree(s, xs):
         xs = [float(x) for x in xs]
-        assert len(xs) == _SCALAR_SHIFTS + 1  # one past the cutoff: numpy path
-        for boundary in ("dirichlet", "neumann"):
-            batch = _counts(s, xs, boundary).tolist()
-            assert _counts(s, xs[:-1], boundary).tolist() == batch[:-1]  # at the cutoff
-            assert [int(_counts(s, [x], boundary)[0]) for x in xs] == batch
+        assert len(xs) == _SCALAR_COLUMNS + 1  # one past the cutoff: numpy path
+        fused = _counts(s, xs).tolist()  # both boundaries in one numpy block
+        half = _SCALAR_COLUMNS // 2  # both boundaries at the cutoff: plain floats
+        assert _counts(s, xs[:half]).tolist() == [row[:half] for row in fused]
+        for boundary, row in zip(("dirichlet", "neumann"), fused):
+            batch = _counts(s, xs, (boundary,))[0].tolist()
+            assert batch == row
+            assert _counts(s, xs[:-1], (boundary,))[0].tolist() == batch[:-1]  # at the cutoff
+            assert [int(_counts(s, [x], (boundary,))[0, 0]) for x in xs] == batch
 
     def test_random_strings(self):
         rng = random.Random(17)
         for seed in range(30):
             s = random_string(seed, max_atoms=300)
             self.assert_paths_agree(
-                s, sorted(10 ** rng.uniform(-2, 9) for _ in range(_SCALAR_SHIFTS + 1)))
+                s, sorted(10 ** rng.uniform(-2, 9) for _ in range(_SCALAR_COLUMNS + 1)))
 
     def test_exact_eigenvalue_ties(self):
         # uniform(2) has the exact Dirichlet spectrum {8, 16} and Neumann {0, 8}
         u = StieltjesString.uniform(2)
         assert count_dirichlet(u, 8.0) == 1 and count_dirichlet(u, 16.0) == 2
         assert count_neumann(u, 8.0) == 2
-        ties = [8.0, 16.0] + [float(x) for x in np.geomspace(1.0, 1e3, _SCALAR_SHIFTS - 1)]
+        ties = [8.0, 16.0] + [float(x) for x in np.geomspace(1.0, 1e3, _SCALAR_COLUMNS - 1)]
         self.assert_paths_agree(u, ties)
 
-    def test_vanishing_pivot_safeguard(self):
+    def test_vanishing_pivot_safeguard(self, monkeypatch):
         # uniform(2): K_D = [[6, -2], [-2, 6]], M = I/2. At x' = 12 the first
         # pivot is exactly zero and, unguarded, the next row would divide by
-        # it; at x' = 16 the last pivot is exactly zero and must be counted
+        # it; at x' = 16 the last pivot is exactly zero and must be counted.
+        # three = K_D [[8, -4, 0], [-4, 8, -4], [0, -4, 8]], M = I: at x' = 8
+        # the first pivot is zero, at x' = 4 the second, so the redo that
+        # starts at row 0 for x' = 8 must still guard row 1 for x' = 4 (or its
+        # third pivot becomes -inf and counts). With one row per chunk the
+        # guarded redo runs in a later chunk
         u = StieltjesString.uniform(2)
-        x12, x16 = 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT
-        assert (x12 * TIE_SHIFT, x16 * TIE_SHIFT) == (12.0, 16.0)
-        assert count_dirichlet(u, x12) == dense_count(u, x12, "dirichlet") == 1
-        assert count_dirichlet(u, x16) == dense_count(u, x16, "dirichlet") == 2
-        self.assert_paths_agree(u, ([x12, x16] * _SCALAR_SHIFTS)[:_SCALAR_SHIFTS + 1])
+        three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
+        cases = [(u, {12.0: 1, 16.0: 2}), (three, {8.0: 2, 4.0: 1})]
+        for chunk_rows in (1, 2, 256):
+            monkeypatch.setattr(stieltjes, "_CHUNK_ROWS", chunk_rows)
+            for s, zeros in cases:
+                xs = [x / TIE_SHIFT for x in zeros]
+                assert [x * TIE_SHIFT for x in xs] == list(zeros)
+                for x, count in zip(xs, zeros.values()):
+                    assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet") == count
+                self.assert_paths_agree(s, (xs * _SCALAR_COLUMNS)[:_SCALAR_COLUMNS + 1])
+
+    def test_curve_spanning_chunks(self):
+        # 600 to 1200 atoms: three to five chunks of the numpy block
+        rng = np.random.default_rng(23)
+        for n in (600, 777, 1024, 1200):
+            s = StieltjesString((0.0, 1.0), np.sort(rng.uniform(0.01, 0.99, n)),
+                                10 ** rng.uniform(-3, 0, n))
+            xs = np.sort(10 ** rng.uniform(-1, 9, 40))
+            samples = counting_curve(s, xs)
+            assert [c.count_dirichlet for c in samples] == _counts(s, xs, ("dirichlet",))[0].tolist()
+            assert [c.count_neumann for c in samples] == _counts(s, xs, ("neumann",))[0].tolist()
+            for c in samples[::8]:
+                assert c.count_dirichlet == dense_count(s, c.x, "dirichlet")
+                assert c.count_neumann == dense_count(s, c.x, "neumann")
 
     def test_eigenvalues_pinned(self):
         # exact floats of the single-shift numpy sweep this path replaced
@@ -208,6 +263,14 @@ class TestSweepPaths:
 
 
 class TestCurve:
+    def test_counts_pinned(self):
+        tree = sample_tree(third_fifth_model(), StopRule.resolution(1e-5), 0)
+        string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+        assert string.n == 3672
+        samples = counting_curve(string, np.geomspace(1.0, 1e9, 120))
+        text = "\n".join(f"{s.x!r},{s.count_dirichlet},{s.count_neumann}" for s in samples)
+        assert hashlib.sha256(text.encode()).hexdigest() == CURVE_COUNTS_DIGEST
+
     def test_zero_grid(self):
         s = random_string(8)
         (sample,) = counting_curve(s, [0.0])
@@ -307,6 +370,9 @@ class TestBracketing:
         tree = sample_tree(third_fifth, StopRule.depth(2), 2)
         with pytest.raises(ValueError):
             check_bracketing(tree, 0, 1.0)
+        for bad in (math.nan, -1.0):
+            with pytest.raises(ValueError):
+                check_bracketing(tree, 2, bad)
 
 
 def test_curve_csv(tmp_path):
