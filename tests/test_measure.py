@@ -11,6 +11,7 @@ Core claims:
     - atomization puts the full cell mass at the midpoint
     - generation n+1 equals the root-children pushforward (self-similarity)
 """
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from cantorstring import (
     cdf,
     check_self_similarity,
     leaf_cells,
+    random_model,
     sample_tree,
+    third_fifth_model,
 )
 from cantorstring import measure
 from cantorstring.measure import Cell
@@ -201,3 +204,36 @@ class TestSelfSimilarity:
         monkeypatch.setattr(measure, "build_cells", corrupted)
         assert not check_self_similarity(tree, 1)
 
+
+
+# sha256 of positions.tobytes() then masses.tobytes(), recorded from the
+# dict-tree sampler and cell walker; every atom keeps every bit
+ATOM_DIGESTS = [
+    (None, 0, "leaf", 15296, "8f28651377d553093fad0aae5ad57e129431c30cea0db904da50fb8bac34dc6d"),
+    (None, 0, "depth8", 1694, "49c75c89b1a8e8dee956b65dbd3564abd5d2a5c05ff00aab3d5f42e455cdc12b"),
+    (None, 1, "leaf", 13650, "ade638bd01e0634fbe280ea939542cdeee957f66b04694624bde73bc9e08710a"),
+    (None, 1, "depth8", 660, "61176088cddc42198e92e23a667a7b8a7a0f0191736d2154fcb222c369eeeac4"),
+    (None, 2, "leaf", 13936, "3bc4ce342bbc09d56d091ee297c154fa665f1bf2a83900f0ece6113939ecd6fa"),
+    (None, 2, "depth8", 831, "4c3f03b773bc45fa4574e0f257fef1f0cdec55c360820ff07c394f04aea10493"),
+    (0, 0, "leaf", 883, "707167c8a8ddf32f5d7aadf765d048f10e4663df59e67c70672ecbeb9a54b052"),
+    (0, 0, "depth8", 965, "0a52b3fc2353bb3c919b2ec8c8c7a7aaa72bdb51a7bd211149279e8f2d6e8929"),
+    (2, 0, "leaf", 661, "f9823f231859e8f123d763aa6fccd3a8111dda4c90bb381a2ae6c2fa6546c55c"),
+    (2, 0, "depth8", 256, "5a6ec2f05d2222d1a159a5140744b95e74da6a58f650f616e3e97feace413db1"),
+    (4, 0, "leaf", 3015, "486af9433c98874fbeae76b20142a3d2ee2cba6b7b17df32c08313e09d922ca4"),
+    (4, 0, "depth8", 6561, "2b96afe894325dff18f31586fc3a089eb4f852d33c390ebf0a3194a79d5fc0ca"),
+]
+
+
+@pytest.mark.parametrize("model_seed, seed, kind, size, digest", ATOM_DIGESTS)
+def test_atom_bits_pinned(model_seed, seed, kind, size, digest):
+    """third-fifth at eps = 1e-6 and random_model(k) at eps = 1e-4 for "leaf";
+    build_cells at generation 8 of a depth-8 tree for "depth8"."""
+    model = third_fifth_model() if model_seed is None else random_model(model_seed)
+    if kind == "leaf":
+        eps = 1e-6 if model_seed is None else 1e-4
+        atoms = atomize(leaf_cells(sample_tree(model, StopRule.resolution(eps), seed)))
+    else:
+        atoms = atomize(build_cells(sample_tree(model, StopRule.depth(8), seed), 8))
+    h = hashlib.sha256(atoms.positions.tobytes())
+    h.update(atoms.masses.tobytes())
+    assert (atoms.positions.size, h.hexdigest()) == (size, digest)
