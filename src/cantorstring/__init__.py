@@ -32,8 +32,6 @@ from .measure import (
     MeasureApprox,
     atomize,
     build_cells,
-    cdf,
-    check_self_similarity,
     leaf_cells,
 )
 from .stieltjes import (

@@ -6,12 +6,15 @@ Every address owns a splitmix64 state (Steele, Lea, Flood 2014): the
 root's is one round of the seed, child i's one round of its parent's state
 xor i * SALT, so callers derive it in O(1) from the parent's they carry.
 One more round gives the uniform in [0, 1) that draws the node's letter.
+Each function also maps a uint64 array of states, elementwise (mod 2**64).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable, Sequence, Tuple
+
+import numpy as np
 
 Address = Tuple[int, ...]
 
@@ -40,14 +43,16 @@ def child_state(state: int, i: int) -> int:
     return splitmix64(state ^ ((i * _CHILD_SALT) & _MASK64))
 
 
-def letter_draw(probs: Sequence[float]) -> Callable[[int], int]:
+def letter_draw(probs: Sequence[float]) -> Callable:
     """state -> letter index: the first letter whose running float sum of
     probs exceeds u (top 53 bits of one more round), capped at the last."""
     cum = list(accumulate(probs))
     last = len(cum) - 1
 
-    def draw(state: int) -> int:
+    def draw(state):
         u = (splitmix64(state) >> 11) * (1.0 / (1 << 53))
-        return min(bisect_right(cum, u), last)
+        if isinstance(state, int):
+            return min(bisect_right(cum, u), last)
+        return np.minimum(np.searchsorted(cum, u, side="right"), last)
 
     return draw

@@ -124,11 +124,14 @@ def cmd_curve(args) -> int:
     if args.check_bracketing and (stop.kind != "depth" or int(stop.value) < 1):
         _fail("--check-bracketing requires --depth >= 1")
     grid = _parse_grid(args.grid)
-    tree = sample_tree(model, stop, args.seed)
-    if stop.kind == "depth":
-        string = depth_string(tree, int(stop.value))
-    else:
-        string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+    try:  # a tree past MAX_NODES, or a string with a link too short to count on
+        tree = sample_tree(model, stop, args.seed)
+        if stop.kind == "depth":
+            string = depth_string(tree, int(stop.value))
+        else:
+            string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+    except ValueError as err:
+        _fail(str(err))
     samples = counting_curve(string, grid)
     export_curve_csv(samples, args.out, header=_header(model, args.seed),
                      boundary=args.boundary)

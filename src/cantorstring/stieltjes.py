@@ -67,7 +67,8 @@ class StieltjesString:
 
     Atoms must lie strictly inside (a, b); coincident positions are merged
     at construction (masses summed), so interior links are strictly
-    positive.
+    positive. An interior link whose 1/l**2 overflows is rejected: the
+    pivot recurrence squares the off-diagonal -1/l.
     """
 
     def __init__(self, interval: Tuple[float, float],
@@ -94,6 +95,10 @@ class StieltjesString:
         self.positions = pos
         self.masses = mas
         self.links = np.diff(np.concatenate(([a], pos, [b])))
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(np.square(1.0 / self.links[1:-1])).all():
+                raise ValueError("an interior link is too short: its 1/l**2 overflows")
+        self._dense = {}  # boundary -> eigenvalues, filled by dense_eigenvalues
 
     @property
     def n(self) -> int:
@@ -274,14 +279,19 @@ def dense_eigenvalues(string: StieltjesString, boundary: str) -> np.ndarray:
     """All pencil eigenvalues via a dense symmetric tridiagonal solve.
 
     The generalized problem is reduced to standard form with
-    D = diag(1/sqrt(m)): eig(D K D).
+    D = diag(1/sqrt(m)): eig(D K D). Solved once per boundary, kept read-only.
     """
-    diag, off = string.pencil(boundary)
-    m = string.masses
-    if string.n == 1:
-        return np.array([diag[0] / m[0]])
-    s = 1.0 / np.sqrt(m)
-    return eigvalsh_tridiagonal(diag / m, off * s[:-1] * s[1:])
+    if boundary not in string._dense:
+        diag, off = string.pencil(boundary)
+        m = string.masses
+        if string.n == 1:
+            values = np.array([diag[0] / m[0]])
+        else:
+            s = 1.0 / np.sqrt(m)
+            values = eigvalsh_tridiagonal(diag / m, off * s[:-1] * s[1:])
+        values.flags.writeable = False
+        string._dense[boundary] = values
+    return string._dense[boundary]
 
 
 def dense_count(string: StieltjesString, x: float, boundary: str) -> int:

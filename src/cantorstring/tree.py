@@ -3,18 +3,23 @@
 Every node carries an i.i.d. letter label; the label decides how many
 children the node has and how its cell subdivides. Trees are materialized
 eagerly up to a stop rule (fixed depth, or geometric cell resolution) and
-are immutable afterwards. Each node's hash state rides on the sampler's
-stack and gives its children's in O(1); labels stay a pure function of
-(seed, address), so replay is bit-identical in any traversal order.
+are immutable afterwards. A tree is one `Generation` of arrays per depth,
+in lexicographic address order, each drawn from the one above: child i
+gets hash state child_state(state, i), the letter that state draws, and
+the composed map R' = R r_i, C' = R c_i + C with mass M' = M w_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from ._rng import Address, child_state, letter_draw, root_state
 from .ifs import IfsModel, Letter, model_digest, require_valid
+
+MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated
 
 
 @dataclass(frozen=True)
@@ -40,96 +45,138 @@ class StopRule:
         return f"resolution:{self.value!r}"
 
 
+@dataclass(frozen=True, eq=False)
+class Generation:
+    """The nodes of one depth, in lexicographic address order (read-only arrays)."""
+
+    letter: np.ndarray    # letter index
+    state: np.ndarray     # uint64 splitmix64 hash state
+    ratio: np.ndarray     # composed ratio R of the path's maps
+    offset: np.ndarray    # composed offset C: the cell is R [a, b] + C
+    mass: np.ndarray      # product M of the path's weights
+    expanded: np.ndarray  # bool: the node has children
+    first: np.ndarray     # children of node j: next generation's first[j]:first[j + 1]
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+def _grow(model: IfsModel, state: int, expand: Callable[[int, np.ndarray], np.ndarray]
+          ) -> List[Generation]:
+    """Generations below a root with hash `state`; expand(k, length) marks which
+    nodes of generation k, with these cell lengths, have children. Raises
+    ValueError when the tree would have more than MAX_NODES nodes."""
+    draw = letter_draw(model.probs)
+    n_maps = np.array([letter.n_maps for letter in model.letters])
+    start = np.cumsum(n_maps) - n_maps  # letter j's maps are rows start[j]:start[j] + n_maps[j]
+    r_i, c_i, w_i = np.array([(s.ratio, s.offset, w) for letter in model.letters
+                              for s, w in zip(letter.maps, letter.weights)]).T
+    states = np.array([state], dtype=np.uint64)
+    ratio, offset, mass = np.ones(1), np.zeros(1), np.ones(1)
+    length = np.array([model.interval[1] - model.interval[0]])
+    letters = draw(states)
+    out: List[Generation] = []
+    nodes = 1
+    while True:
+        expanded = expand(len(out), length)
+        counts = np.where(expanded, n_maps[letters], 0)
+        first = np.concatenate(([0], np.cumsum(counts)))
+        nodes += first[-1]
+        if nodes > MAX_NODES:
+            raise ValueError(f"tree would exceed {MAX_NODES} nodes at generation {len(out) + 1}; "
+                             f"use a larger epsilon or a smaller depth")
+        out.append(Generation(letters, states, ratio, offset, mass, expanded, first))
+        if first[-1] == 0:
+            return out
+        parent = np.repeat(np.arange(letters.size), counts)
+        slot = np.arange(first[-1]) - first[parent]
+        row, up = start[letters[parent]] + slot, ratio[parent]
+        states = child_state(states[parent], (slot + 1).astype(np.uint64))
+        letters = draw(states)
+        ratio, offset = up * r_i[row], up * c_i[row] + offset[parent]
+        mass, length = mass[parent] * w_i[row], length[parent] * r_i[row]
+
+
+@dataclass(eq=False, repr=False)
 class RandomTree:
-    """A sampled finite labelled tree: address -> letter index.
+    """A sampled finite labelled tree: one `Generation` per depth.
 
     Complete generations: a node's children are either all present or all
     absent. Instances are immutable and safe to share across threads; the
     only mutable part, ``memo``, caches values derived from the labels.
     """
 
-    def __init__(self, model: IfsModel, seed: int, stop: StopRule,
-                 labels: Dict[Address, int]):
-        self.model = model
-        self.seed = seed
-        self.stop = stop
-        self._labels = labels
-        self.memo: Dict[str, dict] = {}
-
-    # -- node access ---------------------------------------------------------
-
-    def __contains__(self, address: Address) -> bool:
-        return tuple(address) in self._labels
+    model: IfsModel
+    seed: int
+    stop: StopRule
+    generations: List[Generation]
+    memo: Dict[str, dict] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return sum(gen.letter.size for gen in self.generations)
 
     def addresses(self) -> Iterator[Address]:
-        return iter(self._labels)
-
-    def label_index(self, address: Address) -> int:
-        return self._labels[tuple(address)]
-
-    def letter_at(self, address: Address) -> Letter:
-        return self.model.letters[self.label_index(address)]
-
-    def letter_id(self, address: Address) -> str:
-        return self.letter_at(address).id
-
-    def is_expanded(self, address: Address) -> bool:
-        return tuple(address) + (1,) in self._labels
-
-    @property
-    def depth(self) -> int:
-        return max(len(a) for a in self._labels)
+        """Every address, generation by generation, each in lexicographic order."""
+        level: List[Address] = [()]
+        for gen in self.generations:
+            yield from level
+            counts = np.diff(gen.first).tolist()
+            level = [a + (i,) for a, c in zip(level, counts) for i in range(1, c + 1)]
 
     def generation(self, n: int) -> List[Address]:
         """All addresses of length n, lexicographically sorted."""
         if n < 0:
             raise ValueError(f"generation index must be >= 0, got {n}")
-        return sorted(a for a in self._labels if len(a) == n)
+        return [a for a in self.addresses() if len(a) == n]
+
+    def _locate(self, address: Address) -> Tuple[int, int]:
+        """(generation, index) of an address, through the first-child offsets."""
+        j = 0
+        for k, i in enumerate(address):
+            first = self.generations[k].first
+            if not 1 <= i <= first[j + 1] - first[j]:
+                raise KeyError(f"address {tuple(address)} not in tree")
+            j = int(first[j]) + i - 1
+        return len(address), j
+
+    def label_index(self, address: Address) -> int:
+        k, j = self._locate(address)
+        return int(self.generations[k].letter[j])
+
+    def letter_at(self, address: Address) -> Letter:
+        return self.model.letters[self.label_index(address)]
 
     def subtree(self, at: Address) -> "RandomTree":
         """The tree rooted at `at`, with addresses relabelled relative to it."""
-        at = tuple(at)
-        if at not in self._labels:
-            raise KeyError(f"address {at} not in tree")
-        k = len(at)
-        shifted = {addr[k:]: lab for addr, lab in self._labels.items() if addr[:k] == at}
-        return RandomTree(self.model, self.seed, self.stop, shifted)
+        k0, j = self._locate(at)
+        bounds = [j, j + 1]  # the subtree's slice of generation k0 + k
+
+        def expand(k: int, length: np.ndarray) -> np.ndarray:
+            lo, hi = bounds
+            first = self.generations[k0 + k].first
+            bounds[:] = first[lo], first[hi]
+            return self.generations[k0 + k].expanded[lo:hi]
+
+        state = int(self.generations[k0].state[j])
+        return RandomTree(self.model, self.seed, self.stop, _grow(self.model, state, expand))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RandomTree) and self.model == other.model
-                and self._labels == other._labels)
+        def labels(tree):
+            return [(gen.letter.tolist(), gen.first.tolist()) for gen in tree.generations]
+        return isinstance(other, RandomTree) and (self.model, labels(self)) == (other.model, labels(other))
 
 
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
-    """Sample the labelled tree for (model, stop, seed); fully deterministic."""
+    """Sample the labelled tree for (model, stop, seed); fully deterministic.
+    Raises ValueError when the tree would have more than MAX_NODES nodes."""
     require_valid(model)
-    draw = letter_draw(model.probs)
-    a, b = model.interval
-    state = root_state(seed)
-    labels: Dict[Address, int] = {(): draw(state)}
-    stack: List[Tuple[Address, float, int]] = [((), b - a, state)]
-    while stack:
-        address, length, state = stack.pop()
-        if stop.kind == "depth":
-            expand = len(address) < int(stop.value)
-        else:
-            expand = length >= stop.value
-        if not expand:
-            continue
-        letter = model.letters[labels[address]]
-        for i, s in enumerate(letter.maps, start=1):
-            child, child_hash = address + (i,), child_state(state, i)
-            labels[child] = draw(child_hash)
-            stack.append((child, length * s.ratio, child_hash))
-    return RandomTree(model, seed, stop, labels)
 
+    def expand(k: int, length: np.ndarray) -> np.ndarray:
+        return np.full(length.size, k < stop.value) if stop.kind == "depth" else length >= stop.value
 
-# ---------------------------------------------------------------------------
-# Text dump / load
-# ---------------------------------------------------------------------------
+    return RandomTree(model, seed, stop, _grow(model, root_state(seed), expand))
+
 
 def format_address(address: Address) -> str:
     return ".".join(str(i) for i in address)
@@ -147,39 +194,10 @@ def write_table(path: str | Path, header: str, columns: Sequence[str],
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_address(text: str) -> Address:
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split("."))
-
-
 def dump_tree(tree: RandomTree, path: str | Path, version: str = "0") -> None:
+    """One "address,letter id" line per node, generation by generation."""
     header = (f"# model={model_digest(tree.model)} seed={tree.seed} "
               f"version={version} stop={tree.stop.describe()}")
-    addresses = sorted(tree._labels, key=lambda a: (len(a), a))
-    # no column line: load_tree reads every line not starting with '#' as a node
-    write_table(path, header, (), ((format_address(a), tree.letter_id(a)) for a in addresses))
-
-
-def load_tree(path: str | Path, model: IfsModel) -> RandomTree:
-    labels: Dict[Address, int] = {}
-    seed = 0
-    stop = StopRule.depth(0)
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, _, value = token.partition("=")
-                if key == "seed":
-                    seed = int(value)
-                elif key == "stop":
-                    kind, _, payload = value.partition(":")
-                    stop = (StopRule.depth(int(payload)) if kind == "depth"
-                            else StopRule.resolution(float(payload)))
-            continue
-        text, _, letter_id = line.partition(",")
-        labels[parse_address(text)] = model.letter_index(letter_id)
-    if () not in labels:
-        raise ValueError("tree dump has no root node")
-    return RandomTree(model, seed, stop, labels)
+    letters = np.concatenate([gen.letter for gen in tree.generations]).tolist()
+    write_table(path, header, (), ((format_address(a), tree.model.letters[j].id)
+                                   for a, j in zip(tree.addresses(), letters)))

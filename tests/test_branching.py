@@ -81,9 +81,10 @@ class TestSimulation:
         run = simulate_population(third_fifth, 7.0, seed)
         tree = sample_tree(third_fifth, StopRule.depth(6), seed)
         events = {event.address: event for event in run.events}
+        present = set(tree.addresses())
         for address, event in events.items():
-            if address in tree:
-                assert event.letter_id == tree.letter_id(address)
+            if address in present:
+                assert event.letter_id == tree.letter_at(address).id
             if address:
                 mother = events[address[:-1]]
                 tau = mother.child_offsets[address[-1] - 1]

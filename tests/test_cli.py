@@ -6,7 +6,8 @@ Core claims:
     - exponent reports the literature value for the third-fifth model and
       1/2 for the Lebesgue-like model
     - curve CSVs respect the gap invariant, carry the digest header, and
-      are byte-identical across re-runs
+      are byte-identical across re-runs; a tree past MAX_NODES or a string
+      with an overflowing link exits 2 before any file is written
     - --check-bracketing reports true on every grid point
     - branching writes event/martingale/z files; mean-R over seeds is near 1
     - compare rules strictly-less on third-fifth and finds zero violations
@@ -129,6 +130,31 @@ class TestCurve:
                          "--grid", "1:1e5:20", "--out", out])
             assert err.value.code == 2
             assert not out.exists()
+
+    def test_node_budget_exit_2(self, tf_model, tmp_path, monkeypatch, capsys):
+        from cantorstring import tree
+        monkeypatch.setattr(tree, "MAX_NODES", 100)
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["curve", "--model", tf_model, "--seed", 1, "--epsilon", "1e-4",
+                     "--grid", "1:1e5:20", "--out", out])
+        assert err.value.code == 2
+        assert "100 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_link_exit_2(self, tmp_path, capsys):
+        from cantorstring import make_letter, save_model, single_letter_model
+        model = tmp_path / "tiny.json"
+        # at depth 2 two atoms sit 0.75e-160 apart, and 1/l**2 overflows
+        save_model(single_letter_model(make_letter("tiny", [(1e-160, 0.0), (0.5, 0.5)],
+                                                   (0.5, 0.5))), model)
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["curve", "--model", model, "--seed", 0, "--depth", 2,
+                     "--grid", "1:1e3:5", "--out", out])
+        assert err.value.code == 2
+        assert "link" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_rejected(self, tf_model, tmp_path):
         for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense", "1:inf:4", "nan:10:5"):

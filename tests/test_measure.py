@@ -1,4 +1,4 @@
-"""Depth-n measure approximations: cells, cdf, atomization, self-similarity.
+"""Depth-n measure approximations: cells, distribution, atomization, self-similarity.
 
 Core claims:
     - generation 0 is the whole interval with mass one
@@ -7,12 +7,14 @@ Core claims:
       independently from the label map)
     - mass is conserved at every depth and for leaf measures
     - endpoints persist through later generations; supports are nested
-    - the cdf is 0/1 at the ends, uniform within cells, flat across gaps
+    - the distribution function is 0/1 at the ends and flat across gaps
     - atomization puts the full cell mass at the midpoint
     - generation n+1 equals the root-children pushforward (self-similarity)
+    - leaf and depth-8 atoms keep the bits recorded from the dict-tree code
 """
 import hashlib
-from dataclasses import replace
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +22,6 @@ import pytest
 from cantorstring import (
     atomize,
     build_cells,
-    cdf,
-    check_self_similarity,
     leaf_cells,
     random_model,
     sample_tree,
@@ -44,7 +44,7 @@ class TestBuildCells:
 
     def test_middle_third_first_generation(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(1), SEED_ROOT_THIRD)
-        assert tree.letter_id(()) == "third"
+        assert tree.letter_at(()).id == "third"
         m = build_cells(tree, 1)
         (l1, r1, m1), (l2, r2, m2) = [(c.left, c.right, c.mass) for c in m.cells]
         assert (l1, r1, m1) == pytest.approx((0.0, 1 / 3, 0.5))
@@ -63,7 +63,7 @@ class TestBuildCells:
         for seed in range(5):
             tree = sample_tree(third_fifth, StopRule.depth(6), seed)
             for n in range(7):
-                assert build_cells(tree, n).total_mass == pytest.approx(1.0, abs=1e-10)
+                assert math.fsum(build_cells(tree, n).mass) == pytest.approx(1.0, abs=1e-10)
 
     def test_depth_overflow_rejected(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 3)
@@ -86,7 +86,7 @@ class TestLeafCells:
         tree = sample_tree(third_fifth, StopRule.resolution(1e-3), 2)
         m = leaf_cells(tree)
         assert m.generation is None
-        assert m.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert math.fsum(m.mass) == pytest.approx(1.0, abs=1e-10)
         for cell in m.cells:
             assert cell.right - cell.left < 1e-3
 
@@ -121,39 +121,31 @@ class TestPersistence:
 
 
 class TestCdf:
+    """F(x), the mass of the cells left of x, read off the cell arrays."""
+
     def test_boundary_values(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(4), 3)
         m = build_cells(tree, 4)
-        assert cdf(m, 0.0) == 0.0
-        assert cdf(m, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert m.left[0] >= 0.0 and m.right[-1] <= 1.0
+        assert math.fsum(m.mass) == pytest.approx(1.0, abs=1e-10)
 
     def test_middle_third_symmetry(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(1), 0)
         m = build_cells(tree, 1)
-        assert cdf(m, 0.5) == pytest.approx(0.5)
-        # half of the left cell's mass, by uniformity
-        assert cdf(m, 1 / 6) == pytest.approx(0.25)
+        assert m.right[0] <= 0.5 <= m.left[1]
+        assert m.mass.tolist() == pytest.approx([0.5, 0.5])
 
     def test_flat_on_gap(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(1), 0)
         m = build_cells(tree, 1)
-        for x in np.linspace(0.34, 0.66, 9):
-            assert cdf(m, float(x)) == pytest.approx(0.5)
+        inside = (m.right > 0.34) & (m.left < 0.66)
+        assert not inside.any()
 
     def test_monotone(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(5), 6)
         m = build_cells(tree, 5)
-        xs = np.linspace(0.0, 1.0, 300)
-        vals = [cdf(m, float(x)) for x in xs]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_outside_interval_rejected(self, middle_third):
-        tree = sample_tree(middle_third, StopRule.depth(1), 0)
-        m = build_cells(tree, 1)
-        with pytest.raises(ValueError):
-            cdf(m, -0.1)
-        with pytest.raises(ValueError):
-            cdf(m, 1.1)
+        assert np.all(m.mass > 0) and np.all(m.right >= m.left)
+        assert np.all(m.right[:-1] <= m.left[1:] + 1e-12)
 
 
 class TestAtomize:
@@ -177,19 +169,33 @@ class TestAtomize:
         assert np.all(np.diff(a.positions) > 0)
 
 
+def self_similar(tree, n, tol=1e-10):
+    """Generation n+1 cells == root-child subtree cells pushed through the root maps."""
+    whole = measure.build_cells(tree, n + 1)
+    root_letter = tree.letter_at(())
+    pushed = []
+    for i, (s, w) in enumerate(zip(root_letter.maps, root_letter.weights), start=1):
+        for c in measure.build_cells(tree.subtree((i,)), n).cells:
+            pushed.append(Cell((i,) + c.address, s(c.left), s(c.right), w * c.mass))
+    return len(whole.cells) == len(pushed) and all(
+        ca.address == cb.address and abs(ca.left - cb.left) <= tol
+        and abs(ca.right - cb.right) <= tol and abs(ca.mass - cb.mass) <= tol
+        for ca, cb in zip(whole.cells, pushed))
+
+
 class TestSelfSimilarity:
     def test_trivial_depth(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(1), 5)
-        assert check_self_similarity(tree, 0)
+        assert self_similar(tree, 0)
 
     def test_random_trees(self, third_fifth):
         for seed in range(20):
             tree = sample_tree(third_fifth, StopRule.depth(4), seed)
-            assert check_self_similarity(tree, 3)
+            assert self_similar(tree, 3)
 
     def test_corrupted_mass_detected(self, third_fifth, monkeypatch):
         tree = sample_tree(third_fifth, StopRule.depth(2), 5)
-        assert check_self_similarity(tree, 1)
+        assert self_similar(tree, 1)
         real = measure.build_cells
 
         def corrupted(t, n):
@@ -197,13 +203,12 @@ class TestSelfSimilarity:
             cells = real(t, n)
             if n == 1:
                 c = cells.cells[0]
-                cells = replace(cells, cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
-                                + cells.cells[1:])
+                cells = SimpleNamespace(cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
+                                        + cells.cells[1:])
             return cells
 
         monkeypatch.setattr(measure, "build_cells", corrupted)
-        assert not check_self_similarity(tree, 1)
-
+        assert not self_similar(tree, 1)
 
 
 # sha256 of positions.tobytes() then masses.tobytes(), recorded from the

@@ -13,7 +13,8 @@ Core claims:
     - the plain-float sweep (few columns) and the chunked numpy sweep (many
       columns, both boundaries fused) give identical counts, ties and
       vanishing pivots included, whatever the chunk size
-    - NaN shifts and non-finite atoms are refused
+    - NaN shifts, non-finite atoms and links whose 1/l**2 overflows are
+      refused; links down to 1e-150 still count exactly
     - counting_curve keeps every count of a 3672-atom string at 120 shifts
       (sha256 digest recorded from the per-boundary numpy sweep)
     - the per-tree bracketing memo changes neither verdicts nor the tree
@@ -110,6 +111,12 @@ class TestBasics:
             with pytest.raises(ValueError):
                 StieltjesString((0.0, bad), [0.2, 0.5], [0.5, 0.5])
 
+    def test_overflowing_link_rejected(self):
+        # 1/l**2 of the 1e-200 link overflows, and the pivot counts went wrong:
+        # N_D(1) came out 1 where the dense spectrum gives 0
+        with pytest.raises(ValueError, match="link"):
+            StieltjesString((0.0, 1.0), [1e-200, 2e-200, 0.5], [1.0, 1.0, 1.0])
+
     def test_duplicate_atoms_merged(self):
         s = StieltjesString((0.0, 1.0), [0.5, 0.5, 0.7], [0.3, 0.2, 0.5])
         assert s.n == 2
@@ -153,6 +160,20 @@ class TestDenseOracle:
                 x = 10 ** rng.uniform(-2, 9)
                 assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet")
                 assert count_neumann(s, x) == dense_count(s, x, "neumann")
+
+    def test_short_links_still_counted(self):
+        # 1/l**2 = 1e300 stays finite, so the string is kept and counted exactly
+        s = StieltjesString((0.0, 4e-150), [1e-150, 2e-150, 3e-150], [1.0, 1.0, 1.0])
+        for x in np.geomspace(1e148, 1e152, 40):
+            assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet")
+            assert count_neumann(s, x) == dense_count(s, x, "neumann")
+
+    def test_spectrum_solved_once(self):
+        s = random_string(3)
+        for boundary in ("dirichlet", "neumann"):
+            values = dense_eigenvalues(s, boundary)
+            assert dense_eigenvalues(s, boundary) is values
+            assert not values.flags.writeable
 
     def test_single_atom_dense_path(self):
         s = StieltjesString((0.0, 1.0), [0.25], [2.0])

@@ -1,4 +1,4 @@
-"""Random tree sampling: determinism, generations, subtrees, dump/load.
+"""Random tree sampling: determinism, generations, subtrees, text dump.
 
 Core claims:
     - depth(0) yields only the labelled root; single-letter models give
@@ -9,21 +9,22 @@ Core claims:
     - |I_{n+1}| equals the sum of child counts over generation n
     - subtree extraction preserves labels and composes along addresses
     - resolution stop expands exactly the cells no shorter than epsilon
-    - text dumps round trip
+    - a tree past MAX_NODES is refused
+    - the text dump lists every node's address and letter id
 """
 import math
 
 import pytest
 from scipy import stats
 
-from cantorstring import sample_tree
-from cantorstring.tree import StopRule, dump_tree, load_tree
+from cantorstring import sample_tree, tree as tree_module
+from cantorstring.tree import StopRule, dump_tree, format_address
 
 
 class TestStopRules:
     def test_depth_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(0), 5)
-        assert len(tree) == 1 and () in tree
+        assert len(tree) == 1 and tree.generation(0) == [()]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -49,18 +50,20 @@ class TestStopRules:
                 value *= letter.maps[addr[k] - 1].ratio
             return value
 
-        for addr in tree.addresses():
-            if tree.is_expanded(addr):
-                assert length(addr) >= eps
-            else:
-                assert length(addr) < eps
+        for n in range(len(tree.generations)):
+            parents = {addr[:-1] for addr in tree.generation(n + 1)}
+            for addr in tree.generation(n):
+                if addr in parents:
+                    assert length(addr) >= eps
+                else:
+                    assert length(addr) < eps
 
 
 class TestSampling:
     def test_single_letter_complete_tree(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(2), 9)
         assert [len(tree.generation(n)) for n in range(3)] == [1, 2, 4]
-        assert all(tree.letter_id(a) == "third" for a in tree.addresses())
+        assert all(tree.letter_at(a).id == "third" for a in tree.addresses())
 
     def test_replay_determinism(self, third_fifth):
         t1 = sample_tree(third_fifth, StopRule.depth(6), 123)
@@ -99,6 +102,14 @@ class TestSampling:
         for seed in range(20):
             tree = sample_tree(model, StopRule.resolution(1e-2), seed)
             assert {tree.label_index(a) for a in tree.addresses()} == {drawn}
+
+    def test_node_budget(self, third_fifth, monkeypatch):
+        size = len(sample_tree(third_fifth, StopRule.resolution(1e-3), 4))
+        monkeypatch.setattr(tree_module, "MAX_NODES", size)
+        assert len(sample_tree(third_fifth, StopRule.resolution(1e-3), 4)) == size
+        monkeypatch.setattr(tree_module, "MAX_NODES", size - 1)
+        with pytest.raises(ValueError, match="nodes"):
+            sample_tree(third_fifth, StopRule.resolution(1e-3), 4)
 
     def test_invalid_model_rejected(self, third_fifth):
         from cantorstring import IfsModel
@@ -141,7 +152,7 @@ class TestSubtree:
         tree = sample_tree(third_fifth, StopRule.depth(2), 21)
         sub = tree.subtree((1,))
         assert sub.label_index(()) == tree.label_index((1,))
-        assert sub.depth == 1
+        assert len(sub.generations) == 2
 
     def test_leaf_subtree_single_node(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(3), 21)
@@ -161,16 +172,10 @@ class TestSubtree:
 
 class TestDumpLoad:
     def test_round_trip(self, tmp_path, third_fifth):
-        tree = sample_tree(third_fifth, StopRule.depth(4), 77)
+        tree = sample_tree(third_fifth, StopRule.resolution(0.01), 77)
         path = tmp_path / "tree.txt"
         dump_tree(tree, path)
-        loaded = load_tree(path, third_fifth)
-        assert loaded == tree
-        assert loaded.seed == 77
-        assert loaded.stop.describe() == "depth:4"
-
-    def test_missing_root_rejected(self, tmp_path, third_fifth):
-        path = tmp_path / "tree.txt"
-        path.write_text("1,third\n")
-        with pytest.raises(ValueError):
-            load_tree(path, third_fifth)
+        header, *lines = path.read_text().splitlines()
+        assert header.split()[2:] == ["seed=77", "version=0", "stop=resolution:0.01"]
+        nodes = sorted(tree.addresses(), key=lambda a: (len(a), a))
+        assert lines == [f"{format_address(a)},{tree.letter_at(a).id}" for a in nodes]
