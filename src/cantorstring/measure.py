@@ -91,8 +91,8 @@ def leaf_cells(tree: RandomTree) -> MeasureApprox:
         ranks.append(rank[~gen.expanded])
         rank = before[:-1] + np.repeat(rank - before[gen.first[:-1]], np.diff(gen.first))
     order = np.argsort(np.concatenate(ranks))
-    ratio, offset, mass = (np.concatenate([getattr(gen, key)[~gen.expanded] for gen in gens])[order]
-                           for key in ("ratio", "offset", "mass"))
+    ratio, offset, mass = (np.concatenate([getattr(gen, k)[~gen.expanded] for gen in gens])[order]
+                           for k in ("ratio", "offset", "mass"))
     expanded = np.concatenate([gen.expanded for gen in gens]).tolist()
     return _cells(tree, None, ratio, offset, mass,
                   lambda: sorted(x for x, e in zip(tree.addresses(), expanded) if not e))

@@ -82,8 +82,7 @@ def _grow(model: IfsModel, state: int, expand: Callable[[int, np.ndarray], np.nd
         expanded = expand(len(out), length)
         counts = np.where(expanded, n_maps[letters], 0)
         first = np.concatenate(([0], np.cumsum(counts)))
-        nodes += first[-1]
-        if nodes > MAX_NODES:
+        if (nodes := nodes + first[-1]) > MAX_NODES:
             raise ValueError(f"tree would exceed {MAX_NODES} nodes at generation {len(out) + 1}; "
                              f"use a larger epsilon or a smaller depth")
         out.append(Generation(letters, states, ratio, offset, mass, expanded, first))
@@ -163,8 +162,8 @@ class RandomTree:
 
     def __eq__(self, other) -> bool:
         def labels(tree):
-            return [(gen.letter.tolist(), gen.first.tolist()) for gen in tree.generations]
-        return isinstance(other, RandomTree) and (self.model, labels(self)) == (other.model, labels(other))
+            return tree.model, [(g.letter.tolist(), g.first.tolist()) for g in tree.generations]
+        return isinstance(other, RandomTree) and labels(self) == labels(other)
 
 
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
@@ -173,7 +172,9 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     require_valid(model)
 
     def expand(k: int, length: np.ndarray) -> np.ndarray:
-        return np.full(length.size, k < stop.value) if stop.kind == "depth" else length >= stop.value
+        if stop.kind == "depth":
+            return np.full(length.size, k < stop.value)
+        return length >= stop.value
 
     return RandomTree(model, seed, stop, _grow(model, root_state(seed), expand))
 
