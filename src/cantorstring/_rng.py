@@ -6,11 +6,11 @@ Every address owns a splitmix64 state (Steele, Lea, Flood 2014): the
 root's is one round of the seed, child i's one round of its parent's state
 xor i * SALT, so callers derive it in O(1) from the parent's they carry.
 One more round gives the uniform in [0, 1) that draws the node's letter.
-Each function also maps a uint64 array of states, elementwise (mod 2**64).
+Each function also maps a uint64 array of states, elementwise (mod 2**64);
+letter_draw takes only such arrays, one whole tree generation at a time.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable, Sequence, Tuple
 
@@ -43,16 +43,13 @@ def child_state(state: int, i: int) -> int:
     return splitmix64(state ^ ((i * _CHILD_SALT) & _MASK64))
 
 
-def letter_draw(probs: Sequence[float]) -> Callable:
-    """state -> letter index: the first letter whose running float sum of
-    probs exceeds u (top 53 bits of one more round), capped at the last."""
-    cum = list(accumulate(probs))
-    last = len(cum) - 1
+def letter_draw(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """uint64 states -> letter indices: the first letter whose running float sum of
+    probs exceeds u (top 53 bits of one more round), or else the last letter."""
+    cum = list(accumulate(probs))[:-1]
 
     def draw(state):
         u = (splitmix64(state) >> 11) * (1.0 / (1 << 53))
-        if isinstance(state, int):
-            return min(bisect_right(cum, u), last)
-        return np.minimum(np.searchsorted(cum, u, side="right"), last)
+        return np.searchsorted(cum, u, side="right")
 
     return draw

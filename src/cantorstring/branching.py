@@ -12,23 +12,26 @@ evaluated at the Malthusian tilt alpha = gamma_r, has mean one for every n
 and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
-Heap entries carry each individual's hash state, and the same
-root_state / child_state / letter_draw rule as the tree sampler draws the
-letters, so a population and a tree with the same (model, seed) carry
-identical letters at identical addresses.
+The population up to t_max is the labelled tree of the same (model, seed),
+grown by the tree sampler with each node born by t_max expanded. Births are
+ordered by (sigma, preorder rank): lattice models have exact ties, which
+the lexicographic address order breaks. `events` is built only when read.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from ._rng import Address, child_state, letter_draw, root_state
-from .ifs import IfsModel, contraction_products, require_valid
+import numpy as np
+
+from ._rng import Address, root_state
+from .ifs import IfsModel, require_valid
 from .exponent import solve_recursive_exponent
-from .tree import format_address, write_table
+from .tree import _grow, birth_offsets, format_address, node_addresses, node_ranks, write_table
 
 
 @dataclass(frozen=True)
@@ -40,92 +43,71 @@ class BirthEvent:
 
 
 class PopulationRun:
-    """All individuals born up to the horizon, in birth order.
+    """The tree of all individuals born up to t_max and their children.
 
-    Simultaneous births (generic in lattice models) are ordered
-    lexicographically by address so traces replay identically. Children
-    born beyond the horizon are represented through their mother's
-    child_offsets, which is enough to evaluate both R_n and z_t.
+    Nodes are numbered generation by generation: `sigma` holds their birth
+    times, node f's children are first[f]:first[f + 1], and `order` lists
+    the born nodes in birth order.
     """
 
-    def __init__(self, model: IfsModel, seed: int, t_max: float,
-                 events: List[BirthEvent]):
-        self.model = model
-        self.seed = seed
-        self.t_max = t_max
-        self.events = events
+    def __init__(self, model: IfsModel, seed: int, t_max: float, generations: list):
+        self.model, self.seed, self.t_max, self.generations = model, seed, t_max, generations
+        self.sigma = np.concatenate([gen.sigma for gen in generations])
+        born = np.flatnonzero(self.sigma <= t_max)
+        rank = np.concatenate(node_ranks(generations))[born]
+        self.order = born[np.lexsort((rank, self.sigma[born]))]
+        kids = np.concatenate([[0]] + [np.diff(gen.first) for gen in generations])
+        self.first = 1 + np.cumsum(kids)  # children follow in node order from node 1 on
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.order.size
+
+    @cached_property
+    def events(self) -> List[BirthEvent]:
+        addresses = list(node_addresses(self.generations))
+        letters = np.concatenate([gen.letter for gen in self.generations]).tolist()
+        sigma, offsets = self.sigma.tolist(), [birth_offsets(x) for x in self.model.letters]
+        return [BirthEvent(addresses[f], sigma[f], self.model.letters[letters[f]].id,
+                           offsets[letters[f]]) for f in self.order.tolist()]
 
 
 def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationRun:
-    """Materialize every individual with birth time <= t_max; deterministic in seed."""
+    """Materialize every individual with birth time <= t_max; deterministic in seed.
+    Raises ValueError when the tree would have more than tree.MAX_NODES nodes."""
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     require_valid(model)
-    offsets_per_letter = [tuple(-math.log(q) for q in contraction_products(letter))
-                          for letter in model.letters]
-    draw = letter_draw(model.probs)
-    # (sigma, address, hash state): addresses are unique, so states never compare
-    heap: List[Tuple[float, Address, int]] = [(0.0, (), root_state(seed))]
-    events: List[BirthEvent] = []
-    while heap:
-        sigma, address, state = heapq.heappop(heap)
-        letter_index = draw(state)
-        offsets = offsets_per_letter[letter_index]
-        events.append(BirthEvent(address, sigma, model.letters[letter_index].id, offsets))
-        for i, tau in enumerate(offsets, start=1):
-            birth = sigma + tau
-            if birth <= t_max:
-                heapq.heappush(heap, (birth, address + (i,), child_state(state, i)))
-    return PopulationRun(model, seed, t_max, events)
+    generations = _grow(model, root_state(seed), lambda k, length, sigma: sigma <= t_max,
+                        "use a smaller --tmax")
+    return PopulationRun(model, seed, t_max, generations)
 
 
-def martingale_increments(run: PopulationRun, alpha: float) -> List[float]:
-    """Per-individual increments of R_n, in birth order."""
-    out = []
-    for event in run.events:
-        children = math.fsum(math.exp(-alpha * (event.sigma + tau))
-                             for tau in event.child_offsets)
-        out.append(children - math.exp(-alpha * event.sigma))
-    return out
+def _increments(run: PopulationRun, alpha: Optional[float], n: int) -> List[float]:
+    """R_1 - R_0, ..., R_n - R_(n-1); alpha defaults to gamma_r of the model."""
+    if alpha is None:
+        alpha = solve_recursive_exponent(run.model)
+    e, first = list(map(math.exp, (-alpha * run.sigma).tolist())), run.first.tolist()
+    return [math.fsum(e[first[f]:first[f + 1]]) - e[f] for f in run.order[:n].tolist()]
 
 
 def martingale_R(run: PopulationRun, n: int, alpha: Optional[float] = None) -> float:
     """R_n over the first n individuals; alpha defaults to gamma_r of the model."""
-    if n < 0 or n > len(run.events):
-        raise ValueError(f"n must be in 0..{len(run.events)}, got {n}")
-    if alpha is None:
-        alpha = solve_recursive_exponent(run.model)
-    increments = martingale_increments(run, alpha)
-    return 1.0 + math.fsum(increments[:n])
+    if n < 0 or n > len(run):
+        raise ValueError(f"n must be in 0..{len(run)}, got {n}")
+    return 1.0 + math.fsum(_increments(run, alpha, n))
 
 
 def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[float]:
     """[R_0, R_1, ..., R_N] for the whole materialized population."""
-    if alpha is None:
-        alpha = solve_recursive_exponent(run.model)
-    trace = [1.0]
-    acc = 1.0
-    for inc in martingale_increments(run, alpha):
-        acc += inc
-        trace.append(acc)
-    return trace
+    return list(accumulate(_increments(run, alpha, len(run)), initial=1.0))
 
 
 def z_process(run: PopulationRun, t: float) -> int:
     """Individuals born after t to mothers born at or before t."""
     if t < 0 or t > run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
-    count = 0
-    for event in run.events:
-        if event.sigma > t:
-            break
-        for tau in event.child_offsets:
-            if event.sigma + tau > t:
-                count += 1
-    return count
+    parent = np.repeat(run.sigma, np.diff(run.first))  # of nodes 1, 2, ...
+    return int(np.count_nonzero((parent <= t) & (run.sigma[1:] > t)))
 
 
 # ---------------------------------------------------------------------------

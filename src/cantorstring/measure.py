@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._rng import Address
-from .tree import RandomTree
+from .tree import RandomTree, node_ranks
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,9 @@ def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
 
 
 def leaf_cells(tree: RandomTree) -> MeasureApprox:
-    """Cells of all leaves; the natural measure of a resolution-stopped tree.
-
-    A leaf's place is its preorder rank: the number of leaves under the
-    earlier siblings of it and of each of its ancestors.
-    """
+    """Cells of all leaves, in preorder; the natural measure of a resolution-stopped tree."""
     gens = tree.generations
-    under, befores = np.ones(0, np.intp), []  # leaves in each subtree of the generation below
-    for gen in reversed(gens):
-        before = np.concatenate(([0], np.cumsum(under)))  # leaves under the nodes left of each
-        under = np.where(gen.expanded, before[gen.first[1:]] - before[gen.first[:-1]], 1)
-        befores.insert(0, before)
-    rank, ranks = np.zeros(1, np.intp), []  # preorder rank of the first leaf under each node
-    for gen, before in zip(gens, befores):
-        ranks.append(rank[~gen.expanded])
-        rank = before[:-1] + np.repeat(rank - before[gen.first[:-1]], np.diff(gen.first))
-    order = np.argsort(np.concatenate(ranks))
+    order = np.argsort(np.concatenate([r[~g.expanded] for g, r in zip(gens, node_ranks(gens))]))
     ratio, offset, mass = (np.concatenate([getattr(gen, k)[~gen.expanded] for gen in gens])[order]
                            for k in ("ratio", "offset", "mass"))
     expanded = np.concatenate([gen.expanded for gen in gens]).tolist()

@@ -67,8 +67,8 @@ class StieltjesString:
 
     Atoms must lie strictly inside (a, b); coincident positions are merged
     at construction (masses summed), so interior links are strictly
-    positive. An interior link whose 1/l**2 overflows is rejected: the
-    pivot recurrence squares the off-diagonal -1/l.
+    positive. A link whose 1/l overflows is rejected, and so is an interior
+    one whose 1/l**2 does: the pivot recurrence squares the off-diagonal.
     """
 
     def __init__(self, interval: Tuple[float, float],
@@ -96,8 +96,9 @@ class StieltjesString:
         self.masses = mas
         self.links = np.diff(np.concatenate(([a], pos, [b])))
         with np.errstate(divide="ignore", over="ignore"):
-            if not np.isfinite(np.square(1.0 / self.links[1:-1])).all():
-                raise ValueError("an interior link is too short: its 1/l**2 overflows")
+            inv = 1.0 / self.links
+            if not (np.isfinite(inv).all() and np.isfinite(np.square(inv[1:-1])).all()):
+                raise ValueError("a link is too short: its 1/l (1/l**2 if interior) overflows")
         self._dense = {}  # boundary -> eigenvalues, filled by dense_eigenvalues
 
     @property

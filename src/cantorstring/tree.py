@@ -5,11 +5,13 @@ children the node has and how its cell subdivides. Trees are materialized
 eagerly up to a stop rule (fixed depth, or geometric cell resolution) and
 are immutable afterwards. A tree is one `Generation` of arrays per depth,
 in lexicographic address order, each drawn from the one above: child i
-gets hash state child_state(state, i), the letter that state draws, and
-the composed map R' = R r_i, C' = R c_i + C with mass M' = M w_i.
+gets hash state child_state(state, i), the letter that state draws, the
+composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
+sigma' = sigma - log(r_i w_i). `node_ranks` gives each node's preorder rank.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -17,7 +19,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ._rng import Address, child_state, letter_draw, root_state
-from .ifs import IfsModel, Letter, model_digest, require_valid
+from .ifs import IfsModel, Letter, contraction_products, model_digest, require_valid
 
 MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated
 
@@ -54,6 +56,7 @@ class Generation:
     ratio: np.ndarray     # composed ratio R of the path's maps
     offset: np.ndarray    # composed offset C: the cell is R [a, b] + C
     mass: np.ndarray      # product M of the path's weights
+    sigma: np.ndarray     # birth time: sum of -log(r_i w_i) along the path
     expanded: np.ndarray  # bool: the node has children
     first: np.ndarray     # children of node j: next generation's first[j]:first[j + 1]
 
@@ -62,30 +65,36 @@ class Generation:
             array.flags.writeable = False
 
 
-def _grow(model: IfsModel, state: int, expand: Callable[[int, np.ndarray], np.ndarray]
-          ) -> List[Generation]:
-    """Generations below a root with hash `state`; expand(k, length) marks which
-    nodes of generation k, with these cell lengths, have children. Raises
-    ValueError when the tree would have more than MAX_NODES nodes."""
+def birth_offsets(letter: Letter) -> Tuple[float, ...]:
+    """-log(r_i w_i) per map: the delay from a node's birth to child i's."""
+    return tuple(-math.log(q) if q else math.inf for q in contraction_products(letter))
+
+
+def _grow(model: IfsModel, state: int, expand: Callable[..., np.ndarray],
+          remedy: str = "use a larger epsilon or a smaller depth") -> List[Generation]:
+    """Generations below a root with hash `state`; expand(k, length, sigma) marks
+    which nodes of generation k, with these cell lengths and birth times, have
+    children. Raises ValueError, ending in `remedy`, past MAX_NODES nodes."""
     draw = letter_draw(model.probs)
     n_maps = np.array([letter.n_maps for letter in model.letters])
     start = np.cumsum(n_maps) - n_maps  # letter j's maps are rows start[j]:start[j] + n_maps[j]
     r_i, c_i, w_i = np.array([(s.ratio, s.offset, w) for letter in model.letters
                               for s, w in zip(letter.maps, letter.weights)]).T
+    tau = np.array([t for letter in model.letters for t in birth_offsets(letter)])
     states = np.array([state], dtype=np.uint64)
-    ratio, offset, mass = np.ones(1), np.zeros(1), np.ones(1)
+    ratio, offset, mass, sigma = np.ones(1), np.zeros(1), np.ones(1), np.zeros(1)
     length = np.array([model.interval[1] - model.interval[0]])
     letters = draw(states)
     out: List[Generation] = []
     nodes = 1
     while True:
-        expanded = expand(len(out), length)
+        expanded = expand(len(out), length, sigma)
         counts = np.where(expanded, n_maps[letters], 0)
         first = np.concatenate(([0], np.cumsum(counts)))
         if (nodes := nodes + first[-1]) > MAX_NODES:
             raise ValueError(f"tree would exceed {MAX_NODES} nodes at generation {len(out) + 1}; "
-                             f"use a larger epsilon or a smaller depth")
-        out.append(Generation(letters, states, ratio, offset, mass, expanded, first))
+                             f"{remedy}")
+        out.append(Generation(letters, states, ratio, offset, mass, sigma, expanded, first))
         if first[-1] == 0:
             return out
         parent = np.repeat(np.arange(letters.size), counts)
@@ -95,6 +104,31 @@ def _grow(model: IfsModel, state: int, expand: Callable[[int, np.ndarray], np.nd
         letters = draw(states)
         ratio, offset = up * r_i[row], up * c_i[row] + offset[parent]
         mass, length = mass[parent] * w_i[row], length[parent] * r_i[row]
+        sigma = sigma[parent] + tau[row]
+
+
+def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:
+    """Per generation, each node's preorder rank: its place among all addresses
+    in lexicographic order, from the sizes of the subtrees to its left."""
+    size, befores = np.ones(0, np.intp), []  # subtree sizes of the generation below
+    for gen in reversed(generations):
+        before = np.concatenate(([0], np.cumsum(size)))  # nodes under the subtrees left of each
+        size = 1 + before[gen.first[1:]] - before[gen.first[:-1]]
+        befores.insert(0, before)
+    rank, ranks = np.zeros(1, np.intp), []
+    for gen, before in zip(generations, befores):
+        ranks.append(rank)
+        rank = before[:-1] + np.repeat(rank + 1 - before[gen.first[:-1]], np.diff(gen.first))
+    return ranks
+
+
+def node_addresses(generations: Sequence[Generation]) -> Iterator[Address]:
+    """Every address, generation by generation, each in lexicographic order."""
+    level: List[Address] = [()]
+    for gen in generations:
+        yield from level
+        counts = np.diff(gen.first).tolist()
+        level = [a + (i,) for a, c in zip(level, counts) for i in range(1, c + 1)]
 
 
 @dataclass(eq=False, repr=False)
@@ -116,12 +150,7 @@ class RandomTree:
         return sum(gen.letter.size for gen in self.generations)
 
     def addresses(self) -> Iterator[Address]:
-        """Every address, generation by generation, each in lexicographic order."""
-        level: List[Address] = [()]
-        for gen in self.generations:
-            yield from level
-            counts = np.diff(gen.first).tolist()
-            level = [a + (i,) for a, c in zip(level, counts) for i in range(1, c + 1)]
+        return node_addresses(self.generations)
 
     def generation(self, n: int) -> List[Address]:
         """All addresses of length n, lexicographically sorted."""
@@ -151,7 +180,7 @@ class RandomTree:
         k0, j = self._locate(at)
         bounds = [j, j + 1]  # the subtree's slice of generation k0 + k
 
-        def expand(k: int, length: np.ndarray) -> np.ndarray:
+        def expand(k: int, length: np.ndarray, sigma: np.ndarray) -> np.ndarray:
             lo, hi = bounds
             first = self.generations[k0 + k].first
             bounds[:] = first[lo], first[hi]
@@ -171,7 +200,7 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     Raises ValueError when the tree would have more than MAX_NODES nodes."""
     require_valid(model)
 
-    def expand(k: int, length: np.ndarray) -> np.ndarray:
+    def expand(k: int, length: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         if stop.kind == "depth":
             return np.full(length.size, k < stop.value)
         return length >= stop.value

@@ -3,6 +3,7 @@
 Core claims:
     - the horizon-zero run contains exactly the ancestor with its future
       child birth times
+    - a population past MAX_NODES (born or not) is refused, naming --tmax
     - deterministic one-letter clocks: generation n is born at n ln6 and
       R_n is identically one
     - child birth times replay the sampled tree labels (shared draws)
@@ -11,19 +12,29 @@ Core claims:
     - z_t counts (mother <= t < child) pairs; jumps only on the lattice
       clock for lattice models
     - e^(-gamma t) z_t tracks the closed-form constant at moderate t
+    - events, martingale traces and z values keep the bits recorded from
+      the heap sampler, exact sigma ties across generations included, and
+      the array forms of R_n and z_t equal loops over the events
 """
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cantorstring import (
+    IfsModel,
+    make_letter,
     martingale_R,
     martingale_trace,
+    middle_third_letter,
     nerman_constant_hat_phi,
+    random_model,
     sample_tree,
     simulate_population,
+    single_letter_model,
     solve_recursive_exponent,
+    third_fifth_model,
     z_process,
 )
 from cantorstring.branching import export_events_csv, export_martingale_csv, export_z_csv
@@ -89,6 +100,15 @@ class TestSimulation:
                 mother = events[address[:-1]]
                 tau = mother.child_offsets[address[-1] - 1]
                 assert event.sigma == pytest.approx(mother.sigma + tau, abs=1e-12)
+
+    def test_node_budget(self, third_fifth, monkeypatch):
+        from cantorstring import tree
+        nodes = simulate_population(third_fifth, 8.0, 4).sigma.size  # born or not
+        monkeypatch.setattr(tree, "MAX_NODES", nodes)
+        assert simulate_population(third_fifth, 8.0, 4).sigma.size == nodes
+        monkeypatch.setattr(tree, "MAX_NODES", nodes - 1)
+        with pytest.raises(ValueError, match="--tmax"):
+            simulate_population(third_fifth, 8.0, 4)
 
     def test_determinism(self, third_fifth):
         r1 = simulate_population(third_fifth, 6.0, 42)
@@ -232,3 +252,87 @@ def test_csv_exports(tmp_path, third_fifth):
     z = (tmp_path / "z.csv").read_text().splitlines()
     assert z[1] == "t,z_t,scaled"
     assert len(z) == 5
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_arrays_match_event_loops(k):
+    """Birth order, R_n and z_t from the node arrays equal the per-event
+    loops of the heap sampler, run over `run.events`."""
+    model = random_model(k)
+    gamma = solve_recursive_exponent(model)
+    run = simulate_population(model, 6.0, k)
+    keys = [(e.sigma, e.address) for e in run.events]
+    assert keys == sorted(keys) and len(run.events) == len(run)
+    trace, acc = [1.0], 1.0
+    for e in run.events:
+        acc += (math.fsum(math.exp(-gamma * (e.sigma + tau)) for tau in e.child_offsets)
+                - math.exp(-gamma * e.sigma))
+        trace.append(acc)
+    assert martingale_trace(run, gamma) == trace
+    for t in np.linspace(0.0, 6.0, 13).tolist():
+        assert z_process(run, t) == sum(e.sigma <= t < e.sigma + tau
+                                        for e in run.events for tau in e.child_offsets)
+
+
+def tie_model():
+    """Offsets a = -log(1/4) and 2a = -log(1/16) are exact multiples of one
+    double, so child 2 of a "quarter" node ties with its grandchild 1.1."""
+    quarter = make_letter("quarter", [(0.5, 0.0), (0.125, 0.875)], (0.5, 0.5))
+    eighth = make_letter("eighth", [(0.25, 0.0), (0.25, 0.75)], (0.5, 0.5))
+    return IfsModel((0.0, 1.0), (quarter, eighth), (0.5, 0.5))
+
+
+# sha256 of every event's (address, sigma.hex(), letter id), the repr of
+# every martingale_trace value and z_process at 8 times in [0, t]; recorded
+# from the heap sampler, with (population size, adjacent cross-generation ties)
+MIDDLE_THIRD_DIGEST = (63, 0, "16b62031b66f4f06d73e35fe84055cad4570006da54608e168653ff4c6816111")
+POPULATION_DIGESTS = {
+    "third-fifth": [
+        (74, 0, "01a4101c1d2ca46a7cc70fca6e3bf93ebb0fddead12f9d0cff734bf4fc670eee"),
+        (67, 0, "f8255561aec9df9494478bcd61cd2e8e88e240625e44f6e4b164e8fe064035ad"),
+        (83, 0, "bb8690907e003ebf9f3933a21f5a1d79c0a3929e324b012a4003b6ed0739dd68"),
+        (74, 0, "791cc57e8aa97969f53cce7ebeb42d3cede1093c47a486feaa9cbdfd9f21ebd6"),
+        (67, 0, "dbcf4aa195b3d5e6e6fe9fc7e32c371747fca8911e40af8b550472ed0ba2363c"),
+        (73, 0, "7c194d94c835d8d44b6eb8737d5a39e49855549b8e4995a207007386c8cfc2a7"),
+        (77, 0, "04b0c4a075b9fb83d00c360d09d11fb43812c8467da57445377bd0acc6dbb3d4"),
+        (70, 0, "58078a1dcce9991f01948e205e6bcef95f5b64bc68176cc6313381399eced5e3"),
+        (68, 0, "bc2f0ad1d0519b45d92a0ae2d72565a6dd65791511088bf15334eed330167fd0"),
+        (72, 0, "1f929dd9b5b257b6afd5c32449e32f8c7fa7a1619ea33ae220330ef84f510043"),
+    ],
+    # one letter, so every seed grows the same population
+    "middle-third": [MIDDLE_THIRD_DIGEST] * 10,
+    "ties": [
+        (41, 8, "64d681a84a526800bc2a8bfe0c971b18898d21ce69ee802213a3b483799e1a70"),
+        (46, 16, "2e9873f2ba3b557ff290630475860464ecafa1eefbbb2d3ffa8163a2be1d992d"),
+        (46, 17, "4ef489ae53fcc87cb4070fbef159980bb946d3e4fae6afe761e9e9867e22902e"),
+        (44, 17, "95945e482ed0f04b45c236fd51422d438c1beb76655051f858274dcb4f142064"),
+        (42, 4, "6abe0b2d78c3de50c23110667dcb26ccbe19b7574e6d82f4e47f0ef0a4466bbd"),
+        (43, 11, "0c56b16a453287b1c5b8f12a6db533c9f370b575af9218cf642f1a55787c966b"),
+        (45, 10, "b52feb99e1f245ea1afe93b323d51f53a0e2d48705b89619ddbf58b6519362a3"),
+        (41, 6, "5e3e45943ee4bd6ec6015eaedaad93e697e35050a7f41aae6144cba14283525b"),
+        (43, 9, "2470dea0a71b23e09924bdeb8db1f5304e7d77553e22fbaf2fba596825850854"),
+        (42, 6, "5453a5e87f2a58b4ace422926b44778bbd32880928d290dcce74d17be4250517"),
+    ],
+}
+PIN_MODELS = {"third-fifth": third_fifth_model,
+              "middle-third": lambda: single_letter_model(middle_third_letter()),
+              "ties": tie_model}
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in POPULATION_DIGESTS
+                                        for seed in range(10)])
+def test_population_bits_pinned(name, seed):
+    t = 10.0
+    run = simulate_population(PIN_MODELS[name](), t, seed)
+    h = hashlib.sha256()
+    for e in run.events:
+        h.update(f"{e.address}|{e.sigma.hex()}|{e.letter_id}\n".encode())
+    for value in martingale_trace(run):
+        h.update(repr(value).encode() + b"\n")
+    for u in np.linspace(0.0, t, 8).tolist():
+        h.update(f"{z_process(run, u)}\n".encode())
+    ties = sum(a.sigma == b.sigma and len(a.address) != len(b.address)
+               for a, b in zip(run.events, run.events[1:]))
+    assert (len(run), ties, h.hexdigest()) == POPULATION_DIGESTS[name][seed]
+    if name == "ties":
+        assert ties > 0  # the address tiebreak across generations is exercised

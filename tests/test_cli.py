@@ -7,9 +7,11 @@ Core claims:
       1/2 for the Lebesgue-like model
     - curve CSVs respect the gap invariant, carry the digest header, and
       are byte-identical across re-runs; a tree past MAX_NODES or a string
-      with an overflowing link exits 2 before any file is written
+      with an overflowing link (interior or boundary) exits 2 before any
+      file is written
     - --check-bracketing reports true on every grid point
-    - branching writes event/martingale/z files; mean-R over seeds is near 1
+    - branching writes event/martingale/z files; mean-R over seeds is near 1;
+      a population past MAX_NODES exits 2 naming --tmax, serial or not
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
 """
@@ -156,6 +158,20 @@ class TestCurve:
         assert "link" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_boundary_link_exit_2(self, tmp_path, capsys):
+        from cantorstring import make_letter, save_model, single_letter_model
+        model = tmp_path / "sub.json"
+        # at depth 1 the first atom sits 5e-311 from the left end: 1/l is inf
+        save_model(single_letter_model(make_letter("sub", [(1e-310, 0.0), (0.5, 0.5)],
+                                                   (0.5, 0.5))), model)
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["curve", "--model", model, "--seed", 0, "--depth", 1,
+                     "--grid", "1:1e3:5", "--out", out])
+        assert err.value.code == 2
+        assert "link" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_rejected(self, tf_model, tmp_path):
         for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense", "1:inf:4", "nan:10:5"):
             with pytest.raises(SystemExit) as err:
@@ -273,6 +289,22 @@ class TestBranching:
                          "--stat", "mean-R", "--at-n", 2])
             assert err.value.code == 2
             assert repr(seeds) in capsys.readouterr().err
+
+    def test_node_budget_exit_2(self, tf_model, tmp_path, monkeypatch, capsys):
+        # a --tmax 12 population has a few hundred nodes, so the same run
+        # fails fast, not with a 10-million-node tree, if a worker misses the patch
+        from cantorstring import tree
+        monkeypatch.setattr(tree, "MAX_NODES", 100)
+        out = tmp_path / "out"
+        for extra in (["--seed", 1, "--out", out, "--martingale-out", out],
+                      ["--seeds", "0..3", "--stat", "mean-R", "--out", out],
+                      ["--seeds", "0..3", "--stat", "mean-R", "--workers", 2, "--out", out]):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["branching", "--model", tf_model, "--tmax", 12] + extra)
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert "100 nodes" in message and "--tmax" in message
+            assert not out.exists()
 
     def test_event_output_needs_single_seed_exit_2(self, tf_model, tmp_path):
         with pytest.raises(SystemExit) as err:

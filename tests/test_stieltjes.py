@@ -13,8 +13,9 @@ Core claims:
     - the plain-float sweep (few columns) and the chunked numpy sweep (many
       columns, both boundaries fused) give identical counts, ties and
       vanishing pivots included, whatever the chunk size
-    - NaN shifts, non-finite atoms and links whose 1/l**2 overflows are
-      refused; links down to 1e-150 still count exactly
+    - NaN shifts, non-finite atoms, links whose 1/l overflows and interior
+      links whose 1/l**2 overflows are refused; interior links down to
+      1e-150 and boundary links down to 1e-300 still count exactly
     - counting_curve keeps every count of a 3672-atom string at 120 shifts
       (sha256 digest recorded from the per-boundary numpy sweep)
     - the per-tree bracketing memo changes neither verdicts nor the tree
@@ -116,6 +117,19 @@ class TestBasics:
         # N_D(1) came out 1 where the dense spectrum gives 0
         with pytest.raises(ValueError, match="link"):
             StieltjesString((0.0, 1.0), [1e-200, 2e-200, 0.5], [1.0, 1.0, 1.0])
+
+    def test_subnormal_boundary_link_rejected(self):
+        # 1/l of a 1e-310 boundary link is inf: the Dirichlet diagonal was
+        # infinite and dense_count raised on it
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="link"):
+                StieltjesString((0.0, 1.0), [1e-310, 0.5], [1.0, 1.0])
+            with pytest.raises(ValueError, match="link"):
+                StieltjesString((-1.0, 0.0), [-0.5, -1e-310], [1.0, 1.0])
+        s = StieltjesString((0.0, 1.0), [1e-300, 0.5], [1.0, 1.0])
+        for x in (1.0, 1e3, 1e300):
+            assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet")
+            assert count_neumann(s, x) == dense_count(s, x, "neumann")
 
     def test_duplicate_atoms_merged(self):
         s = StieltjesString((0.0, 1.0), [0.5, 0.5, 0.7], [0.3, 0.2, 0.5])
