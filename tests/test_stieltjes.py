@@ -18,6 +18,9 @@ Core claims:
       1e-150 and boundary links down to 1e-300 still count exactly
     - counting_curve keeps every count of a 3672-atom string at 120 shifts
       (sha256 digest recorded from the per-boundary numpy sweep)
+    - single-shift counts of the depth-8 bracketing strings, exact ties,
+      zero pivots and overflowing shifts keep their values (sha256 digest
+      recorded from the one-boundary-per-call plain-float loop)
     - the per-tree bracketing memo changes neither verdicts nor the tree
 """
 import hashlib
@@ -54,6 +57,7 @@ from cantorstring.tree import StopRule, dump_tree
 
 
 CURVE_COUNTS_DIGEST = "35540df57d7afccccc9311bfbdbeea6f3676ffd128a4e178a285c27945e363cb"
+SINGLE_SHIFT_DIGEST = "c08fc4f756bbab9b00677fdbe7a5d07e1fff7d6f83dfb95d5025027f41c8b2d5"
 
 
 def random_string(seed: int, max_atoms: int = 200) -> StieltjesString:
@@ -295,6 +299,30 @@ class TestSweepPaths:
         u = StieltjesString.uniform(200)
         assert eigenvalue(u, 1, "dirichlet") == 9.869401467964053
         assert eigenvalue(u, 7, "neumann") == 483.12356358766556
+
+    def test_single_shift_counts_pinned(self, third_fifth):
+        # whole string and every piece of the depth-8 bracketing memo at the
+        # shifts check_bracketing uses; then uniform(2) and a 3-atom string at
+        # exact ties (8, 16), zero pivots (x' = 12, 16 and 8, 4), 0 and shifts
+        # where x' m overflows to a -inf pivot
+        lines = []
+        for seed in range(5):
+            tree = sample_tree(third_fifth, StopRule.depth(8), seed)
+            check_bracketing(tree, 8, 1.0)
+            parts = [(1.0, stieltjes.depth_string(tree, 8))] + tree.memo["bracketing"][8]
+            for x in np.geomspace(1.0, 1e6, 12):
+                for scale, s in parts:
+                    y = scale * float(x)
+                    lines.append(f"{s.n},{y!r},{count_dirichlet(s, y)},{count_neumann(s, y)}")
+        u = StieltjesString.uniform(2)
+        three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
+        for s, special in ((u, (8.0, 16.0, 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT)),
+                           (three, (8.0 / TIE_SHIFT, 4.0 / TIE_SHIFT))):
+            for y in special + (0.0, 1e300, 1.7e308, math.inf):
+                lines.append(f"{s.n},{y!r},{count_dirichlet(s, y)},{count_neumann(s, y)}")
+        assert len(lines) == 230
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_SHIFT_DIGEST
 
 
 class TestCurve:
