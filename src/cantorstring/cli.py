@@ -28,6 +28,7 @@ from .stieltjes import (StieltjesString, check_bracketing, counting_curve, depth
 from .tree import StopRule, sample_tree
 
 MAX_SEEDS = 1_000_000  # longest --seeds range; its list is built before any work
+MAX_POINTS = 10_000  # most --grid / --z-points points; a sweep block is 256 rows x all of them
 
 
 def _header(model: IfsModel, seed) -> str:
@@ -64,6 +65,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         _fail(f"grid must be XMIN:XMAX:POINTS, got {spec!r}")
     if not (0.0 < xmin < xmax < math.inf) or points < 2:
         _fail(f"grid needs 0 < XMIN < XMAX < inf and POINTS >= 2, got {spec!r}")
+    if points > MAX_POINTS:
+        _fail(f"--grid {spec!r} has more than {MAX_POINTS} points")
     return np.geomspace(xmin, xmax, points)
 
 
@@ -155,8 +158,8 @@ def cmd_branching(args) -> int:
         _fail(f"--workers must be >= 1, got {args.workers}")
     if not 0.0 <= args.tmax < math.inf:
         _fail(f"--tmax must be finite and >= 0, got {args.tmax}")
-    if args.z_points < 1:
-        _fail(f"--z-points must be >= 1, got {args.z_points}")
+    if not 1 <= args.z_points <= MAX_POINTS:
+        _fail(f"--z-points must be in 1..{MAX_POINTS}, got {args.z_points}")
     seeds = [args.seed] if args.seed is not None else _parse_seeds(args.seeds)
     if args.stat != "mean-R" and len(seeds) != 1:
         _fail("event/martingale/z output needs a single --seed")

@@ -28,18 +28,21 @@ x * (1 + 1e-15); a vanishing pivot is replaced by a tiny negative value
 (the classical bisection safeguard), which only matters on a measure-zero
 set of shifts.
 
-The two pencils share M and the off-diagonal, so counting_curve sweeps
-both boundaries at once: a block whose columns are (boundary, shift) pairs,
-each column with its own diagonal. Up to _SCALAR_COLUMNS columns the
-recurrence is a plain-float loop per column. Beyond that it runs on numpy
-in chunks of _CHUNK_ROWS rows: one broadcast fills the chunk with
+The two pencils share M and the off-diagonal, so a sweep carries both
+boundaries. Up to _SCALAR_SHIFTS shifts it is one plain-float pass per
+shift over rows (K_D[k, k], K_N[k, k], m_k, b_{k-1}^2) built once per
+string: per row xm = x' m_k, then d = K_D[k, k] - xm - b^2 / d and the
+same for the Neumann pivot. The safeguard `if d < pivmin: count, and
+if d > -pivmin: d = -pivmin` counts and clamps exactly where
+`if abs(d) < pivmin: d = -pivmin; count d <= 0` does, for every float d
+(+-0, +-pivmin, +-inf and NaN included), so every bit is kept. Beyond
+that the recurrence runs on numpy in chunks of _CHUNK_ROWS rows, one
+column per (boundary, shift): one broadcast fills the chunk with
 K[k, k] - x' m_k, then each row costs one divide and one subtract over all
 columns. The safeguard is tested once per chunk. Until the first pivot
 below it the unguarded recurrence is the guarded one, bit for bit, so the
-chunk is redone with the per-row guard from that row on and the counts
-stay exact, zero pivots included. Both paths do the same IEEE operations
-in the same order, so the counts agree. check_bracketing builds its
-strings once per (tree, n) and keeps them in the tree's memo.
+chunk is redone with the per-row guard from that row on. Both paths do the
+same IEEE operations in the same order, so the counts agree.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ from .tree import RandomTree, write_table
 
 TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
-_SCALAR_COLUMNS = 8  # boundaries x shifts up to which the plain-float loop is faster
+_SCALAR_SHIFTS = 8  # shifts up to which the plain-float pass is faster
 _CHUNK_ROWS = 256  # rows of the numpy block swept between two safeguard tests
 
 _BOUNDARIES = ("dirichlet", "neumann")
@@ -97,9 +100,13 @@ class StieltjesString:
         self.links = np.diff(np.concatenate(([a], pos, [b])))
         with np.errstate(divide="ignore", over="ignore"):
             inv = 1.0 / self.links
-            if not (np.isfinite(inv).all() and np.isfinite(np.square(inv[1:-1])).all()):
+            # pivot row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0 and d = 1
+            self._b2 = np.concatenate(([0.0], np.square(inv[1:-1])))
+            if not (np.isfinite(inv).all() and np.isfinite(self._b2).all()):
                 raise ValueError("a link is too short: its 1/l (1/l**2 if interior) overflows")
+        self._pivmin = float(_SAFMIN * max(1.0, self._b2.max()))
         self._dense = {}  # boundary -> eigenvalues, filled by dense_eigenvalues
+        self._rows = None  # plain-float pivot rows, filled by _scalar_sweep
 
     @property
     def n(self) -> int:
@@ -137,44 +144,49 @@ class CountingSample:
     count_neumann: int
 
 
-def _pivot_counts(diags: np.ndarray, off: np.ndarray, masses: np.ndarray,
-                  xs: np.ndarray) -> np.ndarray:
-    """Non-positive pivot counts of K_g - x' M, x' = x * (1 + 1e-15).
+def _scalar_sweep(string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
+    """(2, len(shifts)) Dirichlet and Neumann pivot counts, one plain-float pass per shift.
 
-    ``diags`` holds one diagonal per row g; the pencils share ``off`` and
-    ``masses``. Returns a (len(diags), len(xs)) block of counts, one column
-    per diagonal and shift.
+    The rows (K_D[k, k], K_N[k, k], m_k, b_{k-1}^2) are built on the first call
+    and kept on the string as a tuple of float tuples.
     """
-    shifts = xs * TIE_SHIFT
-    # row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0 and d = 1,
-    # and a - 0.0 / 1.0 == a exactly
-    b2 = np.concatenate(([0.0], off * off))
-    pivmin = float(_SAFMIN * max(1.0, b2.max()))
-    groups = diags.shape[0]
-    if groups * shifts.size > _SCALAR_COLUMNS:
-        return _block_sweep(diags, b2, masses, shifts, pivmin)
-    counts = []
-    for diag in diags.tolist():
-        rows = list(zip(diag, masses.tolist(), b2.tolist()))
-        for x in shifts.tolist():
-            d, count = 1.0, 0
-            for dk, mk, bk in rows:
-                d = dk - x * mk - bk / d
-                if abs(d) < pivmin:
-                    d = -pivmin
-                count += d <= 0
-            counts.append(count)
-    return np.array(counts, dtype=np.int64).reshape(groups, shifts.size)
+    if string._rows is None:
+        string._rows = tuple(zip(string.pencil("dirichlet")[0].tolist(),
+                                 string.pencil("neumann")[0].tolist(),
+                                 string.masses.tolist(), string._b2.tolist()))
+    pivmin = string._pivmin
+    low = -pivmin
+    counts_d, counts_n = [], []
+    for x in shifts.tolist():
+        d = n = 1.0
+        count_d = count_n = 0
+        for diag_d, diag_n, m, b2 in string._rows:
+            xm = x * m
+            d = diag_d - xm - b2 / d
+            if d < pivmin:  # d <= 0 after clamping |d| < pivmin to -pivmin
+                count_d += 1
+                if d > low:
+                    d = low
+            n = diag_n - xm - b2 / n
+            if n < pivmin:
+                count_n += 1
+                if n > low:
+                    n = low
+        counts_d.append(count_d)
+        counts_n.append(count_n)
+    return np.array([counts_d, counts_n], dtype=np.int64)
 
 
-def _block_sweep(diags: np.ndarray, b2: np.ndarray, masses: np.ndarray,
-                 shifts: np.ndarray, pivmin: float) -> np.ndarray:
-    """The pivot recurrence on _CHUNK_ROWS rows at a time, all columns at once.
+def _block_sweep(string: StieltjesString, shifts: np.ndarray,
+                 boundaries: Sequence[str]) -> np.ndarray:
+    """(len(boundaries), len(shifts)) pivot counts, _CHUNK_ROWS rows at a time, all columns at once.
 
     A chunk is swept without the safeguard, then tested once for a pivot
     below pivmin. Every row before the first such row equals the guarded
     recurrence, so the chunk is redone with the guard from that row on.
     """
+    diags = np.array([string.pencil(boundary)[0] for boundary in boundaries])
+    b2, pivmin = string._b2, string._pivmin
     groups, n = diags.shape
     width = groups * shifts.size
     height = min(n, _CHUNK_ROWS)
@@ -190,7 +202,7 @@ def _block_sweep(diags: np.ndarray, b2: np.ndarray, masses: np.ndarray,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n, height):
             h = min(height, n - start)
-            np.multiply(masses[start:start + h, None], shifts, out=m_x[:h])
+            np.multiply(string.masses[start:start + h, None], shifts, out=m_x[:h])
             subtract(diags[:, start:start + h].T[:, :, None], m_x[:h, None, :], block[:h])
             np.copyto(b2_block[:h], b2[start:start + h, None])
             prev = last
@@ -215,13 +227,18 @@ def _block_sweep(diags: np.ndarray, b2: np.ndarray, masses: np.ndarray,
 
 def _counts(string: StieltjesString, xs: Sequence[float],
             boundaries: Sequence[str] = _BOUNDARIES) -> np.ndarray:
-    """(len(boundaries), len(xs)) counts, all boundaries in one pivot sweep."""
+    """(len(boundaries), len(xs)) counts of K - x' M, x' = x * (1 + 1e-15).
+
+    The plain-float pass always counts both boundaries and keeps the rows asked for.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(xs >= 0):
         raise ValueError("spectral parameter x must be >= 0")
-    pencils = [string.pencil(boundary) for boundary in boundaries]
-    counts = _pivot_counts(np.array([diag for diag, _ in pencils]), pencils[0][1],
-                           string.masses, xs)
+    shifts = xs * TIE_SHIFT
+    if shifts.size <= _SCALAR_SHIFTS:
+        counts = _scalar_sweep(string, shifts)[[_BOUNDARIES.index(b) for b in boundaries]]
+    else:
+        counts = _block_sweep(string, shifts, boundaries)
     for row, boundary in zip(counts, boundaries):
         if boundary == "neumann":
             # the constant vector is an exact null vector of K_N, so the zero
@@ -324,7 +341,8 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     The whole string is the depth-n atomization; piece i is the depth-(n-1)
     atomization of the subtree rooted at child i, evaluated at the composed
     scale r_i * m_i * x. The strings are built on the first call for
-    (tree, n) and kept in ``tree.memo``.
+    (tree, n) and kept in ``tree.memo``; each string then costs one count
+    call, both boundaries in one plain-float pass.
     """
     if n < 1:
         raise ValueError(f"bracketing needs generation n >= 1, got {n}")
@@ -335,10 +353,9 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
         root = tree.letter_at(())
         memo[n] = [(s.ratio * w, depth_string(tree.subtree((i,)), n - 1))
                    for i, (s, w) in enumerate(zip(root.maps, root.weights), start=1)]
-    whole, pieces = depth_string(tree, n), memo[n]
-    sum_d = sum(count_dirichlet(piece, scale * x) for scale, piece in pieces)
-    sum_n = sum(count_neumann(piece, scale * x) for scale, piece in pieces)
-    return sum_d <= count_dirichlet(whole, x) <= count_neumann(whole, x) <= sum_n
+    whole_d, whole_n = _counts(depth_string(tree, n), [x])[:, 0].tolist()
+    sum_d, sum_n = sum(_counts(piece, [scale * x])[:, 0] for scale, piece in memo[n]).tolist()
+    return sum_d <= whole_d <= whole_n <= sum_n
 
 
 # ---------------------------------------------------------------------------

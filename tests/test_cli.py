@@ -172,12 +172,23 @@ class TestCurve:
         assert "link" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_grid_rejected(self, tf_model, tmp_path):
-        for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense", "1:inf:4", "nan:10:5"):
-            with pytest.raises(SystemExit) as err:
-                run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 3,
-                         "--grid", grid, "--out", tmp_path / "c.csv"])
-            assert err.value.code == 2
+    def test_bad_grid_rejected(self, tf_model, tmp_path, capsys, monkeypatch):
+        from cantorstring import cli
+        out = tmp_path / "c.csv"
+        with monkeypatch.context() as patch:
+            forbid(patch, cli, "sample_tree")
+            for grid in ("5:1:10", "0:10:5", "1:1e3:1", "nonsense", "1:inf:4", "nan:10:5",
+                         "1:10:1000000000", f"1:10:{cli.MAX_POINTS + 1}"):
+                with pytest.raises(SystemExit) as err:
+                    run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 3,
+                             "--grid", grid, "--out", out])
+                assert err.value.code == 2
+                assert not out.exists()
+            # an oversized point count names the flag and the limit
+            assert f"--grid '1:10:{cli.MAX_POINTS + 1}'" in capsys.readouterr().err
+        assert run_cli(["curve", "--model", tf_model, "--seed", 1, "--depth", 2,
+                        "--grid", f"1:10:{cli.MAX_POINTS}", "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == cli.MAX_POINTS + 2
 
     def test_bracketing_without_depth_exit_2(self, tf_model, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -260,7 +271,7 @@ class TestBranching:
             assert not out.exists()
 
     def test_workers_below_one_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):
-        from cantorstring import branching
+        from cantorstring import branching, cli
         forbid(monkeypatch, branching, "simulate_population")
         out = tmp_path / "stat.json"
         for flag, value in (("--workers", 0), ("--workers", -3), ("--tmax", -1),
@@ -272,12 +283,13 @@ class TestBranching:
             assert flag in capsys.readouterr().err
             assert not out.exists()
         z_out = tmp_path / "z.csv"
-        with pytest.raises(SystemExit) as err:
-            run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
-                     "--z-points", -3, "--z-out", z_out])
-        assert err.value.code == 2
-        assert "--z-points" in capsys.readouterr().err
-        assert not z_out.exists()
+        for points in (-3, 1_000_000_000, cli.MAX_POINTS + 1):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
+                         "--z-points", points, "--z-out", z_out])
+            assert err.value.code == 2
+            assert "--z-points" in capsys.readouterr().err
+            assert not z_out.exists()
 
 
     def test_bad_seeds_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):

@@ -10,9 +10,10 @@ Core claims:
       saturate at n
     - exact mass and geometric scaling identities of the pencil
     - the four-term bracketing chain holds on sampled trees
-    - the plain-float sweep (few columns) and the chunked numpy sweep (many
-      columns, both boundaries fused) give identical counts, ties and
-      vanishing pivots included, whatever the chunk size
+    - the plain-float pass (few shifts, both boundaries) and the chunked
+      numpy sweep (many shifts, one or both boundaries) give identical
+      counts, ties and vanishing pivots included, whatever the chunk size;
+      only the plain-float pass builds the per-string row cache
     - NaN shifts, non-finite atoms, links whose 1/l overflows and interior
       links whose 1/l**2 overflows are refused; interior links down to
       1e-150 and boundary links down to 1e-300 still count exactly
@@ -49,7 +50,7 @@ from cantorstring import (
 from cantorstring import stieltjes
 from cantorstring.stieltjes import (
     TIE_SHIFT,
-    _SCALAR_COLUMNS,
+    _SCALAR_SHIFTS,
     _counts,
     export_curve_csv,
 )
@@ -224,15 +225,15 @@ class TestEigenvalue:
 
 
 class TestSweepPaths:
-    """Counts of a shift alone (plain-float sweep) == its count in a numpy block."""
+    """Counts of a shift alone (plain-float pass) == its count in a numpy block."""
 
     @staticmethod
     def assert_paths_agree(s, xs):
         xs = [float(x) for x in xs]
-        assert len(xs) == _SCALAR_COLUMNS + 1  # one past the cutoff: numpy path
+        assert len(xs) == _SCALAR_SHIFTS + 1  # one past the cutoff: numpy path
         fused = _counts(s, xs).tolist()  # both boundaries in one numpy block
-        half = _SCALAR_COLUMNS // 2  # both boundaries at the cutoff: plain floats
-        assert _counts(s, xs[:half]).tolist() == [row[:half] for row in fused]
+        # both boundaries at the cutoff: plain floats
+        assert _counts(s, xs[:-1]).tolist() == [row[:-1] for row in fused]
         for boundary, row in zip(("dirichlet", "neumann"), fused):
             batch = _counts(s, xs, (boundary,))[0].tolist()
             assert batch == row
@@ -244,14 +245,14 @@ class TestSweepPaths:
         for seed in range(30):
             s = random_string(seed, max_atoms=300)
             self.assert_paths_agree(
-                s, sorted(10 ** rng.uniform(-2, 9) for _ in range(_SCALAR_COLUMNS + 1)))
+                s, sorted(10 ** rng.uniform(-2, 9) for _ in range(_SCALAR_SHIFTS + 1)))
 
     def test_exact_eigenvalue_ties(self):
         # uniform(2) has the exact Dirichlet spectrum {8, 16} and Neumann {0, 8}
         u = StieltjesString.uniform(2)
         assert count_dirichlet(u, 8.0) == 1 and count_dirichlet(u, 16.0) == 2
         assert count_neumann(u, 8.0) == 2
-        ties = [8.0, 16.0] + [float(x) for x in np.geomspace(1.0, 1e3, _SCALAR_COLUMNS - 1)]
+        ties = [8.0, 16.0] + [float(x) for x in np.geomspace(1.0, 1e3, _SCALAR_SHIFTS - 1)]
         self.assert_paths_agree(u, ties)
 
     def test_vanishing_pivot_safeguard(self, monkeypatch):
@@ -273,7 +274,17 @@ class TestSweepPaths:
                 assert [x * TIE_SHIFT for x in xs] == list(zeros)
                 for x, count in zip(xs, zeros.values()):
                     assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet") == count
-                self.assert_paths_agree(s, (xs * _SCALAR_COLUMNS)[:_SCALAR_COLUMNS + 1])
+                self.assert_paths_agree(s, (xs * _SCALAR_SHIFTS)[:_SCALAR_SHIFTS + 1])
+
+    def test_rows_cached_by_plain_float_pass_only(self):
+        s = random_string(9, max_atoms=300)
+        counting_curve(s, np.geomspace(1.0, 1e6, _SCALAR_SHIFTS + 1))
+        assert s._rows is None  # numpy path only
+        count_dirichlet(s, 10.0)
+        rows = s._rows
+        assert isinstance(rows, tuple) and len(rows) == s.n
+        count_neumann(s, 1e3)
+        assert s._rows is rows
 
     def test_curve_spanning_chunks(self):
         # 600 to 1200 atoms: three to five chunks of the numpy block
