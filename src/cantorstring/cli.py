@@ -28,7 +28,7 @@ from .stieltjes import (StieltjesString, check_bracketing, counting_curve, depth
 from .tree import StopRule, sample_tree
 
 MAX_SEEDS = 1_000_000  # longest --seeds range; its list is built before any work
-MAX_POINTS = 10_000  # most --grid / --z-points points; a sweep block is 256 rows x all of them
+MAX_POINTS = 10_000  # most --grid / --z-points points; a numpy sweep block is 256 rows x all
 
 
 def _header(model: IfsModel, seed) -> str:

@@ -62,12 +62,6 @@ class IfsModel:
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
 
-    def letter_index(self, letter_id: str) -> int:
-        for k, letter in enumerate(self.letters):
-            if letter.id == letter_id:
-                return k
-        raise KeyError(letter_id)
-
 
 def make_letter(letter_id: str, maps: Sequence[Tuple[float, float]], weights: Sequence[float]) -> Letter:
     """Build a Letter from (ratio, offset) pairs."""

@@ -28,24 +28,30 @@ x * (1 + 1e-15); a vanishing pivot is replaced by a tiny negative value
 (the classical bisection safeguard), which only matters on a measure-zero
 set of shifts.
 
-The two pencils share M and the off-diagonal, so a sweep carries both
-boundaries. Up to _SCALAR_SHIFTS shifts it is one plain-float pass per
-shift over rows (K_D[k, k], K_N[k, k], m_k, b_{k-1}^2) built once per
-string: per row xm = x' m_k, then d = K_D[k, k] - xm - b^2 / d and the
-same for the Neumann pivot. The safeguard `if d < pivmin: count, and
-if d > -pivmin: d = -pivmin` counts and clamps exactly where
-`if abs(d) < pivmin: d = -pivmin; count d <= 0` does, for every float d
-(+-0, +-pivmin, +-inf and NaN included), so every bit is kept. Beyond
-that the recurrence runs on numpy in chunks of _CHUNK_ROWS rows, one
-column per (boundary, shift): one broadcast fills the chunk with
-K[k, k] - x' m_k, then each row costs one divide and one subtract over all
-columns. The safeguard is tested once per chunk. Until the first pivot
-below it the unguarded recurrence is the guarded one, bit for bit, so the
-chunk is redone with the per-row guard from that row on. Both paths do the
-same IEEE operations in the same order, so the counts agree.
+The two pencils share M and the off-diagonal, so a count sweeps both
+boundaries at once in the C loop of _sturm.c, rows outer and shifts inner:
+d = (K[k, k] - x' m_k) - b_{k-1}^2 / d, and a pivot below pivmin is counted
+and, if above -pivmin, clamped to -pivmin (for every float, +-0, +-inf and
+NaN included, as `if |d| < pivmin: d = -pivmin; count d <= 0` would). The
+first count compiles it with sysconfig's CC, else cc, and `-O2 -shared
+-fPIC -ffp-contract=off` into $XDG_CACHE_HOME/cantorstring or
+~/.cache/cantorstring (mode 0700), named by the sha256 of the source, the
+flags and the platform, and loads it with ctypes. `-ffp-contract=off`
+forbids fusing x' m_k into the subtract, which would round once where numpy
+rounds twice; so, without -ffast-math, each step is numpy's IEEE operation
+and every count keeps its bits. With no compiler, a failed build or an
+unusable cache, counts come from _block_sweep, the numpy reference:
+_CHUNK_ROWS rows at a time, one column per (boundary, shift). Its safeguard
+is tested once per chunk: before the first pivot below it the unguarded
+recurrence is the guarded one, so the chunk is redone from that row on.
 """
 from __future__ import annotations
 
+import functools
+import os
+import shutil
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
@@ -59,8 +65,9 @@ from .tree import RandomTree, write_table
 
 TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
-_SCALAR_SHIFTS = 8  # shifts up to which the plain-float pass is faster
 _CHUNK_ROWS = 256  # rows of the numpy block swept between two safeguard tests
+_SOURCE = Path(__file__).with_name("_sturm.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _BOUNDARIES = ("dirichlet", "neumann")
 
@@ -105,8 +112,12 @@ class StieltjesString:
             if not (np.isfinite(inv).all() and np.isfinite(self._b2).all()):
                 raise ValueError("a link is too short: its 1/l (1/l**2 if interior) overflows")
         self._pivmin = float(_SAFMIN * max(1.0, self._b2.max()))
+        self._diags = np.zeros((2, pos.size))  # K_D and K_N diagonals, in _BOUNDARIES order
+        self._diags[0] = inv[:-1] + inv[1:]
+        self._diags[1, :-1] += inv[1:-1]
+        self._diags[1, 1:] += inv[1:-1]
+        self._diags.flags.writeable = False
         self._dense = {}  # boundary -> eigenvalues, filled by dense_eigenvalues
-        self._rows = None  # plain-float pivot rows, filled by _scalar_sweep
 
     @property
     def n(self) -> int:
@@ -125,16 +136,10 @@ class StieltjesString:
         return cls(interval, pos, np.full(n, total_mass / n))
 
     def pencil(self, boundary: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(diagonal of K, off-diagonal of K) for the requested boundary."""
+        """(diagonal of K, off-diagonal of K) for the boundary; the diagonal is read-only."""
         if boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
-        inv = 1.0 / self.links
-        if boundary == "dirichlet":
-            return inv[:-1] + inv[1:], -inv[1:-1]
-        diag = np.zeros(self.n)
-        diag[:-1] += inv[1:-1]
-        diag[1:] += inv[1:-1]
-        return diag, -inv[1:-1]
+        return self._diags[_BOUNDARIES.index(boundary)], -(1.0 / self.links[1:-1])
 
 
 @dataclass(frozen=True)
@@ -144,48 +149,59 @@ class CountingSample:
     count_neumann: int
 
 
-def _scalar_sweep(string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
-    """(2, len(shifts)) Dirichlet and Neumann pivot counts, one plain-float pass per shift.
+@functools.cache
+def _kernel():
+    """sturm_counts of _sturm.c, built on first use into the user cache; None if it cannot be."""
+    import ctypes
+    import hashlib
+    import subprocess
+    try:
+        key = repr((_SOURCE.read_bytes(), _CFLAGS, sysconfig.get_platform())).encode()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cantorstring"
+        library = cache / f"_sturm-{hashlib.sha256(key).hexdigest()[:16]}.so"
+        if not library.exists():
+            _build(library)
+        owner = cache.stat()
+        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+            return None  # a library that others can replace is never loaded
+        sturm_counts = ctypes.CDLL(str(library)).sturm_counts
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    sturm_counts.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p,) * 6
+    sturm_counts.restype = None
+    return sturm_counts
 
-    The rows (K_D[k, k], K_N[k, k], m_k, b_{k-1}^2) are built on the first call
-    and kept on the string as a tuple of float tuples.
-    """
-    if string._rows is None:
-        string._rows = tuple(zip(string.pencil("dirichlet")[0].tolist(),
-                                 string.pencil("neumann")[0].tolist(),
-                                 string.masses.tolist(), string._b2.tolist()))
-    pivmin = string._pivmin
-    low = -pivmin
-    counts_d, counts_n = [], []
-    for x in shifts.tolist():
-        d = n = 1.0
-        count_d = count_n = 0
-        for diag_d, diag_n, m, b2 in string._rows:
-            xm = x * m
-            d = diag_d - xm - b2 / d
-            if d < pivmin:  # d <= 0 after clamping |d| < pivmin to -pivmin
-                count_d += 1
-                if d > low:
-                    d = low
-            n = diag_n - xm - b2 / n
-            if n < pivmin:
-                count_n += 1
-                if n > low:
-                    n = low
-        counts_d.append(count_d)
-        counts_n.append(count_n)
-    return np.array([counts_d, counts_n], dtype=np.int64)
+
+def _build(library: Path) -> None:
+    """Compile _sturm.c in a temporary directory beside library, then move it into place."""
+    import subprocess
+    compiler = next((cc for cc in ((sysconfig.get_config_var("CC") or "cc").split(), ["cc"])
+                     if shutil.which(cc[0])), None)
+    if compiler is None:
+        raise FileNotFoundError("no C compiler on PATH")
+    library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=library.parent) as scratch:
+        built = os.path.join(scratch, library.name)
+        subprocess.run([*compiler, *_CFLAGS, "-o", built, str(_SOURCE)],
+                       check=True, capture_output=True, timeout=300)
+        os.replace(built, library)
+
+
+def _compiled_sweep(kernel, string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
+    """(2, len(shifts)) Dirichlet and Neumann pivot counts from the C loop."""
+    masses = np.ascontiguousarray(string.masses, dtype=float)
+    pivots = np.empty(2 * shifts.size)
+    counts = np.empty((2, shifts.size), dtype=np.int64)
+    kernel(string.n, shifts.size, string._pivmin, string._diags.ctypes.data,
+           masses.ctypes.data, string._b2.ctypes.data, shifts.ctypes.data,
+           pivots.ctypes.data, counts.ctypes.data)
+    return counts
 
 
 def _block_sweep(string: StieltjesString, shifts: np.ndarray,
                  boundaries: Sequence[str]) -> np.ndarray:
-    """(len(boundaries), len(shifts)) pivot counts, _CHUNK_ROWS rows at a time, all columns at once.
-
-    A chunk is swept without the safeguard, then tested once for a pivot
-    below pivmin. Every row before the first such row equals the guarded
-    recurrence, so the chunk is redone with the guard from that row on.
-    """
-    diags = np.array([string.pencil(boundary)[0] for boundary in boundaries])
+    """(len(boundaries), len(shifts)) pivot counts, _CHUNK_ROWS rows at a time, all columns at once."""
+    diags = string._diags[[_BOUNDARIES.index(boundary) for boundary in boundaries]]
     b2, pivmin = string._b2, string._pivmin
     groups, n = diags.shape
     width = groups * shifts.size
@@ -227,18 +243,16 @@ def _block_sweep(string: StieltjesString, shifts: np.ndarray,
 
 def _counts(string: StieltjesString, xs: Sequence[float],
             boundaries: Sequence[str] = _BOUNDARIES) -> np.ndarray:
-    """(len(boundaries), len(xs)) counts of K - x' M, x' = x * (1 + 1e-15).
-
-    The plain-float pass always counts both boundaries and keeps the rows asked for.
-    """
+    """(len(boundaries), len(xs)) counts of K - x' M, x' = x * (1 + 1e-15)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(xs >= 0):
         raise ValueError("spectral parameter x must be >= 0")
     shifts = xs * TIE_SHIFT
-    if shifts.size <= _SCALAR_SHIFTS:
-        counts = _scalar_sweep(string, shifts)[[_BOUNDARIES.index(b) for b in boundaries]]
-    else:
+    kernel = _kernel()
+    if kernel is None:
         counts = _block_sweep(string, shifts, boundaries)
+    else:
+        counts = _compiled_sweep(kernel, string, shifts)[[_BOUNDARIES.index(b) for b in boundaries]]
     for row, boundary in zip(counts, boundaries):
         if boundary == "neumann":
             # the constant vector is an exact null vector of K_N, so the zero
@@ -271,19 +285,14 @@ def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> 
     Dirichlet eigenvalues are indexed 1..n, Neumann 0..n-1. Relative
     tolerance 1e-10.
     """
-    n = string.n
-    if boundary == "dirichlet":
-        if not 1 <= k <= n:
-            raise ValueError(f"Dirichlet index must be in 1..{n}, got {k}")
-        target = k
-    elif boundary == "neumann":
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"Neumann index must be in 0..{n - 1}, got {k}")
-        target = k + 1
-    else:
+    if boundary not in _BOUNDARIES:
         raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
+    first = 1 if boundary == "dirichlet" else 0  # the Neumann zero mode is eigenvalue 0
+    last = string.n - 1 + first
+    if not first <= k <= last:
+        raise ValueError(f"{boundary.title()} index must be in {first}..{last}, got {k}")
     def missing(x: float) -> int:
-        return target - int(_counts(string, [x], (boundary,))[0, 0])
+        return k + 1 - first - int(_counts(string, [x], (boundary,))[0, 0])
     if missing(0.0) <= 0:
         return 0.0
     return _bisect(missing, rel_tol=1e-10, floor=0.0)[1]
@@ -302,11 +311,8 @@ def dense_eigenvalues(string: StieltjesString, boundary: str) -> np.ndarray:
     if boundary not in string._dense:
         diag, off = string.pencil(boundary)
         m = string.masses
-        if string.n == 1:
-            values = np.array([diag[0] / m[0]])
-        else:
-            s = 1.0 / np.sqrt(m)
-            values = eigvalsh_tridiagonal(diag / m, off * s[:-1] * s[1:])
+        s = 1.0 / np.sqrt(m)
+        values = eigvalsh_tridiagonal(diag / m, off * s[:-1] * s[1:])  # n = 1: exactly diag / m
         values.flags.writeable = False
         string._dense[boundary] = values
     return string._dense[boundary]
@@ -342,7 +348,7 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     atomization of the subtree rooted at child i, evaluated at the composed
     scale r_i * m_i * x. The strings are built on the first call for
     (tree, n) and kept in ``tree.memo``; each string then costs one count
-    call, both boundaries in one plain-float pass.
+    call, both boundaries in one pass of the C loop.
     """
     if n < 1:
         raise ValueError(f"bracketing needs generation n >= 1, got {n}")

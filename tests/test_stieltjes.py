@@ -10,10 +10,13 @@ Core claims:
       saturate at n
     - exact mass and geometric scaling identities of the pencil
     - the four-term bracketing chain holds on sampled trees
-    - the plain-float pass (few shifts, both boundaries) and the chunked
-      numpy sweep (many shifts, one or both boundaries) give identical
-      counts, ties and vanishing pivots included, whatever the chunk size;
-      only the plain-float pass builds the per-string row cache
+    - the compiled C loop and the chunked numpy reference sweep (one or
+      both boundaries) give identical counts at 1, 2, 8, 9 and 40 shifts,
+      ties, vanishing pivots and x in {0, 5e-324, 1e300, 1.7e308, inf}
+      included, whatever the chunk size, and both equal the dense oracle
+    - without a compiler, after a failed build or with an unusable cache,
+      counts silently come from the numpy reference; with a compiler the
+      C loop always loads, and concurrent first loads leave one library
     - NaN shifts, non-finite atoms, links whose 1/l overflows and interior
       links whose 1/l**2 overflows are refused; interior links down to
       1e-150 and boundary links down to 1e-300 still count exactly
@@ -22,11 +25,18 @@ Core claims:
     - single-shift counts of the depth-8 bracketing strings, exact ties,
       zero pivots and overflowing shifts keep their values (sha256 digest
       recorded from the one-boundary-per-call plain-float loop)
+    - the pinned digests and eigenvalue floats hold on both count paths
     - the per-tree bracketing memo changes neither verdicts nor the tree
 """
 import hashlib
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +60,9 @@ from cantorstring import (
 from cantorstring import stieltjes
 from cantorstring.stieltjes import (
     TIE_SHIFT,
-    _SCALAR_SHIFTS,
+    _BOUNDARIES,
+    _block_sweep,
+    _compiled_sweep,
     _counts,
     export_curve_csv,
 )
@@ -67,6 +79,38 @@ def random_string(seed: int, max_atoms: int = 200) -> StieltjesString:
     pos = sorted(rng.uniform(0.01, 0.99) for _ in range(n))
     mas = [10 ** rng.uniform(-3, 0) for _ in range(n)]
     return StieltjesString((0.0, 1.0), pos, mas)
+
+
+def both_paths(monkeypatch):
+    """Yield "compiled" with the C loop in place (when it builds), then "reference" with it off."""
+    yield "compiled"
+    with monkeypatch.context() as patch:
+        patch.setattr(stieltjes, "_kernel", lambda: None)
+        yield "reference"
+
+
+def reference_counts(s, xs):
+    """_counts of the numpy block sweep: raw pivot counts, Neumann floored at the zero mode."""
+    counts = _block_sweep(s, np.asarray(xs, dtype=float) * TIE_SHIFT, _BOUNDARIES)
+    np.maximum(counts[1], 1, out=counts[1])
+    return counts.tolist()
+
+
+def find_compiler():
+    """The compiler the loader looks for, by the same rule: sysconfig's CC, else cc."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    return shutil.which(cc[0]) or shutil.which("cc")
+
+
+@pytest.fixture
+def kernel():
+    compiled = stieltjes._kernel()
+    if compiled is None:
+        pytest.skip("no C compiler: the compiled count loop cannot be built")
+    return compiled
+
+
+EXTREME_SHIFTS = [0.0, 5e-324, 1e300, 1.7e308, math.inf]
 
 
 class TestBasics:
@@ -225,37 +269,46 @@ class TestEigenvalue:
 
 
 class TestSweepPaths:
-    """Counts of a shift alone (plain-float pass) == its count in a numpy block."""
+    """The C loop == the numpy reference block == the dense oracle, at every width and chunk size."""
 
     @staticmethod
-    def assert_paths_agree(s, xs):
+    def assert_paths_agree(kernel, s, xs):
         xs = [float(x) for x in xs]
-        assert len(xs) == _SCALAR_SHIFTS + 1  # one past the cutoff: numpy path
-        fused = _counts(s, xs).tolist()  # both boundaries in one numpy block
-        # both boundaries at the cutoff: plain floats
-        assert _counts(s, xs[:-1]).tolist() == [row[:-1] for row in fused]
-        for boundary, row in zip(("dirichlet", "neumann"), fused):
-            batch = _counts(s, xs, (boundary,))[0].tolist()
-            assert batch == row
-            assert _counts(s, xs[:-1], (boundary,))[0].tolist() == batch[:-1]  # at the cutoff
-            assert [int(_counts(s, [x], (boundary,))[0, 0]) for x in xs] == batch
+        assert len(xs) == 40
+        for width in (1, 2, 8, 9, 40):
+            shifts = np.array(xs[:width]) * TIE_SHIFT
+            compiled = _compiled_sweep(kernel, s, shifts).tolist()
+            assert _block_sweep(s, shifts, _BOUNDARIES).tolist() == compiled
+            for row, boundary in zip(compiled, _BOUNDARIES):
+                assert _block_sweep(s, shifts, (boundary,)).tolist() == [row]
+        counts = _counts(s, xs).tolist()
+        assert counts == reference_counts(s, xs)
+        assert [_counts(s, [x])[:, 0].tolist() for x in xs] == [list(c) for c in zip(*counts)]
+        for x, d, n in zip(xs, *counts):
+            assert (d, n) == (dense_count(s, x, "dirichlet"), dense_count(s, x, "neumann"))
 
-    def test_random_strings(self):
+    def test_random_strings(self, kernel, monkeypatch):
         rng = random.Random(17)
-        for seed in range(30):
-            s = random_string(seed, max_atoms=300)
-            self.assert_paths_agree(
-                s, sorted(10 ** rng.uniform(-2, 9) for _ in range(_SCALAR_SHIFTS + 1)))
+        for chunk_rows in (1, 2, 256):
+            monkeypatch.setattr(stieltjes, "_CHUNK_ROWS", chunk_rows)
+            for seed in range(10):
+                s = random_string(seed + 10 * chunk_rows, max_atoms=300)
+                xs = [10 ** rng.uniform(-2, 9) for _ in range(35)] + EXTREME_SHIFTS
+                rng.shuffle(xs)
+                self.assert_paths_agree(kernel, s, xs)
 
-    def test_exact_eigenvalue_ties(self):
+    def test_exact_eigenvalue_ties(self, kernel, monkeypatch):
         # uniform(2) has the exact Dirichlet spectrum {8, 16} and Neumann {0, 8}
         u = StieltjesString.uniform(2)
-        assert count_dirichlet(u, 8.0) == 1 and count_dirichlet(u, 16.0) == 2
-        assert count_neumann(u, 8.0) == 2
-        ties = [8.0, 16.0] + [float(x) for x in np.geomspace(1.0, 1e3, _SCALAR_SHIFTS - 1)]
-        self.assert_paths_agree(u, ties)
+        ties = [8.0, 16.0] + EXTREME_SHIFTS + [float(x) for x in np.geomspace(1.0, 1e3, 33)]
+        for chunk_rows in (1, 2, 256):
+            monkeypatch.setattr(stieltjes, "_CHUNK_ROWS", chunk_rows)
+            for path in both_paths(monkeypatch):
+                assert count_dirichlet(u, 8.0) == 1 and count_dirichlet(u, 16.0) == 2
+                assert count_neumann(u, 8.0) == 2
+            self.assert_paths_agree(kernel, u, ties)
 
-    def test_vanishing_pivot_safeguard(self, monkeypatch):
+    def test_vanishing_pivot_safeguard(self, kernel, monkeypatch):
         # uniform(2): K_D = [[6, -2], [-2, 6]], M = I/2. At x' = 12 the first
         # pivot is exactly zero and, unguarded, the next row would divide by
         # it; at x' = 16 the last pivot is exactly zero and must be counted.
@@ -272,19 +325,33 @@ class TestSweepPaths:
             for s, zeros in cases:
                 xs = [x / TIE_SHIFT for x in zeros]
                 assert [x * TIE_SHIFT for x in xs] == list(zeros)
-                for x, count in zip(xs, zeros.values()):
-                    assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet") == count
-                self.assert_paths_agree(s, (xs * _SCALAR_SHIFTS)[:_SCALAR_SHIFTS + 1])
+                for path in both_paths(monkeypatch):
+                    for x, count in zip(xs, zeros.values()):
+                        assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet") == count
+                self.assert_paths_agree(kernel, s, (xs * 20)[:35] + EXTREME_SHIFTS)
 
-    def test_rows_cached_by_plain_float_pass_only(self):
-        s = random_string(9, max_atoms=300)
-        counting_curve(s, np.geomspace(1.0, 1e6, _SCALAR_SHIFTS + 1))
-        assert s._rows is None  # numpy path only
-        count_dirichlet(s, 10.0)
-        rows = s._rows
-        assert isinstance(rows, tuple) and len(rows) == s.n
-        count_neumann(s, 1e3)
-        assert s._rows is rows
+    def test_final_pivots_bit_identical(self, kernel):
+        # the C loop's last pivots equal a plain-float recurrence in the documented
+        # order, bit for bit: a reassociated or fused (FMA) step would show here
+        rng = random.Random(41)
+        for seed in range(10):
+            s = random_string(seed, max_atoms=300)
+            shifts = np.array([10 ** rng.uniform(-2, 9) for _ in range(9)]) * TIE_SHIFT
+            pivots = np.empty(2 * shifts.size)
+            counts = np.empty((2, shifts.size), dtype=np.int64)
+            kernel(s.n, shifts.size, s._pivmin, s._diags.ctypes.data, s.masses.ctypes.data,
+                   s._b2.ctypes.data, shifts.ctypes.data, pivots.ctypes.data, counts.ctypes.data)
+            expected = []
+            for diag in s._diags.tolist():
+                for x in shifts.tolist():
+                    d = 1.0
+                    for k, (m, b2) in enumerate(zip(s.masses.tolist(), s._b2.tolist())):
+                        d = (diag[k] - m * x) - b2 / d
+                        if -s._pivmin < d < s._pivmin:
+                            d = -s._pivmin
+                    expected.append(d)
+            assert pivots.tolist() == expected
+            assert counts.tolist() == _block_sweep(s, shifts, _BOUNDARIES).tolist()
 
     def test_curve_spanning_chunks(self):
         # 600 to 1200 atoms: three to five chunks of the numpy block
@@ -300,50 +367,127 @@ class TestSweepPaths:
                 assert c.count_dirichlet == dense_count(s, c.x, "dirichlet")
                 assert c.count_neumann == dense_count(s, c.x, "neumann")
 
-    def test_eigenvalues_pinned(self):
-        # exact floats of the single-shift numpy sweep this path replaced
-        s = random_string(21, max_atoms=40)
-        assert [eigenvalue(s, k, "dirichlet") for k in (1, 6, 11)] == [
-            3.397571695037186, 521.3895064592361, 204323.2441253662]
-        assert [eigenvalue(s, k, "neumann") for k in (1, 10)] == [
-            3.0368057547602803, 204323.2441253662]
-        u = StieltjesString.uniform(200)
-        assert eigenvalue(u, 1, "dirichlet") == 9.869401467964053
-        assert eigenvalue(u, 7, "neumann") == 483.12356358766556
+    def test_eigenvalues_pinned(self, monkeypatch):
+        # exact floats of the single-shift numpy sweep, on both count paths
+        for path in both_paths(monkeypatch):
+            s = random_string(21, max_atoms=40)
+            assert [eigenvalue(s, k, "dirichlet") for k in (1, 6, 11)] == [
+                3.397571695037186, 521.3895064592361, 204323.2441253662]
+            assert [eigenvalue(s, k, "neumann") for k in (1, 10)] == [
+                3.0368057547602803, 204323.2441253662]
+            u = StieltjesString.uniform(200)
+            assert eigenvalue(u, 1, "dirichlet") == 9.869401467964053
+            assert eigenvalue(u, 7, "neumann") == 483.12356358766556
 
-    def test_single_shift_counts_pinned(self, third_fifth):
+    def test_single_shift_counts_pinned(self, third_fifth, monkeypatch):
         # whole string and every piece of the depth-8 bracketing memo at the
         # shifts check_bracketing uses; then uniform(2) and a 3-atom string at
         # exact ties (8, 16), zero pivots (x' = 12, 16 and 8, 4), 0 and shifts
-        # where x' m overflows to a -inf pivot
-        lines = []
-        for seed in range(5):
-            tree = sample_tree(third_fifth, StopRule.depth(8), seed)
-            check_bracketing(tree, 8, 1.0)
-            parts = [(1.0, stieltjes.depth_string(tree, 8))] + tree.memo["bracketing"][8]
-            for x in np.geomspace(1.0, 1e6, 12):
-                for scale, s in parts:
-                    y = scale * float(x)
+        # where x' m overflows to a -inf pivot; on both count paths
+        for path in both_paths(monkeypatch):
+            lines = []
+            for seed in range(5):
+                tree = sample_tree(third_fifth, StopRule.depth(8), seed)
+                check_bracketing(tree, 8, 1.0)
+                parts = [(1.0, stieltjes.depth_string(tree, 8))] + tree.memo["bracketing"][8]
+                for x in np.geomspace(1.0, 1e6, 12):
+                    for scale, s in parts:
+                        y = scale * float(x)
+                        lines.append(f"{s.n},{y!r},{count_dirichlet(s, y)},{count_neumann(s, y)}")
+            u = StieltjesString.uniform(2)
+            three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
+            for s, special in ((u, (8.0, 16.0, 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT)),
+                               (three, (8.0 / TIE_SHIFT, 4.0 / TIE_SHIFT))):
+                for y in special + (0.0, 1e300, 1.7e308, math.inf):
                     lines.append(f"{s.n},{y!r},{count_dirichlet(s, y)},{count_neumann(s, y)}")
-        u = StieltjesString.uniform(2)
-        three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
-        for s, special in ((u, (8.0, 16.0, 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT)),
-                           (three, (8.0 / TIE_SHIFT, 4.0 / TIE_SHIFT))):
-            for y in special + (0.0, 1e300, 1.7e308, math.inf):
-                lines.append(f"{s.n},{y!r},{count_dirichlet(s, y)},{count_neumann(s, y)}")
-        assert len(lines) == 230
-        text = "\n".join(lines)
-        assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_SHIFT_DIGEST
+            assert len(lines) == 230
+            text = "\n".join(lines)
+            assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_SHIFT_DIGEST, path
+
+
+class TestKernelLoader:
+    """Building and loading the C loop into a private cache under a temporary XDG_CACHE_HOME."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        stieltjes._kernel.cache_clear()
+        yield tmp_path / "xdg" / "cantorstring"
+        stieltjes._kernel.cache_clear()
+
+    @staticmethod
+    def assert_reference_counts():
+        s = random_string(5, max_atoms=300)
+        xs = [float(x) for x in np.geomspace(1e-2, 1e9, 12)] + EXTREME_SHIFTS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _counts(s, xs).tolist()
+        assert counts == reference_counts(s, xs)
+
+    def test_no_compiler(self, monkeypatch, fresh_cache):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        self.assert_reference_counts()
+        assert stieltjes._kernel() is None
+        assert not fresh_cache.exists()
+
+    def test_failing_compile(self, monkeypatch, tmp_path, fresh_cache):
+        broken = tmp_path / "_sturm.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(stieltjes, "_SOURCE", broken)
+        self.assert_reference_counts()
+        assert stieltjes._kernel() is None
+        assert list(fresh_cache.iterdir()) == []  # the temporary build directory is removed
+
+    def test_cache_under_a_file(self, tmp_path, monkeypatch):
+        # the cache directory cannot be created: XDG_CACHE_HOME names a file
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        self.assert_reference_counts()
+        assert stieltjes._kernel() is None
+
+    def test_read_only_cache(self, monkeypatch, fresh_cache):
+        fresh_cache.mkdir(parents=True, mode=0o500)
+        def refuse(*args, **kwargs):  # root ignores the mode bits, so refuse as a user would be
+            raise PermissionError("read-only cache directory")
+        monkeypatch.setattr("tempfile.mkdtemp", refuse)
+        self.assert_reference_counts()
+        assert stieltjes._kernel() is None
+
+    def test_shared_cache_not_loaded(self, fresh_cache):
+        if find_compiler() is None:
+            pytest.skip("no C compiler: nothing is built to load")
+        assert stieltjes._kernel() is not None
+        stieltjes._kernel.cache_clear()
+        fresh_cache.chmod(0o777)  # others could replace the library
+        self.assert_reference_counts()
+        assert stieltjes._kernel() is None
+
+    def test_compiler_means_kernel(self):
+        # with a compiler on PATH the C loop must load, so no run measures the fallback unnoticed
+        assert (stieltjes._kernel() is not None) == (find_compiler() is not None)
+
+    def test_concurrent_first_loads(self, fresh_cache):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = "from cantorstring import stieltjes; print(stieltjes._kernel() is not None)"
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                                  text=True) for _ in range(2)]
+        outs = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        loaded = str(find_compiler() is not None)
+        assert outs == [loaded, loaded]
+        assert len(list(fresh_cache.glob("*"))) == (1 if loaded == "True" else 0)
+        assert len(list(fresh_cache.glob("*.so"))) == (1 if loaded == "True" else 0)
 
 
 class TestCurve:
-    def test_counts_pinned(self):
+    def test_counts_pinned(self, monkeypatch):
         tree = sample_tree(third_fifth_model(), StopRule.resolution(1e-5), 0)
         string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
         assert string.n == 3672
-        samples = counting_curve(string, np.geomspace(1.0, 1e9, 120))
-        text = "\n".join(f"{s.x!r},{s.count_dirichlet},{s.count_neumann}" for s in samples)
-        assert hashlib.sha256(text.encode()).hexdigest() == CURVE_COUNTS_DIGEST
+        for path in both_paths(monkeypatch):
+            samples = counting_curve(string, np.geomspace(1.0, 1e9, 120))
+            text = "\n".join(f"{s.x!r},{s.count_dirichlet},{s.count_neumann}" for s in samples)
+            assert hashlib.sha256(text.encode()).hexdigest() == CURVE_COUNTS_DIGEST, path
 
     def test_zero_grid(self):
         s = random_string(8)
