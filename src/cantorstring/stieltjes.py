@@ -29,24 +29,31 @@ x * (1 + 1e-15); a vanishing pivot is replaced by a tiny negative value
 set of shifts.
 
 The two pencils share M and the off-diagonal, so a count sweeps both
-boundaries at once in the C loop of _sturm.c, rows outer and shifts inner:
-d = (K[k, k] - x' m_k) - b_{k-1}^2 / d, and a pivot below pivmin is counted
-and, if above -pivmin, clamped to -pivmin (for every float, +-0, +-inf and
-NaN included, as `if |d| < pivmin: d = -pivmin; count d <= 0` would). The
-first count compiles it with sysconfig's CC, else cc, and `-O2 -shared
--fPIC -ffp-contract=off` into $XDG_CACHE_HOME/cantorstring or
+boundaries at once in the C loop of _sturm.c, 256 shifts a tile, rows outer
+and shifts inner: d = (K[k, k] - x' m_k) - b_{k-1}^2 / d, then the branchless
+count += d < pivmin; d = (d < pivmin) & (d > -pivmin) ? -pivmin : d, which
+counts and clamps for every float (+-0, +-inf, and NaN, which fails both
+tests) as `if |d| < pivmin: d = -pivmin; count d <= 0` would; counts run in
+double lanes, exact below 2^53, and leave as int64. The first count
+compiles it with sysconfig's CC, else cc, and `-O3 -shared -fPIC
+-ffp-contract=off` into $XDG_CACHE_HOME/cantorstring or
 ~/.cache/cantorstring (mode 0700), named by the sha256 of the source, the
-flags and the platform, and loads it with ctypes. `-ffp-contract=off`
-forbids fusing x' m_k into the subtract, which would round once where numpy
-rounds twice; so, without -ffast-math, each step is numpy's IEEE operation
-and every count keeps its bits. With no compiler, a failed build or an
-unusable cache, counts come from _block_sweep, the numpy reference:
-_CHUNK_ROWS rows at a time, one column per (boundary, shift). Its safeguard
-is tested once per chunk: before the first pivot below it the unguarded
-recurrence is the guarded one, so the chunk is redone from that row on.
+flags and the platform, rebuilds a library there that fails to load, and
+loads it with ctypes. -O3 packs two shifts into each divide (SSE2).
+`-ffp-contract=off` forbids fusing x' m_k into the subtract, which would
+round once where numpy rounds twice; -ffast-math and -Ofast reorder, and
+the cache is keyed by platform, not by the CPU -march=native targets, so
+none is used: each step is numpy's IEEE operation and every count keeps its
+bits. One-shift counts pass the string's pointers, taken once, and no numpy
+array. With no compiler, a failed build or an unusable cache, counts come
+from _block_sweep, the numpy reference: _CHUNK_ROWS rows at a time, one
+column per (boundary, shift). Its safeguard is tested once per chunk: before
+the first pivot below it the unguarded recurrence is the guarded one, so the
+chunk is redone from that row on.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import shutil
@@ -67,7 +74,7 @@ TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
 _CHUNK_ROWS = 256  # rows of the numpy block swept between two safeguard tests
 _SOURCE = Path(__file__).with_name("_sturm.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _BOUNDARIES = ("dirichlet", "neumann")
 
@@ -116,7 +123,10 @@ class StieltjesString:
         self._diags[0] = inv[:-1] + inv[1:]
         self._diags[1, :-1] += inv[1:-1]
         self._diags[1, 1:] += inv[1:-1]
-        self._diags.flags.writeable = False
+        for array in (self.positions, self.masses, self._b2, self._diags):
+            array.flags.writeable = False
+        # the C loop reads the string through these, taken once: it owns the arrays
+        self._pointers = tuple(array.ctypes.data for array in (self._diags, mas, self._b2))
         self._dense = {}  # boundary -> eigenvalues, filled by dense_eigenvalues
 
     @property
@@ -152,7 +162,6 @@ class CountingSample:
 @functools.cache
 def _kernel():
     """sturm_counts of _sturm.c, built on first use into the user cache; None if it cannot be."""
-    import ctypes
     import hashlib
     import subprocess
     try:
@@ -164,8 +173,12 @@ def _kernel():
         owner = cache.stat()
         if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
             return None  # a library that others can replace is never loaded
-        sturm_counts = ctypes.CDLL(str(library)).sturm_counts
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+        try:
+            sturm_counts = ctypes.CDLL(str(library)).sturm_counts
+        except (OSError, AttributeError):  # a corrupt or foreign library is built again, once
+            _build(library)
+            sturm_counts = ctypes.CDLL(str(library)).sturm_counts
+    except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError):
         return None
     sturm_counts.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p,) * 6
     sturm_counts.restype = None
@@ -189,11 +202,9 @@ def _build(library: Path) -> None:
 
 def _compiled_sweep(kernel, string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
     """(2, len(shifts)) Dirichlet and Neumann pivot counts from the C loop."""
-    masses = np.ascontiguousarray(string.masses, dtype=float)
     pivots = np.empty(2 * shifts.size)
     counts = np.empty((2, shifts.size), dtype=np.int64)
-    kernel(string.n, shifts.size, string._pivmin, string._diags.ctypes.data,
-           masses.ctypes.data, string._b2.ctypes.data, shifts.ctypes.data,
+    kernel(string.n, shifts.size, string._pivmin, *string._pointers, shifts.ctypes.data,
            pivots.ctypes.data, counts.ctypes.data)
     return counts
 
@@ -241,35 +252,43 @@ def _block_sweep(string: StieltjesString, shifts: np.ndarray,
     return counts.reshape(groups, shifts.size)
 
 
-def _counts(string: StieltjesString, xs: Sequence[float],
-            boundaries: Sequence[str] = _BOUNDARIES) -> np.ndarray:
-    """(len(boundaries), len(xs)) counts of K - x' M, x' = x * (1 + 1e-15)."""
+def _counts(string: StieltjesString, xs: Sequence[float]) -> np.ndarray:
+    """(2, len(xs)) Dirichlet and Neumann counts of K - x' M, x' = x * (1 + 1e-15)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(xs >= 0):
+    if not (xs >= 0).all():
         raise ValueError("spectral parameter x must be >= 0")
     shifts = xs * TIE_SHIFT
     kernel = _kernel()
     if kernel is None:
-        counts = _block_sweep(string, shifts, boundaries)
+        counts = _block_sweep(string, shifts, _BOUNDARIES)
     else:
-        counts = _compiled_sweep(kernel, string, shifts)[[_BOUNDARIES.index(b) for b in boundaries]]
-    for row, boundary in zip(counts, boundaries):
-        if boundary == "neumann":
-            # the constant vector is an exact null vector of K_N, so the zero
-            # eigenvalue belongs to the count for every x >= 0; the final pivot
-            # carries it and floats may round it either way
-            np.maximum(row, 1, out=row)
+        counts = _compiled_sweep(kernel, string, shifts)
+    # the constant vector is an exact null vector of K_N, so the zero eigenvalue
+    # belongs to the count for every x >= 0; the final pivot carries it and
+    # floats may round it either way
+    np.maximum(counts[1], 1, out=counts[1])
     return counts
+
+
+def _pair(string: StieltjesString, x: float) -> Tuple[int, int]:
+    """(N_D(x), N_N(x)) as _counts gives them, one shift through the C loop without numpy."""
+    kernel = _kernel()
+    if kernel is None or not x >= 0:
+        return tuple(_counts(string, [x])[:, 0].tolist())
+    counts = (ctypes.c_int64 * 2)()
+    kernel(string.n, 1, string._pivmin, *string._pointers,
+           ctypes.byref(ctypes.c_double(x * TIE_SHIFT)), (ctypes.c_double * 2)(), counts)
+    return counts[0], max(counts[1], 1)
 
 
 def count_dirichlet(string: StieltjesString, x: float) -> int:
     """Number of Dirichlet eigenvalues <= x."""
-    return int(_counts(string, [x], ("dirichlet",))[0, 0])
+    return _pair(string, x)[0]
 
 
 def count_neumann(string: StieltjesString, x: float) -> int:
     """Number of Neumann eigenvalues <= x, the zero mode included."""
-    return int(_counts(string, [x], ("neumann",))[0, 0])
+    return _pair(string, x)[1]
 
 
 def counting_curve(string: StieltjesString, xs: Sequence[float]) -> List[CountingSample]:
@@ -292,7 +311,7 @@ def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> 
     if not first <= k <= last:
         raise ValueError(f"{boundary.title()} index must be in {first}..{last}, got {k}")
     def missing(x: float) -> int:
-        return k + 1 - first - int(_counts(string, [x], (boundary,))[0, 0])
+        return k + 1 - first - _pair(string, x)[_BOUNDARIES.index(boundary)]
     if missing(0.0) <= 0:
         return 0.0
     return _bisect(missing, rel_tol=1e-10, floor=0.0)[1]
@@ -359,8 +378,9 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
         root = tree.letter_at(())
         memo[n] = [(s.ratio * w, depth_string(tree.subtree((i,)), n - 1))
                    for i, (s, w) in enumerate(zip(root.maps, root.weights), start=1)]
-    whole_d, whole_n = _counts(depth_string(tree, n), [x])[:, 0].tolist()
-    sum_d, sum_n = sum(_counts(piece, [scale * x])[:, 0] for scale, piece in memo[n]).tolist()
+    whole_d, whole_n = _pair(depth_string(tree, n), x)
+    pieces = [_pair(piece, scale * x) for scale, piece in memo[n]]
+    sum_d, sum_n = (sum(column) for column in zip(*pieces))
     return sum_d <= whole_d <= whole_n <= sum_n
 
 

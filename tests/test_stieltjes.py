@@ -11,12 +11,14 @@ Core claims:
     - exact mass and geometric scaling identities of the pencil
     - the four-term bracketing chain holds on sampled trees
     - the compiled C loop and the chunked numpy reference sweep (one or
-      both boundaries) give identical counts at 1, 2, 8, 9 and 40 shifts,
-      ties, vanishing pivots and x in {0, 5e-324, 1e300, 1.7e308, inf}
+      both boundaries) give identical counts at 1, 2, 3, 8, 9, 17 and 40
+      shifts and across the C loop's 256-shift tile (257 and 600), ties,
+      vanishing pivots and x in {0, 5e-324, 1e300, 1.7e308, inf}
       included, whatever the chunk size, and both equal the dense oracle
     - without a compiler, after a failed build or with an unusable cache,
       counts silently come from the numpy reference; with a compiler the
-      C loop always loads, and concurrent first loads leave one library
+      C loop always loads, a corrupt cached library is built again, and
+      concurrent first loads leave one library
     - NaN shifts, non-finite atoms, links whose 1/l overflows and interior
       links whose 1/l**2 overflows are refused; interior links down to
       1e-150 and boundary links down to 1e-300 still count exactly
@@ -333,10 +335,15 @@ class TestSweepPaths:
     def test_final_pivots_bit_identical(self, kernel):
         # the C loop's last pivots equal a plain-float recurrence in the documented
         # order, bit for bit: a reassociated or fused (FMA) step would show here
+        # widths 9 and 3 end in a scalar tail after the packed lanes, 257 (with the
+        # extreme shifts) crosses the loop's 256-shift tile
         rng = random.Random(41)
-        for seed in range(10):
+        for seed, width in zip(range(12), [9] * 10 + [3, 257]):
             s = random_string(seed, max_atoms=300)
-            shifts = np.array([10 ** rng.uniform(-2, 9) for _ in range(9)]) * TIE_SHIFT
+            xs = [10 ** rng.uniform(-2, 9) for _ in range(width)]
+            if width > 256:
+                xs[250:260] = EXTREME_SHIFTS * 2
+            shifts = np.array(xs) * TIE_SHIFT
             pivots = np.empty(2 * shifts.size)
             counts = np.empty((2, shifts.size), dtype=np.int64)
             kernel(s.n, shifts.size, s._pivmin, s._diags.ctypes.data, s.masses.ctypes.data,
@@ -353,6 +360,26 @@ class TestSweepPaths:
             assert pivots.tolist() == expected
             assert counts.tolist() == _block_sweep(s, shifts, _BOUNDARIES).tolist()
 
+    def test_lanes_and_tiles(self, kernel):
+        # odd widths leave a scalar tail after the packed lanes, 257 and 600
+        # shifts cross the C loop's 256-shift tile; ties, zero pivots and the
+        # extreme shifts sit every 7th shift, so in both lanes and every tile
+        u = StieltjesString.uniform(2)
+        three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
+        cases = [(u, [8.0, 16.0, 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT]),
+                 (three, [8.0 / TIE_SHIFT, 4.0 / TIE_SHIFT])]
+        cases += [(random_string(seed, max_atoms=300), []) for seed in range(6)]
+        rng = random.Random(57)
+        for s, picks in cases:
+            marks = picks + EXTREME_SHIFTS
+            for width in (3, 17, 257, 600):
+                xs = [10 ** rng.uniform(-2, 9) for _ in range(width)]
+                for i, j in enumerate(range(0, width, 7)):
+                    xs[j] = marks[i % len(marks)]
+                shifts = np.array(xs) * TIE_SHIFT
+                compiled = _compiled_sweep(kernel, s, shifts).tolist()
+                assert compiled == _block_sweep(s, shifts, _BOUNDARIES).tolist(), (s.n, width)
+
     def test_curve_spanning_chunks(self):
         # 600 to 1200 atoms: three to five chunks of the numpy block
         rng = np.random.default_rng(23)
@@ -361,8 +388,8 @@ class TestSweepPaths:
                                 10 ** rng.uniform(-3, 0, n))
             xs = np.sort(10 ** rng.uniform(-1, 9, 40))
             samples = counting_curve(s, xs)
-            assert [c.count_dirichlet for c in samples] == _counts(s, xs, ("dirichlet",))[0].tolist()
-            assert [c.count_neumann for c in samples] == _counts(s, xs, ("neumann",))[0].tolist()
+            assert [[c.count_dirichlet for c in samples],
+                    [c.count_neumann for c in samples]] == reference_counts(s, xs)
             for c in samples[::8]:
                 assert c.count_dirichlet == dense_count(s, c.x, "dirichlet")
                 assert c.count_neumann == dense_count(s, c.x, "neumann")
@@ -465,6 +492,23 @@ class TestKernelLoader:
     def test_compiler_means_kernel(self):
         # with a compiler on PATH the C loop must load, so no run measures the fallback unnoticed
         assert (stieltjes._kernel() is not None) == (find_compiler() is not None)
+
+    def test_corrupt_library_rebuilt(self, fresh_cache):
+        # a cached library that does not load is built again, not left to send
+        # every later process to the numpy sweep; a child builds the first one,
+        # since a library this process has mapped must not be overwritten in place
+        if find_compiler() is None:
+            pytest.skip("no C compiler: nothing is built to load")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = "from cantorstring import stieltjes; assert stieltjes._kernel() is not None"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        (library,) = fresh_cache.glob("*.so")
+        library.write_bytes(b"not a shared library\n")
+        stieltjes._kernel.cache_clear()
+        assert stieltjes._kernel() is not None
+        self.assert_reference_counts()
+        assert list(fresh_cache.iterdir()) == [library]
+        assert library.read_bytes().startswith(b"\x7fELF") or sys.platform != "linux"
 
     def test_concurrent_first_loads(self, fresh_cache):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
