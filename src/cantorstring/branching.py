@@ -77,7 +77,7 @@ def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationR
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     require_valid(model)
-    generations = _grow(model, root_state(seed), lambda k, length, sigma: sigma <= t_max,
+    generations = _grow(model, [root_state(seed)], lambda k, length, sigma: sigma <= t_max,
                         "use a smaller --tmax")
     return PopulationRun(model, seed, t_max, generations)
 
@@ -104,7 +104,7 @@ def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[
 
 def z_process(run: PopulationRun, t: float) -> int:
     """Individuals born after t to mothers born at or before t."""
-    if t < 0 or t > run.t_max:
+    if not 0 <= t <= run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
     parent = np.repeat(run.sigma, np.diff(run.first))  # of nodes 1, 2, ...
     return int(np.count_nonzero((parent <= t) & (run.sigma[1:] > t)))

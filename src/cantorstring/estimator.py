@@ -2,8 +2,8 @@
 
 The growth order is read off as the least-squares slope of log(count)
 against log(x). Finite-depth atomizations are trustworthy only below the
-inverse spectral scale of the smallest cell, so the default regression
-window keeps the top two decades of the computed grid and drops the
+inverse spectral scale of the smallest cell, so the regression window
+keeps the top two decades of the computed grid and drops the
 largest half-decade.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 Curve = Sequence[Tuple[float, float]]
 
-DEFAULT_WINDOW = (2.0, 0.5)  # decades below the top: [top - 2.0, top - 0.5]
+WINDOW = (2.0, 0.5)  # decades below the top: [top - 2.0, top - 0.5]
 
 
 def _usable(curve: Curve) -> np.ndarray:
@@ -25,14 +25,14 @@ def _usable(curve: Curve) -> np.ndarray:
     return pts[(pts[:, 1] >= 1.0) & (pts[:, 0] > 0.0)]
 
 
-def _window_points(pts: np.ndarray, window: Tuple[float, float]) -> np.ndarray:
+def _window_points(pts: np.ndarray) -> np.ndarray:
     top = math.log10(pts[:, 0].max())
-    lo, hi = top - window[0], top - window[1]
+    lo, hi = top - WINDOW[0], top - WINDOW[1]
     logx = np.log10(pts[:, 0])
     return pts[(logx >= lo) & (logx <= hi)]
 
 
-def fit_exponent(curve: Curve, window: Tuple[float, float] = DEFAULT_WINDOW) -> Tuple[float, float]:
+def fit_exponent(curve: Curve) -> Tuple[float, float]:
     """(slope, stderr) of log count vs log x over the window.
 
     Requires at least ten points with count >= 1 spanning three decades,
@@ -44,7 +44,7 @@ def fit_exponent(curve: Curve, window: Tuple[float, float] = DEFAULT_WINDOW) -> 
     span = math.log10(pts[:, 0].max() / pts[:, 0].min())
     if span < 3.0:
         raise ValueError(f"x values span {span:.2f} decades, need >= 3")
-    sel = _window_points(pts, window)
+    sel = _window_points(pts)
     if len(sel) < 3:
         raise ValueError(f"only {len(sel)} points in the regression window")
     lx = np.log(sel[:, 0])
@@ -58,10 +58,9 @@ def fit_exponent(curve: Curve, window: Tuple[float, float] = DEFAULT_WINDOW) -> 
     return slope, stderr
 
 
-def tail_statistics(curve: Curve, gamma: float,
-                    window: Tuple[float, float] = DEFAULT_WINDOW) -> Tuple[float, float]:
+def tail_statistics(curve: Curve, gamma: float) -> Tuple[float, float]:
     """(mean, coefficient of variation) of normalized counts in the window."""
-    pts = _window_points(_usable(curve), window)
+    pts = _window_points(_usable(curve))
     if len(pts) == 0:
         raise ValueError("no usable points in the tail window")
     vals = pts[:, 1] * pts[:, 0] ** (-gamma)

@@ -24,6 +24,8 @@ from .ifs import IfsModel, Letter, contraction_products, require_valid
 
 EQUAL = "equal"
 STRICTLY_LESS = "strictly-less"
+EQUALITY_TOL = 1e-10  # check_equality_condition: the largest alpha spread that is EQUAL
+LATTICE_TOL, MAX_MULTIPLE = 1e-9, 10 ** 6  # classify_lattice: integer closeness and size
 
 
 def _support_products(model: IfsModel) -> List[Tuple[float, List[float]]]:
@@ -132,13 +134,12 @@ def _real_gcd(a: float, b: float, floor: float) -> float:
     return a
 
 
-def classify_lattice(model: IfsModel, *, tol: float = 1e-9,
-                     max_multiple: int = 10 ** 6) -> LatticeClassification:
+def classify_lattice(model: IfsModel) -> LatticeClassification:
     """Lattice test for the offsets tau = -log(r_i m_i) over selectable letters.
 
-    Returns the largest span T such that every tau/T is within tol of an
-    integer <= max_multiple; genuinely irrational ratios fail the integer
-    check and classify as non-lattice. Both bounds are configurable.
+    Returns the largest span T such that every tau/T is within LATTICE_TOL of
+    an integer <= MAX_MULTIPLE; genuinely irrational ratios fail the integer
+    check and classify as non-lattice.
     """
     taus = sorted({-math.log(q) for _, products in _support_products(model)
                    for q in products}, reverse=True)
@@ -149,16 +150,13 @@ def classify_lattice(model: IfsModel, *, tol: float = 1e-9,
     if g <= floor:
         return LatticeClassification(False)
     multiples = [round(t / g) for t in taus]
-    if any(k < 1 or k > max_multiple for k in multiples):
+    if any(k < 1 or k > MAX_MULTIPLE for k in multiples):
         return LatticeClassification(False)
     # least-squares refit of the span through the rounded multiples
     span = math.fsum(k * t for k, t in zip(multiples, taus)) / math.fsum(k * k for k in multiples)
-    if any(abs(t / span - k) > tol for k, t in zip(multiples, taus)):
+    if any(abs(t / span - k) > LATTICE_TOL for k, t in zip(multiples, taus)):
         return LatticeClassification(False)
-    common = 0
-    for k in multiples:
-        common = math.gcd(common, k)
-    return LatticeClassification(True, span * common)
+    return LatticeClassification(True, span * math.gcd(*multiples))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +183,12 @@ def malthusian_diagnostics(model: IfsModel, gamma: float) -> MalthusianDiagnosti
     return MalthusianDiagnostics(residual, moment, xlogx)
 
 
-def check_equality_condition(model: IfsModel, *, tol: float = 1e-10) -> str:
-    """EQUAL iff all selectable letters share the same per-letter alpha."""
+def check_equality_condition(model: IfsModel) -> str:
+    """EQUAL iff all selectable letters share the per-letter alpha, to EQUALITY_TOL."""
     require_valid(model)
     alphas = [letter_alpha(letter)
               for letter, p in zip(model.letters, model.probs) if p > 0.0]
-    if max(alphas) - min(alphas) <= tol:
-        return EQUAL
-    return STRICTLY_LESS
+    return EQUAL if max(alphas) - min(alphas) <= EQUALITY_TOL else STRICTLY_LESS
 
 
 def nerman_constant_hat_phi(model: IfsModel, gamma: float) -> float:
@@ -244,7 +240,6 @@ class ExponentReport:
 
 
 def build_report(model: IfsModel) -> ExponentReport:
-    require_valid(model)
     gamma_r = solve_recursive_exponent(model)
     gamma_h = solve_homogeneous_exponent(model)
     diag = malthusian_diagnostics(model, gamma_r)

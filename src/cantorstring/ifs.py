@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import List, Sequence, Tuple
 
 DEFAULT_TOL = 1e-12
+RANDOM_MAX_LETTERS, RANDOM_MAX_MAPS = 3, 4  # random_model's letter and map counts
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,11 @@ def validate_letter(letter: Letter, interval: Tuple[float, float], tol: float = 
     return out
 
 
-def validate_model(model: IfsModel, tol: float | None = None) -> List[str]:
-    """Every violated admissibility condition; empty list iff the model is valid.
+def validate_model(model: IfsModel) -> List[str]:
+    """Every violated condition, to within model.tol; empty list iff the model is valid.
 
     Violations are data, not failures: callers decide whether to raise.
     """
-    tol = model.tol if tol is None else tol
     out: List[str] = []
     a, b = model.interval
     if not a < b:
@@ -133,12 +133,12 @@ def validate_model(model: IfsModel, tol: float | None = None) -> List[str]:
         if not (0.0 <= p <= 1.0):
             out.append(f"prob of letter {j + 1}: {p} not in [0, 1]")
     psum = math.fsum(model.probs)
-    if abs(psum - 1.0) > tol:
+    if abs(psum - 1.0) > model.tol:
         out.append(f"probs: sum to {psum!r}, not 1")
     if not any(p > 0.0 for p in model.probs):
         out.append("probs: all zero, at least one letter must be selectable")
     for letter in model.letters:
-        out.extend(validate_letter(letter, model.interval, tol))
+        out.extend(validate_letter(letter, model.interval, model.tol))
     return out
 
 
@@ -234,8 +234,7 @@ def model_digest(model: IfsModel) -> str:
 # Random model generation (sweeps and comparison batches)
 # ---------------------------------------------------------------------------
 
-def random_model(seed: int, *, max_letters: int = 3, max_maps: int = 4,
-                 balanced: bool = False) -> IfsModel:
+def random_model(seed: int, *, balanced: bool = False) -> IfsModel:
     """A random admissible model on [0, 1], deterministic in the seed.
 
     With balanced=True every letter shares a common per-letter exponent
@@ -243,12 +242,12 @@ def random_model(seed: int, *, max_letters: int = 3, max_maps: int = 4,
     homogeneous and recursive exponents to coincide.
     """
     rng = random.Random(seed)
-    n_letters = rng.randint(1, max_letters)
+    n_letters = rng.randint(1, RANDOM_MAX_LETTERS)
     if balanced:
         alpha = rng.uniform(0.15, 0.48)
     letters = []
     for j in range(n_letters):
-        n = rng.randint(2, max_maps)
+        n = rng.randint(2, RANDOM_MAX_MAPS)
         if balanced:
             ratio = n ** (1.0 - 1.0 / alpha)
             lengths = [ratio] * n

@@ -4,7 +4,8 @@ The cell of an address is the image R [a, b] + C of the base interval
 under the composed maps along its path, and its mass M is the product of
 the path's weights. The tree's generations hold R, C and M, so a measure
 is a slice of them: one generation, or every leaf in lexicographic
-(preorder) address order; `Cell` tuples are built only when read.
+(preorder) address order, or the root children's pieces, grown as one
+forest; `Cell` tuples are built only when read.
 Atomization collapses every cell to a point mass at its midpoint; that
 discrete surrogate is what the string solver consumes.
 """
@@ -16,8 +17,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ._rng import Address
-from .tree import RandomTree, node_ranks
+from ._rng import Address, child_state, root_state
+from .tree import RandomTree, _grow, node_ranks
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,35 @@ def _cells(tree: RandomTree, n: Optional[int], ratio: np.ndarray, offset: np.nda
                          addresses)
 
 
+def _require_depth(tree: RandomTree, n: int, least: int = 0) -> None:
+    if n < least:
+        raise ValueError(f"generation must be >= {least}, got {n}")
+    if n >= len(tree.generations) or not all(gen.expanded.all() for gen in tree.generations[:n]):
+        raise ValueError(f"depth {n} exceeds the sampled tree")
+
+
 def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
     """Cells of generation n: geometry S_ii([a, b]), mass = weight product."""
-    if n < 0:
-        raise ValueError(f"generation must be >= 0, got {n}")
-    gens = tree.generations
-    if n >= len(gens) or not all(gen.expanded.all() for gen in gens[:n]):
-        raise ValueError(f"depth {n} exceeds the sampled tree")
-    return _cells(tree, n, gens[n].ratio, gens[n].offset, gens[n].mass,
-                  lambda: tree.generation(n))
+    _require_depth(tree, n)
+    gen = tree.generations[n]
+    return _cells(tree, n, gen.ratio, gen.offset, gen.mass, lambda: tree.generation(n))
+
+
+def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
+    """Per root child i, generation n - 1 of the subtree at i, addresses relative to i:
+    one forest of the root children, tree generation k + 1 choosing which of its nodes
+    expand, split by following `first` down (each slice bit for bit the child alone)."""
+    _require_depth(tree, n, least=1)
+    gens, root = tree.generations, root_state(tree.seed)  # every tree is sampled from its seed
+    forest = _grow(tree.model, [child_state(root, i) for i in range(1, gens[0].first[1] + 1)],
+                   lambda k, *_: gens[k + 1].expanded)
+    bounds = np.arange(forest[0].letter.size + 1)  # each root's slice of the generation
+    for gen in forest[:n - 1]:
+        bounds = gen.first[bounds]
+    gen = forest[n - 1]
+    return [_cells(tree, n - 1, gen.ratio[lo:hi], gen.offset[lo:hi], gen.mass[lo:hi],
+                   lambda i=i: [a[1:] for a in tree.generation(n) if a[0] == i])
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1)]
 
 
 def leaf_cells(tree: RandomTree) -> MeasureApprox:

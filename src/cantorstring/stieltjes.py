@@ -67,7 +67,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .exponent import _bisect
-from .measure import AtomizedMeasure, atomize, build_cells
+from .measure import AtomizedMeasure, atomize, build_cells, piece_cells
 from .tree import RandomTree, write_table
 
 TIE_SHIFT = 1.0 + 1e-15
@@ -77,6 +77,13 @@ _SOURCE = Path(__file__).with_name("_sturm.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _BOUNDARIES = ("dirichlet", "neumann")
+
+
+def _boundary_index(boundary: str, choices: Tuple[str, ...] = _BOUNDARIES) -> int:
+    """Place of boundary in choices; ValueError naming the choices if it is not one."""
+    if boundary not in choices:
+        raise ValueError(f"boundary must be one of {choices}, got {boundary!r}")
+    return choices.index(boundary)
 
 
 class StieltjesString:
@@ -147,9 +154,7 @@ class StieltjesString:
 
     def pencil(self, boundary: str) -> Tuple[np.ndarray, np.ndarray]:
         """(diagonal of K, off-diagonal of K) for the boundary; the diagonal is read-only."""
-        if boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
-        return self._diags[_BOUNDARIES.index(boundary)], -(1.0 / self.links[1:-1])
+        return self._diags[_boundary_index(boundary)], -(1.0 / self.links[1:-1])
 
 
 @dataclass(frozen=True)
@@ -304,14 +309,13 @@ def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> 
     Dirichlet eigenvalues are indexed 1..n, Neumann 0..n-1. Relative
     tolerance 1e-10.
     """
-    if boundary not in _BOUNDARIES:
-        raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {boundary!r}")
+    row = _boundary_index(boundary)
     first = 1 if boundary == "dirichlet" else 0  # the Neumann zero mode is eigenvalue 0
     last = string.n - 1 + first
     if not first <= k <= last:
         raise ValueError(f"{boundary.title()} index must be in {first}..{last}, got {k}")
     def missing(x: float) -> int:
-        return k + 1 - first - _pair(string, x)[_BOUNDARIES.index(boundary)]
+        return k + 1 - first - _pair(string, x)[row]
     if missing(0.0) <= 0:
         return 0.0
     return _bisect(missing, rel_tol=1e-10, floor=0.0)[1]
@@ -364,20 +368,18 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
         sum_i N_D^(i)(r_i m_i x) <= N_D(x) <= N_N(x) <= sum_i N_N^(i)(r_i m_i x)
 
     The whole string is the depth-n atomization; piece i is the depth-(n-1)
-    atomization of the subtree rooted at child i, evaluated at the composed
-    scale r_i * m_i * x. The strings are built on the first call for
-    (tree, n) and kept in ``tree.memo``; each string then costs one count
-    call, both boundaries in one pass of the C loop.
+    atomization of the subtree rooted at child i (`piece_cells`, one forest),
+    evaluated at the composed scale r_i * m_i * x. The strings are built on
+    the first call for (tree, n) and kept in ``tree.memo``; each string then
+    costs one count call, both boundaries in one pass of the C loop.
     """
-    if n < 1:
-        raise ValueError(f"bracketing needs generation n >= 1, got {n}")
     if not x >= 0:
         raise ValueError("spectral parameter x must be >= 0")
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:
         root = tree.letter_at(())
-        memo[n] = [(s.ratio * w, depth_string(tree.subtree((i,)), n - 1))
-                   for i, (s, w) in enumerate(zip(root.maps, root.weights), start=1)]
+        memo[n] = [(s.ratio * w, StieltjesString.from_measure(atomize(cells)))
+                   for s, w, cells in zip(root.maps, root.weights, piece_cells(tree, n))]
     whole_d, whole_n = _pair(depth_string(tree, n), x)
     pieces = [_pair(piece, scale * x) for scale, piece in memo[n]]
     sum_d, sum_n = (sum(column) for column in zip(*pieces))
@@ -390,7 +392,7 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
 
 def export_curve_csv(samples: Iterable[CountingSample], path: str | Path,
                      header: str = "", boundary: str = "both") -> None:
-    keep = {"both": (0, 1, 2), "dirichlet": (0, 1)}.get(boundary, (0, 2))
+    keep = ((0, 1, 2), (0, 1), (0, 2))[_boundary_index(boundary, ("both",) + _BOUNDARIES)]
     write_table(path, header, [("x", "N_D", "N_N")[k] for k in keep],
                 ([(s.x, s.count_dirichlet, s.count_neumann)[k] for k in keep]
                  for s in samples))

@@ -7,7 +7,9 @@ are immutable afterwards. A tree is one `Generation` of arrays per depth,
 in lexicographic address order, each drawn from the one above: child i
 gets hash state child_state(state, i), the letter that state draws, the
 composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
-sigma' = sigma - log(r_i w_i). `node_ranks` gives each node's preorder rank.
+sigma' = sigma - log(r_i w_i); the states live only while `_grow` runs,
+which also grows forests of roots side by side, each root's rows bit for bit
+those of growing it alone. `node_ranks` gives each node's preorder rank.
 """
 from __future__ import annotations
 
@@ -52,7 +54,6 @@ class Generation:
     """The nodes of one depth, in lexicographic address order (read-only arrays)."""
 
     letter: np.ndarray    # letter index
-    state: np.ndarray     # uint64 splitmix64 hash state
     ratio: np.ndarray     # composed ratio R of the path's maps
     offset: np.ndarray    # composed offset C: the cell is R [a, b] + C
     mass: np.ndarray      # product M of the path's weights
@@ -70,23 +71,23 @@ def birth_offsets(letter: Letter) -> Tuple[float, ...]:
     return tuple(-math.log(q) if q else math.inf for q in contraction_products(letter))
 
 
-def _grow(model: IfsModel, state: int, expand: Callable[..., np.ndarray],
+def _grow(model: IfsModel, states: Sequence[int], expand: Callable[..., np.ndarray],
           remedy: str = "use a larger epsilon or a smaller depth") -> List[Generation]:
-    """Generations below a root with hash `state`; expand(k, length, sigma) marks
-    which nodes of generation k, with these cell lengths and birth times, have
-    children. Raises ValueError, ending in `remedy`, past MAX_NODES nodes."""
+    """Generations below roots with these hash states, each root's nodes contiguous;
+    expand(k, length, sigma) marks which nodes of generation k, with these cell lengths
+    and birth times, have children. Raises ValueError, ending in `remedy`, past MAX_NODES."""
     draw = letter_draw(model.probs)
     n_maps = np.array([letter.n_maps for letter in model.letters])
     start = np.cumsum(n_maps) - n_maps  # letter j's maps are rows start[j]:start[j] + n_maps[j]
     r_i, c_i, w_i = np.array([(s.ratio, s.offset, w) for letter in model.letters
                               for s, w in zip(letter.maps, letter.weights)]).T
     tau = np.array([t for letter in model.letters for t in birth_offsets(letter)])
-    states = np.array([state], dtype=np.uint64)
-    ratio, offset, mass, sigma = np.ones(1), np.zeros(1), np.ones(1), np.zeros(1)
-    length = np.array([model.interval[1] - model.interval[0]])
+    states = np.array(states, dtype=np.uint64)
+    n = nodes = states.size
+    ratio, offset, mass, sigma = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
+    length = np.full(n, model.interval[1] - model.interval[0])
     letters = draw(states)
     out: List[Generation] = []
-    nodes = 1
     while True:
         expanded = expand(len(out), length, sigma)
         counts = np.where(expanded, n_maps[letters], 0)
@@ -94,7 +95,7 @@ def _grow(model: IfsModel, state: int, expand: Callable[..., np.ndarray],
         if (nodes := nodes + first[-1]) > MAX_NODES:
             raise ValueError(f"tree would exceed {MAX_NODES} nodes at generation {len(out) + 1}; "
                              f"{remedy}")
-        out.append(Generation(letters, states, ratio, offset, mass, sigma, expanded, first))
+        out.append(Generation(letters, ratio, offset, mass, sigma, expanded, first))
         if first[-1] == 0:
             return out
         parent = np.repeat(np.arange(letters.size), counts)
@@ -158,36 +159,17 @@ class RandomTree:
             raise ValueError(f"generation index must be >= 0, got {n}")
         return [a for a in self.addresses() if len(a) == n]
 
-    def _locate(self, address: Address) -> Tuple[int, int]:
-        """(generation, index) of an address, through the first-child offsets."""
+    def label_index(self, address: Address) -> int:
         j = 0
         for k, i in enumerate(address):
             first = self.generations[k].first
             if not 1 <= i <= first[j + 1] - first[j]:
                 raise KeyError(f"address {tuple(address)} not in tree")
             j = int(first[j]) + i - 1
-        return len(address), j
-
-    def label_index(self, address: Address) -> int:
-        k, j = self._locate(address)
-        return int(self.generations[k].letter[j])
+        return int(self.generations[len(address)].letter[j])
 
     def letter_at(self, address: Address) -> Letter:
         return self.model.letters[self.label_index(address)]
-
-    def subtree(self, at: Address) -> "RandomTree":
-        """The tree rooted at `at`, with addresses relabelled relative to it."""
-        k0, j = self._locate(at)
-        bounds = [j, j + 1]  # the subtree's slice of generation k0 + k
-
-        def expand(k: int, length: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-            lo, hi = bounds
-            first = self.generations[k0 + k].first
-            bounds[:] = first[lo], first[hi]
-            return self.generations[k0 + k].expanded[lo:hi]
-
-        state = int(self.generations[k0].state[j])
-        return RandomTree(self.model, self.seed, self.stop, _grow(self.model, state, expand))
 
     def __eq__(self, other) -> bool:
         def labels(tree):
@@ -205,7 +187,7 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
             return np.full(length.size, k < stop.value)
         return length >= stop.value
 
-    return RandomTree(model, seed, stop, _grow(model, root_state(seed), expand))
+    return RandomTree(model, seed, stop, _grow(model, [root_state(seed)], expand))
 
 
 def format_address(address: Address) -> str:

@@ -216,8 +216,9 @@ class TestZProcess:
         run = simulate_population(third_fifth, 2.0, 0)
         with pytest.raises(ValueError):
             z_process(run, 2.5)
-        with pytest.raises(ValueError):
-            z_process(run, -0.1)
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                z_process(run, t)
 
     def test_lattice_jump_times(self, middle_third):
         # z changes only when the deterministic clock ticks at k ln6

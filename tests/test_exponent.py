@@ -12,6 +12,7 @@ Core claims:
     - Malthusian residual vanishes at gamma_r; the tilted first moment and
       x log x functional match hand sums
     - the Nerman constant matches direct numerical integration
+    - build_report refuses an inadmissible model with the solvers' error
 """
 import math
 
@@ -256,6 +257,12 @@ class TestReport:
         assert set(payload) == {"gamma_r", "gamma_h", "hausdorff", "lattice",
                                 "malthusian_ok", "condition2_value", "xlogx_value",
                                 "comparison"}
+
+    def test_invalid_model_rejected(self):
+        # maps 1 and 2 overlap: S_1(1) = 0.6 > S_2(0) = 0.4
+        letter = make_letter("overlap", [(0.6, 0.0), (0.6, 0.4)], (0.5, 0.5))
+        with pytest.raises(ValueError, match="invalid model: .*overlap"):
+            build_report(single_letter_model(letter))
 
     def test_invalid_gamma_rejected(self, third_fifth):
         with pytest.raises(ValueError):

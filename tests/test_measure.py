@@ -10,6 +10,8 @@ Core claims:
     - the distribution function is 0/1 at the ends and flat across gaps
     - atomization puts the full cell mass at the midpoint
     - generation n+1 equals the root-children pushforward (self-similarity)
+      of the piece cells; piece i's cells are child i's letter's maps at
+      depth 1, and pieces need a complete generation n >= 1
     - leaf and depth-8 atoms keep the bits recorded from the dict-tree code
 """
 import hashlib
@@ -170,12 +172,13 @@ class TestAtomize:
 
 
 def self_similar(tree, n, tol=1e-10):
-    """Generation n+1 cells == root-child subtree cells pushed through the root maps."""
+    """Generation n+1 cells == root-child piece cells pushed through the root maps."""
     whole = measure.build_cells(tree, n + 1)
     root_letter = tree.letter_at(())
     pushed = []
-    for i, (s, w) in enumerate(zip(root_letter.maps, root_letter.weights), start=1):
-        for c in measure.build_cells(tree.subtree((i,)), n).cells:
+    pieces = measure.piece_cells(tree, n + 1)
+    for i, (s, w, piece) in enumerate(zip(root_letter.maps, root_letter.weights, pieces), start=1):
+        for c in piece.cells:
             pushed.append(Cell((i,) + c.address, s(c.left), s(c.right), w * c.mass))
     return len(whole.cells) == len(pushed) and all(
         ca.address == cb.address and abs(ca.left - cb.left) <= tol
@@ -196,19 +199,36 @@ class TestSelfSimilarity:
     def test_corrupted_mass_detected(self, third_fifth, monkeypatch):
         tree = sample_tree(third_fifth, StopRule.depth(2), 5)
         assert self_similar(tree, 1)
-        real = measure.build_cells
+        real = measure.piece_cells
 
         def corrupted(t, n):
-            # only the depth-1 subtree side is perturbed, by 1e-6 >> tol
-            cells = real(t, n)
-            if n == 1:
-                c = cells.cells[0]
-                cells = SimpleNamespace(cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
-                                        + cells.cells[1:])
-            return cells
+            # only the first piece is perturbed, by 1e-6 >> tol
+            first, *rest = real(t, n)
+            c = first.cells[0]
+            return [SimpleNamespace(cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
+                                    + first.cells[1:]), *rest]
 
-        monkeypatch.setattr(measure, "build_cells", corrupted)
+        monkeypatch.setattr(measure, "piece_cells", corrupted)
         assert not self_similar(tree, 1)
+
+    def test_piece_child_labels(self, third_fifth):
+        for seed in range(6):
+            tree = sample_tree(third_fifth, StopRule.depth(2), seed)
+            pieces = measure.piece_cells(tree, 2)
+            assert len(pieces) == tree.letter_at(()).n_maps
+            for i, piece in enumerate(pieces, start=1):
+                letter = tree.letter_at((i,))
+                assert [(c.address, c.left, c.right, c.mass) for c in piece.cells] == [
+                    ((j,), s(0.0), s(1.0), w)
+                    for j, (s, w) in enumerate(zip(letter.maps, letter.weights), start=1)]
+
+    def test_piece_depth_checked(self, third_fifth):
+        tree = sample_tree(third_fifth, StopRule.resolution(0.05), 3)
+        complete = next(k for k, gen in enumerate(tree.generations) if not gen.expanded.all())
+        assert len(measure.piece_cells(tree, complete)) == tree.letter_at(()).n_maps
+        for n in (0, complete + 1, len(tree.generations)):
+            with pytest.raises(ValueError):
+                measure.piece_cells(tree, n)
 
 
 # sha256 of positions.tobytes() then masses.tobytes(), recorded from the

@@ -28,7 +28,11 @@ Core claims:
       zero pivots and overflowing shifts keep their values (sha256 digest
       recorded from the one-boundary-per-call plain-float loop)
     - the pinned digests and eigenvalue floats hold on both count paths
-    - the per-tree bracketing memo changes neither verdicts nor the tree
+    - the per-tree bracketing memo changes neither verdicts nor the tree;
+      filling one entry grows the root children as one forest, and every
+      piece string keeps its bits (sha256 digest recorded from the
+      one-subtree-at-a-time builder)
+    - a CSV export to an unknown boundary is refused
 """
 import hashlib
 import math
@@ -56,10 +60,13 @@ from cantorstring import (
     dense_eigenvalues,
     eigenvalue,
     leaf_cells,
+    middle_third_letter,
+    random_model,
     sample_tree,
+    single_letter_model,
     third_fifth_model,
 )
-from cantorstring import stieltjes
+from cantorstring import measure, stieltjes
 from cantorstring.stieltjes import (
     TIE_SHIFT,
     _BOUNDARIES,
@@ -73,6 +80,16 @@ from cantorstring.tree import StopRule, dump_tree
 
 CURVE_COUNTS_DIGEST = "35540df57d7afccccc9311bfbdbeea6f3676ffd128a4e178a285c27945e363cb"
 SINGLE_SHIFT_DIGEST = "c08fc4f756bbab9b00677fdbe7a5d07e1fff7d6f83dfb95d5025027f41c8b2d5"
+# sha256 of every bracketing piece's scale, positions and masses at depths 1..8,
+# recorded from the one-subtree-at-a-time piece builder
+PIECE_DIGESTS = [
+    ("third-fifth", 1379, "275c7f282d9189eb922d2d62e4032ada82a6a00be0322f930cca4c3b55a30834"),
+    ("middle-third", 510, "54ec6f5e8edb5a1691ece50b8293d6868bba6813b5592b7422d42986038ed9e6"),
+    ("balanced-pair", 1668, "7a0ad73b60713cab08d58d8668689400828a222a4398ccd7a02f5740b7308373"),
+    ("random-1", 87380, "58ba8c0000de650f3f7c0278d768c86034326eb43a8c6ee47a21f95b05f0f581"),
+    ("random-6", 6845, "7462a1c4382ff402cc0b9b10faa5839df06b6cccf079d2c72997efbe0dde6cb4"),
+    ("random-2-balanced", 9840, "24c1be88ee782946ebf7532b7761353203fc9caaab8c539cddf3e7ce71754c67"),
+]
 
 
 def random_string(seed: int, max_atoms: int = 200) -> StieltjesString:
@@ -604,9 +621,8 @@ class TestBracketing:
         for x in (10.0, 1e3, 1e5):
             assert check_bracketing(tree, 6, x)
             sum_d = sum_n = 0
-            for i, (s, w) in enumerate(zip(letter.maps, letter.weights), start=1):
-                piece = StieltjesString.from_measure(
-                    atomize(build_cells(tree.subtree((i,)), 5)))
+            for s, w, cells in zip(letter.maps, letter.weights, measure.piece_cells(tree, 6)):
+                piece = StieltjesString.from_measure(atomize(cells))
                 sum_d += count_dirichlet(piece, s.ratio * w * x)
                 sum_n += count_neumann(piece, s.ratio * w * x)
             assert sum_n - sum_d <= 2 * letter.n_maps
@@ -621,12 +637,41 @@ class TestBracketing:
         assert set(tree.memo["bracketing"]) == {4, 6}
         fresh = sample_tree(third_fifth, StopRule.depth(6), 11)
         assert tree == fresh
-        assert tree.subtree((1,)) == fresh.subtree((1,))
+        for n in (4, 6):
+            for (_, piece), cells in zip(tree.memo["bracketing"][n], measure.piece_cells(fresh, n)):
+                assert piece.positions.tobytes() == atomize(cells).positions.tobytes()
         dump_tree(tree, tmp_path / "after.txt")
         dump_tree(fresh, tmp_path / "fresh.txt")
         before = (tmp_path / "before.txt").read_bytes()
         assert (tmp_path / "after.txt").read_bytes() == before
         assert (tmp_path / "fresh.txt").read_bytes() == before
+
+    def test_one_forest_per_memo_entry(self, third_fifth, monkeypatch):
+        real, calls = measure._grow, []
+        monkeypatch.setattr(measure, "_grow", lambda *args: calls.append(args) or real(*args))
+        tree = sample_tree(third_fifth, StopRule.depth(6), 5)
+        for x in (10.0, 1e3, 1e5):
+            check_bracketing(tree, 6, x)
+        assert len(calls) == 1 and len(calls[0][1]) == tree.letter_at(()).n_maps
+
+    @pytest.mark.parametrize("name, atoms, digest", PIECE_DIGESTS,
+                             ids=[name for name, _, _ in PIECE_DIGESTS])
+    def test_piece_bits_pinned(self, name, atoms, digest, request):
+        """Depth-n tree of seed 3n + 1 for n = 1..8; every piece keeps every bit."""
+        model = {"third-fifth": third_fifth_model,
+                 "middle-third": lambda: single_letter_model(middle_third_letter()),
+                 "balanced-pair": lambda: request.getfixturevalue("balanced_pair"),
+                 "random-1": lambda: random_model(1), "random-6": lambda: random_model(6),
+                 "random-2-balanced": lambda: random_model(2, balanced=True)}[name]()
+        h, total = hashlib.sha256(), 0
+        for n in range(1, 9):
+            tree = sample_tree(model, StopRule.depth(n), 3 * n + 1)
+            check_bracketing(tree, n, 0.0)
+            for scale, piece in tree.memo["bracketing"][n]:
+                for array in (np.float64(scale), piece.positions, piece.masses):
+                    h.update(array.tobytes())
+                total += piece.n
+        assert (total, h.hexdigest()) == (atoms, digest)
 
     def test_requires_positive_depth(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 2)
@@ -645,4 +690,10 @@ def test_curve_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# h", "x,N_D,N_N"]
     assert len(lines) == 10
+    for boundary, columns in (("dirichlet", "x,N_D"), ("neumann", "x,N_N")):
+        export_curve_csv(samples, path, boundary=boundary)
+        assert path.read_text().splitlines()[0] == columns
+    with pytest.raises(ValueError, match="boundary must be one of"):
+        export_curve_csv(samples, tmp_path / "typo.csv", boundary="dirichet")
+    assert not (tmp_path / "typo.csv").exists()
 

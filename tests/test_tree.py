@@ -1,4 +1,4 @@
-"""Random tree sampling: determinism, generations, subtrees, text dump.
+"""Random tree sampling: determinism, generations, forests, text dump.
 
 Core claims:
     - depth(0) yields only the labelled root; single-letter models give
@@ -7,7 +7,8 @@ Core claims:
     - root-label frequencies match the letter distribution (3-sigma band,
       chi-square) and labels at distinct addresses are independent
     - |I_{n+1}| equals the sum of child counts over generation n
-    - subtree extraction preserves labels and composes along addresses
+    - a forest of roots grows each root's rows as growing it alone would,
+      and label lookups of absent addresses raise KeyError
     - resolution stop expands exactly the cells no shorter than epsilon
     - a tree past MAX_NODES is refused
     - the text dump lists every node's address and letter id
@@ -18,6 +19,7 @@ import pytest
 from scipy import stats
 
 from cantorstring import sample_tree, tree as tree_module
+from cantorstring._rng import root_state
 from cantorstring.tree import StopRule, dump_tree, format_address
 
 
@@ -143,31 +145,25 @@ class TestGenerations:
         assert gen == sorted(gen)
 
 
-class TestSubtree:
-    def test_identity_at_root(self, third_fifth):
-        tree = sample_tree(third_fifth, StopRule.depth(3), 21)
-        assert tree.subtree(()) == tree
-
-    def test_child_subtree_labels(self, third_fifth):
-        tree = sample_tree(third_fifth, StopRule.depth(2), 21)
-        sub = tree.subtree((1,))
-        assert sub.label_index(()) == tree.label_index((1,))
-        assert len(sub.generations) == 2
-
-    def test_leaf_subtree_single_node(self, third_fifth):
-        tree = sample_tree(third_fifth, StopRule.depth(3), 21)
-        for leaf in tree.generation(3):
-            assert len(tree.subtree(leaf)) == 1
-
-    def test_composition(self, third_fifth):
-        tree = sample_tree(third_fifth, StopRule.depth(4), 8)
-        a, b = (1,), (2, 1)
-        assert tree.subtree(a).subtree(b) == tree.subtree(a + b)
+class TestForest:
+    def test_roots_side_by_side(self, third_fifth):
+        # each root's slice of every generation equals its own one-root growth
+        def grow(states):
+            return tree_module._grow(third_fifth, states, lambda k, length, sigma: length >= 0.01)
+        states = [root_state(seed) for seed in (3, 4, 5)]
+        forest = grow(states)
+        for k, state in enumerate(states):
+            lo, hi = k, k + 1
+            for gen, alone in zip(forest, grow([state])):
+                for name in ("letter", "ratio", "offset", "mass", "sigma", "expanded"):
+                    assert getattr(gen, name)[lo:hi].tobytes() == getattr(alone, name).tobytes()
+                assert (gen.first[lo:hi + 1] - gen.first[lo]).tolist() == alone.first.tolist()
+                lo, hi = gen.first[lo], gen.first[hi]
 
     def test_absent_address(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(1), 8)
         with pytest.raises(KeyError):
-            tree.subtree((9, 9))
+            tree.label_index((9, 9))
 
 
 class TestDumpLoad:
