@@ -22,7 +22,7 @@ from . import __version__
 from . import branching as br
 from . import exponent as ex
 from .ifs import IfsModel, load_model, model_digest, random_model, validate_model
-from .measure import atomize, leaf_cells
+from .measure import CollapsedCells, atomize, leaf_cells
 from .stieltjes import (StieltjesString, check_bracketing, counting_curve, depth_string,
                         export_curve_csv)
 from .tree import StopRule, sample_tree
@@ -127,12 +127,14 @@ def cmd_curve(args) -> int:
     if args.check_bracketing and (stop.kind != "depth" or int(stop.value) < 1):
         _fail("--check-bracketing requires --depth >= 1")
     grid = _parse_grid(args.grid)
-    try:  # a tree past MAX_NODES, or a string with a link too short to count on
+    try:  # a tree past MAX_NODES, collapsed cells, or a link too short to count on
         tree = sample_tree(model, stop, args.seed)
         if stop.kind == "depth":
             string = depth_string(tree, int(stop.value))
         else:
             string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+    except CollapsedCells as err:
+        _fail(f"{err}; lower --depth" if stop.kind == "depth" else f"{err}; raise --epsilon")
     except ValueError as err:
         _fail(str(err))
     samples = counting_curve(string, grid)

@@ -80,12 +80,14 @@ def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
 
 def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
     """Per root child i, generation n - 1 of the subtree at i, addresses relative to i:
-    one forest of the root children, tree generation k + 1 choosing which of its nodes
-    expand, split by following `first` down (each slice bit for bit the child alone)."""
+    one forest of the root children, grown n - 1 generations deep with tree generation
+    k + 1 choosing which of its nodes expand, split by following `first` down (each
+    slice bit for bit the child alone)."""
     _require_depth(tree, n, least=1)
     gens, root = tree.generations, root_state(tree.seed)  # every tree is sampled from its seed
     forest = _grow(tree.model, [child_state(root, i) for i in range(1, gens[0].first[1] + 1)],
-                   lambda k, *_: gens[k + 1].expanded)
+                   lambda k, length, _: (gens[k + 1].expanded if k < n - 1
+                                         else np.zeros(length.size, bool)))
     bounds = np.arange(forest[0].letter.size + 1)  # each root's slice of the generation
     for gen in forest[:n - 1]:
         bounds = gen.first[bounds]
@@ -106,9 +108,17 @@ def leaf_cells(tree: RandomTree) -> MeasureApprox:
                   lambda: sorted(x for x, e in zip(tree.addresses(), expanded) if not e))
 
 
+class CollapsedCells(ValueError):
+    """Cells narrower than the float spacing where they lie: their midpoints do not separate."""
+
+
 def atomize(measure: MeasureApprox) -> AtomizedMeasure:
-    """One atom per cell, at the cell midpoint, carrying the full cell mass."""
+    """One atom per cell, at the cell midpoint, carrying the full cell mass.
+    Raises CollapsedCells unless the midpoints increase strictly inside the interval."""
     positions = 0.5 * (measure.left + measure.right)
-    if positions.size > 1 and not np.all(np.diff(positions) > 0):
-        raise ValueError("cell midpoints are not strictly increasing")
+    a, b = measure.interval
+    if not (a < positions[0] and positions[-1] < b and np.all(np.diff(positions) > 0)):
+        depth = "" if measure.generation is None else f" at depth {measure.generation}"
+        raise CollapsedCells(f"cells{depth} collapsed below float spacing: their midpoints "
+                             f"are not strictly increasing inside {measure.interval}")
     return AtomizedMeasure(measure.interval, positions, measure.mass)

@@ -64,7 +64,6 @@ from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .exponent import _bisect
 from .measure import AtomizedMeasure, atomize, build_cells, piece_cells
@@ -330,8 +329,10 @@ def dense_eigenvalues(string: StieltjesString, boundary: str) -> np.ndarray:
 
     The generalized problem is reduced to standard form with
     D = diag(1/sqrt(m)): eig(D K D). Solved once per boundary, kept read-only.
+    scipy is imported here, not at module level: no CLI command runs the oracle.
     """
     if boundary not in string._dense:
+        from scipy.linalg import eigvalsh_tridiagonal
         diag, off = string.pencil(boundary)
         m = string.masses
         s = 1.0 / np.sqrt(m)

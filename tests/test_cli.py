@@ -8,15 +8,20 @@ Core claims:
     - curve CSVs respect the gap invariant, carry the digest header, and
       are byte-identical across re-runs; a tree past MAX_NODES or a string
       with an overflowing link (interior or boundary) exits 2 before any
-      file is written
+      file is written, and so do cells collapsed below the float spacing,
+      naming --depth or --epsilon
     - --check-bracketing reports true on every grid point
     - branching writes event/martingale/z files; mean-R over seeds is near 1;
       a population past MAX_NODES exits 2 naming --tmax, serial or not
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
+    - curve, exponent and branching run in an interpreter where importing
+      scipy fails, and importing the package imports no scipy
 """
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,6 +221,28 @@ class TestCurve:
                  "--grid", "1:1e4:8", "--out", tmp_path / "c.csv", "--check-bracketing"])
         assert depths.count(5) == 1  # the root-child pieces are depth 4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_collapsed_cells_exit_2(self, tmp_path, capsys, seed):
+        from cantorstring import random_model, save_model
+        model = tmp_path / "thin.json"
+        # map ratios 0.0032: at depth 8 (or epsilon 1e-16) cells near 1.0 fall
+        # below the float spacing
+        save_model(random_model(10, balanced=True), model)
+        out = tmp_path / "c.csv"
+        for stop, expected in ((["--depth", 8], "at depth 8 collapsed below float spacing"),
+                               (["--depth", 8, "--check-bracketing"], "; lower --depth"),
+                               (["--epsilon", "1e-16"], "; raise --epsilon")):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["curve", "--model", model, "--seed", seed, *stop,
+                         "--grid", "1:1e3:5", "--out", out])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert "collapsed below float spacing" in message and expected in message
+            assert not out.exists()
+        for stop in (["--depth", 6, "--check-bracketing"], ["--epsilon", "1e-15"]):
+            assert run_cli(["curve", "--model", model, "--seed", seed, *stop,
+                            "--grid", "1:1e3:5", "--out", out]) == 0
+
     def test_boundary_selection(self, tf_model, tmp_path):
         out = tmp_path / "c.csv"
         run_cli(["curve", "--model", tf_model, "--seed", 2, "--depth", 4,
@@ -376,3 +403,38 @@ class TestCompare:
                 run_cli(["compare", *extra, "--out", out])
             assert err.value.code == 2
             assert not out.exists()
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter on this one's sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestStartup:
+    """No command imports scipy: only the dense oracle, which no command runs, needs it."""
+
+    @pytest.mark.parametrize("command", [
+        ["curve", "--seed", 3, "--epsilon", "1e-4", "--grid", "1:1e5:20"],
+        ["exponent"],
+        ["branching", "--seed", 2, "--tmax", 4, "--martingale-out", "mart.csv",
+         "--z-out", "z.csv"]], ids=lambda command: command[0])
+    def test_commands_run_without_scipy(self, tf_model, tmp_path, command):
+        name, *flags = command
+        flags = [tmp_path / f if str(f).endswith(".csv") else f for f in flags]
+        # None in sys.modules makes every import of scipy raise ImportError
+        done = fresh_python('import sys; sys.modules["scipy"] = None; '
+                            'from cantorstring.cli import main; sys.exit(main(sys.argv[1:]))',
+                            name, "--model", tf_model, "--out", tmp_path / "fresh.out", *flags)
+        assert done.returncode == 0, done.stderr
+        if name == "curve":
+            here = tmp_path / "here.csv"
+            run_cli([name, "--model", tf_model, "--out", here, *flags])
+            assert (tmp_path / "fresh.out").read_bytes() == here.read_bytes()
+
+    def test_import_leaves_scipy_out(self):
+        done = fresh_python("import sys, cantorstring, cantorstring.cli; "
+                            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

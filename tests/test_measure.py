@@ -8,10 +8,13 @@ Core claims:
     - mass is conserved at every depth and for leaf measures
     - endpoints persist through later generations; supports are nested
     - the distribution function is 0/1 at the ends and flat across gaps
-    - atomization puts the full cell mass at the midpoint
+    - atomization puts the full cell mass at the midpoint, and refuses cells
+      whose midpoints do not increase strictly inside the interval
     - generation n+1 equals the root-children pushforward (self-similarity)
       of the piece cells; piece i's cells are child i's letter's maps at
-      depth 1, and pieces need a complete generation n >= 1
+      depth 1, and pieces need a complete generation n >= 1; a deep tree's
+      pieces at generation n come from an n-generation forest, bit for bit
+      those of the depth-n tree
     - leaf and depth-8 atoms keep the bits recorded from the dict-tree code
 """
 import hashlib
@@ -170,6 +173,14 @@ class TestAtomize:
         assert a.masses.tolist() == [c.mass for c in m.cells]
         assert np.all(np.diff(a.positions) > 0)
 
+    @pytest.mark.parametrize("depth, seed", [(8, 0), (7, 4)], ids=["unordered", "at-end"])
+    def test_collapsed_cells_rejected(self, depth, seed):
+        # map ratios 0.0032: near 1.0, depth-8 midpoints repeat (seed 0) and a
+        # depth-7 midpoint rounds to the end of the interval (seed 4)
+        tree = sample_tree(random_model(10, balanced=True), StopRule.depth(depth), seed)
+        with pytest.raises(measure.CollapsedCells, match=f"at depth {depth} collapsed"):
+            atomize(build_cells(tree, depth))
+
 
 def self_similar(tree, n, tol=1e-10):
     """Generation n+1 cells == root-child piece cells pushed through the root maps."""
@@ -229,6 +240,25 @@ class TestSelfSimilarity:
         for n in (0, complete + 1, len(tree.generations)):
             with pytest.raises(ValueError):
                 measure.piece_cells(tree, n)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shallow_pieces_of_deep_tree(self, third_fifth, monkeypatch, seed):
+        """piece_cells(deep tree, n) grows an n-generation forest, bit for bit the
+        pieces of the same seed sampled to depth n."""
+        real, depths = measure._grow, []
+        monkeypatch.setattr(measure, "_grow",
+                            lambda *args: depths.append(len(out := real(*args))) or out)
+        deep = sample_tree(third_fifth, StopRule.depth(10), seed)
+        for n in range(1, 10):
+            shallow = sample_tree(third_fifth, StopRule.depth(n), seed)
+            got, want = measure.piece_cells(deep, n), measure.piece_cells(shallow, n)
+            assert depths[-2:] == [n, n]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.generation == b.generation == n - 1
+                for k in ("left", "right", "mass"):
+                    assert getattr(a, k).tobytes() == getattr(b, k).tobytes()
+            assert [c.address for c in got[-1].cells] == [c.address for c in want[-1].cells]
 
 
 # sha256 of positions.tobytes() then masses.tobytes(), recorded from the
