@@ -29,9 +29,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._rng import Address, root_state
-from .ifs import IfsModel, require_valid
+from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
-from .tree import _grow, birth_offsets, format_address, node_addresses, node_ranks, write_table
+from .tree import _grow, format_address, node_addresses, node_ranks, write_table
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,31 @@ class PopulationRun:
     """The tree of all individuals born up to t_max and their children.
 
     Nodes are numbered generation by generation: `sigma` holds their birth
-    times, node f's children are first[f]:first[f + 1], and `order` lists
-    the born nodes in birth order.
+    times, node f's children are first[f]:first[f + 1], and `order`, sorted
+    when first read, lists the born nodes in birth order.
     """
 
     def __init__(self, model: IfsModel, seed: int, t_max: float, generations: list):
         self.model, self.seed, self.t_max, self.generations = model, seed, t_max, generations
         self.sigma = np.concatenate([gen.sigma for gen in generations])
-        born = np.flatnonzero(self.sigma <= t_max)
-        rank = np.concatenate(node_ranks(generations))[born]
-        self.order = born[np.lexsort((rank, self.sigma[born]))]
-        kids = np.concatenate([[0]] + [np.diff(gen.first) for gen in generations])
-        self.first = 1 + np.cumsum(kids)  # children follow in node order from node 1 on
+        kids = [gen.first[1:] - gen.first[:-1] for gen in generations]
+        self.first = np.concatenate([[1]] + kids).cumsum()  # children follow from node 1 on
 
     def __len__(self) -> int:
-        return self.order.size
+        return int(np.count_nonzero(self.sigma <= self.t_max))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        born = np.flatnonzero(self.sigma <= self.t_max)
+        rank = np.concatenate(node_ranks(self.generations))[born]
+        return born[np.lexsort((rank, self.sigma[born]))]
 
     @cached_property
     def events(self) -> List[BirthEvent]:
         addresses = list(node_addresses(self.generations))
         letters = np.concatenate([gen.letter for gen in self.generations]).tolist()
-        sigma, offsets = self.sigma.tolist(), [birth_offsets(x) for x in self.model.letters]
+        _, start, *_, tau, _ = self.model.tables
+        sigma, offsets = self.sigma.tolist(), [tuple(t.tolist()) for t in np.split(tau, start[1:])]
         return [BirthEvent(addresses[f], sigma[f], self.model.letters[letters[f]].id,
                            offsets[letters[f]]) for f in self.order.tolist()]
 
@@ -76,7 +80,6 @@ def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationR
     Raises ValueError when the tree would have more than tree.MAX_NODES nodes."""
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    require_valid(model)
     generations = _grow(model, [root_state(seed)], lambda k, length, sigma: sigma <= t_max,
                         "use a smaller --tmax")
     return PopulationRun(model, seed, t_max, generations)
@@ -86,8 +89,10 @@ def _increments(run: PopulationRun, alpha: Optional[float], n: int) -> List[floa
     """R_1 - R_0, ..., R_n - R_(n-1); alpha defaults to gamma_r of the model."""
     if alpha is None:
         alpha = solve_recursive_exponent(run.model)
-    e, first = list(map(math.exp, (-alpha * run.sigma).tolist())), run.first.tolist()
-    return [math.fsum(e[first[f]:first[f + 1]]) - e[f] for f in run.order[:n].tolist()]
+    mothers, first = run.order[:n], run.first.tolist()
+    # first[] increases, so the mothers and their children lie below first[max(mothers) + 1]
+    e = list(map(math.exp, (-alpha * run.sigma[:first[mothers.max(initial=0) + 1]]).tolist()))
+    return [math.fsum(e[first[f]:first[f + 1]]) - e[f] for f in mothers.tolist()]
 
 
 def martingale_R(run: PopulationRun, n: int, alpha: Optional[float] = None) -> float:
@@ -106,7 +111,7 @@ def z_process(run: PopulationRun, t: float) -> int:
     """Individuals born after t to mothers born at or before t."""
     if not 0 <= t <= run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
-    parent = np.repeat(run.sigma, np.diff(run.first))  # of nodes 1, 2, ...
+    parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of nodes 1, 2, ...
     return int(np.count_nonzero((parent <= t) & (run.sigma[1:] > t)))
 
 

@@ -14,8 +14,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 DEFAULT_TOL = 1e-12
 RANDOM_MAX_LETTERS, RANDOM_MAX_MAPS = 3, 4  # random_model's letter and map counts
@@ -62,6 +65,21 @@ class IfsModel:
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+
+    @cached_property
+    def tables(self) -> Tuple[np.ndarray, ...]:
+        """(n_maps, start, r, c, w, tau = -log(r w), cum) for tree growth, once per model
+        object after require_valid: map arrays with letter j's rows at start[j]:start[j] +
+        n_maps[j], and the running sums of probs without the last."""
+        require_valid(self)
+        n_maps = np.array([letter.n_maps for letter in self.letters])
+        rows = np.array([(s.ratio, s.offset, w, -math.log(q) if q else math.inf)
+                         for letter in self.letters for s, w, q in
+                         zip(letter.maps, letter.weights, contraction_products(letter))])
+        out = (n_maps, np.cumsum(n_maps) - n_maps, *rows.T, np.cumsum(self.probs)[:-1])
+        for array in out:  # shared by every tree grown from this object
+            array.flags.writeable = False
+        return out
 
 
 def make_letter(letter_id: str, maps: Sequence[Tuple[float, float]], weights: Sequence[float]) -> Letter:

@@ -7,21 +7,20 @@ are immutable afterwards. A tree is one `Generation` of arrays per depth,
 in lexicographic address order, each drawn from the one above: child i
 gets hash state child_state(state, i), the letter that state draws, the
 composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
-sigma' = sigma - log(r_i w_i); the states live only while `_grow` runs,
-which also grows forests of roots side by side, each root's rows bit for bit
-those of growing it alone. `node_ranks` gives each node's preorder rank.
+sigma' = sigma - log(r_i w_i), all read from model.tables; the states live only
+while `_grow` runs, which also grows forests of roots side by side, each root's
+rows bit for bit those of growing it alone. `node_ranks` gives preorder ranks.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
 from ._rng import Address, child_state, letter_draw, root_state
-from .ifs import IfsModel, Letter, contraction_products, model_digest, require_valid
+from .ifs import IfsModel, Letter, model_digest
 
 MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated
 
@@ -66,43 +65,34 @@ class Generation:
             array.flags.writeable = False
 
 
-def birth_offsets(letter: Letter) -> Tuple[float, ...]:
-    """-log(r_i w_i) per map: the delay from a node's birth to child i's."""
-    return tuple(-math.log(q) if q else math.inf for q in contraction_products(letter))
-
-
 def _grow(model: IfsModel, states: Sequence[int], expand: Callable[..., np.ndarray],
           remedy: str = "use a larger epsilon or a smaller depth") -> List[Generation]:
     """Generations below roots with these hash states, each root's nodes contiguous;
     expand(k, length, sigma) marks which nodes of generation k, with these cell lengths
-    and birth times, have children. Raises ValueError, ending in `remedy`, past MAX_NODES."""
-    draw = letter_draw(model.probs)
-    n_maps = np.array([letter.n_maps for letter in model.letters])
-    start = np.cumsum(n_maps) - n_maps  # letter j's maps are rows start[j]:start[j] + n_maps[j]
-    r_i, c_i, w_i = np.array([(s.ratio, s.offset, w) for letter in model.letters
-                              for s, w in zip(letter.maps, letter.weights)]).T
-    tau = np.array([t for letter in model.letters for t in birth_offsets(letter)])
+    and birth times, have children. Raises ValueError on an invalid model (model.tables
+    validates it) and, ending in `remedy`, past MAX_NODES."""
+    n_maps, start, r_i, c_i, w_i, tau, cum = model.tables
     states = np.array(states, dtype=np.uint64)
     n = nodes = states.size
     ratio, offset, mass, sigma = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
     length = np.full(n, model.interval[1] - model.interval[0])
-    letters = draw(states)
     out: List[Generation] = []
     while True:
+        letters = letter_draw(cum, states)
         expanded = expand(len(out), length, sigma)
         counts = np.where(expanded, n_maps[letters], 0)
-        first = np.concatenate(([0], np.cumsum(counts)))
+        first = np.zeros(counts.size + 1, counts.dtype)
+        counts.cumsum(out=first[1:])
         if (nodes := nodes + first[-1]) > MAX_NODES:
             raise ValueError(f"tree would exceed {MAX_NODES} nodes at generation {len(out) + 1}; "
                              f"{remedy}")
         out.append(Generation(letters, ratio, offset, mass, sigma, expanded, first))
         if first[-1] == 0:
             return out
-        parent = np.repeat(np.arange(letters.size), counts)
+        parent = np.arange(letters.size).repeat(counts)
         slot = np.arange(first[-1]) - first[parent]
         row, up = start[letters[parent]] + slot, ratio[parent]
         states = child_state(states[parent], (slot + 1).astype(np.uint64))
-        letters = draw(states)
         ratio, offset = up * r_i[row], up * c_i[row] + offset[parent]
         mass, length = mass[parent] * w_i[row], length[parent] * r_i[row]
         sigma = sigma[parent] + tau[row]
@@ -113,13 +103,15 @@ def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:
     in lexicographic order, from the sizes of the subtrees to its left."""
     size, befores = np.ones(0, np.intp), []  # subtree sizes of the generation below
     for gen in reversed(generations):
-        before = np.concatenate(([0], np.cumsum(size)))  # nodes under the subtrees left of each
+        before = np.zeros(size.size + 1, np.intp)  # nodes under the subtrees left of each
+        size.cumsum(out=before[1:])
         size = 1 + before[gen.first[1:]] - before[gen.first[:-1]]
         befores.insert(0, before)
     rank, ranks = np.zeros(1, np.intp), []
     for gen, before in zip(generations, befores):
         ranks.append(rank)
-        rank = before[:-1] + np.repeat(rank + 1 - before[gen.first[:-1]], np.diff(gen.first))
+        lo = gen.first[:-1]
+        rank = before[:-1] + (rank + 1 - before[lo]).repeat(gen.first[1:] - lo)
     return ranks
 
 
@@ -180,8 +172,6 @@ class RandomTree:
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic.
     Raises ValueError when the tree would have more than MAX_NODES nodes."""
-    require_valid(model)
-
     def expand(k: int, length: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         if stop.kind == "depth":
             return np.full(length.size, k < stop.value)

@@ -257,19 +257,23 @@ def test_csv_exports(tmp_path, third_fifth):
 
 @pytest.mark.parametrize("k", range(10))
 def test_arrays_match_event_loops(k):
-    """Birth order, R_n and z_t from the node arrays equal the per-event
-    loops of the heap sampler, run over `run.events`."""
+    """Birth order, R_n (the whole trace, and each R_n alone) and z_t from the
+    node arrays equal the per-event loops of the heap sampler, run over
+    `run.events`."""
     model = random_model(k)
     gamma = solve_recursive_exponent(model)
     run = simulate_population(model, 6.0, k)
     keys = [(e.sigma, e.address) for e in run.events]
     assert keys == sorted(keys) and len(run.events) == len(run)
-    trace, acc = [1.0], 1.0
+    trace, acc, steps = [1.0], 1.0, []
     for e in run.events:
-        acc += (math.fsum(math.exp(-gamma * (e.sigma + tau)) for tau in e.child_offsets)
-                - math.exp(-gamma * e.sigma))
+        steps.append(math.fsum(math.exp(-gamma * (e.sigma + tau)) for tau in e.child_offsets)
+                     - math.exp(-gamma * e.sigma))
+        acc += steps[-1]
         trace.append(acc)
     assert martingale_trace(run, gamma) == trace
+    assert ([martingale_R(run, n, gamma) for n in range(len(run) + 1)]
+            == [1.0 + math.fsum(steps[:n]) for n in range(len(run) + 1)])
     for t in np.linspace(0.0, 6.0, 13).tolist():
         assert z_process(run, t) == sum(e.sigma <= t < e.sigma + tau
                                         for e in run.events for tau in e.child_offsets)

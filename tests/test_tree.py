@@ -10,16 +10,23 @@ Core claims:
     - a forest of roots grows each root's rows as growing it alone would,
       and label lookups of absent addresses raise KeyError
     - resolution stop expands exactly the cells no shorter than epsilon
-    - a tree past MAX_NODES is refused
+    - a tree past MAX_NODES is refused; an invalid model is refused, also
+      after an equal model with a looser tol was sampled
+    - the hash round on uint64 arrays equals the masked round on ints, and
+      models grown in turn each keep their own rows (tables per model object)
     - the text dump lists every node's address and letter id
 """
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from cantorstring import sample_tree, tree as tree_module
-from cantorstring._rng import root_state
+from cantorstring import (IfsModel, middle_third_letter, random_model, sample_tree,
+                          simulate_population, single_letter_model, third_fifth_model,
+                          tree as tree_module)
+from cantorstring._rng import child_state, root_state, splitmix64
+from cantorstring.ifs import model_from_dict, model_to_dict
 from cantorstring.tree import StopRule, dump_tree, format_address
 
 
@@ -98,7 +105,6 @@ class TestSampling:
     @pytest.mark.parametrize("probs", [(0.0, 1.0), (1.0, 0.0)])
     def test_zero_probability_letter_never_drawn(self, third_fifth, probs):
         # the running sums tie at a zero-probability letter
-        from cantorstring import IfsModel
         model = IfsModel(third_fifth.interval, third_fifth.letters, probs)
         drawn = probs.index(1.0)
         for seed in range(20):
@@ -114,10 +120,23 @@ class TestSampling:
             sample_tree(third_fifth, StopRule.resolution(1e-3), 4)
 
     def test_invalid_model_rejected(self, third_fifth):
-        from cantorstring import IfsModel
         broken = IfsModel(third_fifth.interval, third_fifth.letters, (0.6, 0.6))
         with pytest.raises(ValueError):
             sample_tree(broken, StopRule.depth(1), 0)
+
+    def test_validity_not_shared_across_tol(self, third_fifth):
+        # equal under ==, which ignores tol; the probs sum to 1 + 1e-9
+        probs = (0.6, 0.4 + 1e-9)
+        loose = IfsModel(third_fifth.interval, third_fifth.letters, probs, tol=1e-6)
+        strict = IfsModel(third_fifth.interval, third_fifth.letters, probs, tol=1e-12)
+        assert loose == strict
+        sample_tree(loose, StopRule.depth(2), 0)
+        simulate_population(loose, 4.0, 0)
+        for _ in range(2):  # a failed check is not cached either
+            with pytest.raises(ValueError, match="invalid model"):
+                sample_tree(strict, StopRule.depth(2), 0)
+            with pytest.raises(ValueError, match="invalid model"):
+                simulate_population(strict, 4.0, 0)
 
 
 class TestGenerations:
@@ -164,6 +183,51 @@ class TestForest:
         tree = sample_tree(third_fifth, StopRule.depth(1), 8)
         with pytest.raises(KeyError):
             tree.label_index((9, 9))
+
+
+def masked_round(z: int) -> int:
+    """splitmix64 on Python ints, masked to 64 bits after every step."""
+    mask = (1 << 64) - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestHashAndTables:
+    SEEDS = [0, 1, 2**63, 2**64 - 1, -1, -2, -2**63]
+
+    def test_array_round_equals_int_round(self):
+        mask = (1 << 64) - 1
+        roots = [masked_round(s & mask) for s in self.SEEDS]
+        assert [root_state(s) for s in self.SEEDS] == roots
+        assert splitmix64(np.array([s & mask for s in self.SEEDS], np.uint64)).tolist() == roots
+        for i in (1, 2, 5):
+            kids = [masked_round(r ^ ((i * 0xD1B54A32D192ED03) & mask)) for r in roots]
+            assert [child_state(r, i) for r in roots] == kids
+            assert child_state(np.array(roots, np.uint64),
+                               np.full(len(roots), i, np.uint64)).tolist() == kids
+
+    def test_interleaved_models_keep_their_rows(self):
+        # each model object's cached tables serve only its own trees: growing three
+        # models in turn gives every tree the rows of a fresh copy grown on its own
+        models = [third_fifth_model(), single_letter_model(middle_third_letter()),
+                  random_model(3)]
+        stop = StopRule.resolution(1e-3)
+        grown = [[sample_tree(model, stop, seed) for model in models] for seed in range(4)]
+        for seed, trees in enumerate(grown):
+            for model, tree in zip(models, trees):
+                alone = sample_tree(model_from_dict(model_to_dict(model)), stop, seed)
+                assert len(tree.generations) == len(alone.generations)
+                for gen, ref in zip(tree.generations, alone.generations):
+                    for name in ("letter", "ratio", "offset", "mass", "sigma", "expanded",
+                                 "first"):
+                        assert getattr(gen, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_tables_read_only(self, third_fifth):
+        for array in third_fifth.tables:
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 class TestDumpLoad:
