@@ -47,13 +47,13 @@ def _fail(message: str) -> NoReturn:
 
 
 def _load_model_or_exit(path: str) -> IfsModel:
-    try:
+    try:  # a malformed file (wrong shape or types) fails in parsing or in the checks
         model = load_model(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+        violations = validate_model(model)
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError) as err:
         _fail(f"cannot read model file {path}: {err}")
-    violations = validate_model(model)
     if violations:
-        _fail("\n".join(violations))
+        _fail(f"invalid model file {path}:\n" + "\n".join(violations))
     return model
 
 
@@ -182,7 +182,7 @@ def cmd_branching(args) -> int:
         se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         _write_json({"stat": "mean-R", "n": args.at_n, "seeds": len(seeds),
                      "mean": float(arr.mean()), "stderr": se,
-                     "meta": _meta(model, args.seeds)},
+                     "meta": _meta(model, args.seeds if args.seed is None else str(args.seed))},
                     args.out)
         return 0
     header = _header(model, seeds[0])

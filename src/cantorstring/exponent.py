@@ -18,20 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .ifs import IfsModel, Letter, contraction_products, require_valid
+from .ifs import IfsModel, Letter, contraction_products
 
 EQUAL = "equal"
 STRICTLY_LESS = "strictly-less"
 EQUALITY_TOL = 1e-10  # check_equality_condition: the largest alpha spread that is EQUAL
 LATTICE_TOL, MAX_MULTIPLE = 1e-9, 10 ** 6  # classify_lattice: integer closeness and size
 
-
-def _support_products(model: IfsModel) -> List[Tuple[float, List[float]]]:
-    """(p_j, child products) for every letter with positive probability."""
-    return [(p, contraction_products(letter))
-            for letter, p in zip(model.letters, model.probs) if p > 0.0]
+# Every function of a model reads model.support, the selectable letters' products, which
+# validates the model once per object and raises ValueError("invalid model: ...").
 
 
 def _bisect(fn: Callable[[float], float], *, rel_tol: float,
@@ -67,38 +64,28 @@ def _root(fn: Callable[[float], float]) -> float:
 
 def mean_product_power(model: IfsModel, s: float) -> float:
     """f(s) = E[ sum_i (r_i m_i)^s ] over the letter distribution."""
-    return math.fsum(p * math.fsum(q ** s for q in products)
-                     for p, products in _support_products(model))
+    return math.fsum(p * math.fsum(q ** s for q in products) for p, products in model.support)
 
 
 def solve_recursive_exponent(model: IfsModel) -> float:
     """gamma_r: unique positive root of f(s) = 1 (residual <= 1e-14)."""
-    require_valid(model)
-    terms = _support_products(model)
-
-    def f(s: float) -> float:
-        return math.fsum(p * math.fsum(q ** s for q in products)
-                         for p, products in terms) - 1.0
-
-    return _root(f)
+    return _root(lambda s: mean_product_power(model, s) - 1.0)
 
 
 def solve_homogeneous_exponent(model: IfsModel) -> float:
     """gamma_h: root of sum_j p_j log(sum_i (r_i m_i)^s) = 0."""
-    require_valid(model)
-    terms = _support_products(model)
+    return _root(lambda s: math.fsum(p * math.log(math.fsum(q ** s for q in products))
+                                     for p, products in model.support))
 
-    def g(s: float) -> float:
-        return math.fsum(p * math.log(math.fsum(q ** s for q in products))
-                         for p, products in terms)
 
-    return _root(g)
+def _alpha(products: Sequence[float]) -> float:
+    """Root alpha of sum_i q_i^alpha = 1 over one letter's products q_i = r_i m_i."""
+    return _root(lambda s: math.fsum(q ** s for q in products) - 1.0)
 
 
 def letter_alpha(letter: Letter) -> float:
     """Per-letter root alpha of sum_i (r_i m_i)^alpha = 1."""
-    products = contraction_products(letter)
-    return _root(lambda s: math.fsum(q ** s for q in products) - 1.0)
+    return _alpha(contraction_products(letter))
 
 
 def hausdorff_dimension(letter: Letter) -> float:
@@ -123,9 +110,6 @@ class LatticeClassification:
     lattice: bool
     span: Optional[float] = None
 
-    def describe(self) -> str:
-        return f"lattice(span={self.span!r})" if self.lattice else "non-lattice"
-
 
 def _real_gcd(a: float, b: float, floor: float) -> float:
     # nearest-integer Euclid; the remainder at least halves every step
@@ -141,8 +125,8 @@ def classify_lattice(model: IfsModel) -> LatticeClassification:
     an integer <= MAX_MULTIPLE; genuinely irrational ratios fail the integer
     check and classify as non-lattice.
     """
-    taus = sorted({-math.log(q) for _, products in _support_products(model)
-                   for q in products}, reverse=True)
+    taus = sorted({-math.log(q) for _, products in model.support for q in products},
+                  reverse=True)
     g = taus[0]
     floor = 1e-12 * taus[0]
     for t in taus[1:]:
@@ -175,7 +159,7 @@ def malthusian_diagnostics(model: IfsModel, gamma: float) -> MalthusianDiagnosti
     residual = abs(mean_product_power(model, gamma) - 1.0)
     moment = 0.0
     xlogx = 0.0
-    for p, products in _support_products(model):
+    for p, products in model.support:
         tilted = [q ** gamma for q in products]
         moment += p * math.fsum(-math.log(q) * t for q, t in zip(products, tilted))
         total = math.fsum(tilted)
@@ -185,9 +169,7 @@ def malthusian_diagnostics(model: IfsModel, gamma: float) -> MalthusianDiagnosti
 
 def check_equality_condition(model: IfsModel) -> str:
     """EQUAL iff all selectable letters share the per-letter alpha, to EQUALITY_TOL."""
-    require_valid(model)
-    alphas = [letter_alpha(letter)
-              for letter, p in zip(model.letters, model.probs) if p > 0.0]
+    alphas = [_alpha(products) for _, products in model.support]
     return EQUAL if max(alphas) - min(alphas) <= EQUALITY_TOL else STRICTLY_LESS
 
 
@@ -203,7 +185,7 @@ def nerman_constant_hat_phi(model: IfsModel, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     num = 0.0
     den = 0.0
-    for p, products in _support_products(model):
+    for p, products in model.support:
         for q in products:
             tau = -math.log(q)
             num += p * (1.0 - q ** gamma) / gamma

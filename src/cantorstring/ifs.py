@@ -67,11 +67,22 @@ class IfsModel:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
 
     @cached_property
+    def support(self) -> Tuple[Tuple[float, Tuple[float, ...]], ...]:
+        """(p_j, contraction_products) of every letter with p_j > 0, once per model object.
+        Raises ValueError listing all violations if the model is inadmissible; a failed
+        check is not cached, so an invalid model raises on every access."""
+        violations = validate_model(self)
+        if violations:
+            raise ValueError("invalid model: " + "; ".join(violations))
+        return tuple((p, tuple(contraction_products(letter)))
+                     for letter, p in zip(self.letters, self.probs) if p > 0.0)
+
+    @cached_property
     def tables(self) -> Tuple[np.ndarray, ...]:
         """(n_maps, start, r, c, w, tau = -log(r w), cum) for tree growth, once per model
-        object after require_valid: map arrays with letter j's rows at start[j]:start[j] +
-        n_maps[j], and the running sums of probs without the last."""
-        require_valid(self)
+        object after `support` has checked it: map arrays with letter j's rows at
+        start[j]:start[j] + n_maps[j], and the running sums of probs without the last."""
+        self.support  # raises on an invalid model
         n_maps = np.array([letter.n_maps for letter in self.letters])
         rows = np.array([(s.ratio, s.offset, w, -math.log(q) if q else math.inf)
                          for letter in self.letters for s, w, q in
@@ -98,6 +109,8 @@ def validate_letter(letter: Letter, interval: Tuple[float, float], tol: float = 
     lid = letter.id
     if letter.n_maps < 2:
         out.append(f"letter {lid!r}: needs at least 2 maps, has {letter.n_maps}")
+        if not letter.maps:
+            return out
     if len(letter.weights) != letter.n_maps:
         out.append(f"letter {lid!r}: {len(letter.weights)} weights for {letter.n_maps} maps")
         return out
@@ -158,14 +171,6 @@ def validate_model(model: IfsModel) -> List[str]:
     for letter in model.letters:
         out.extend(validate_letter(letter, model.interval, model.tol))
     return out
-
-
-def require_valid(model: IfsModel) -> IfsModel:
-    """Raise ValueError listing all violations if the model is inadmissible."""
-    violations = validate_model(model)
-    if violations:
-        raise ValueError("invalid model: " + "; ".join(violations))
-    return model
 
 
 def contraction_products(letter: Letter) -> List[float]:

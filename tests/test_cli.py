@@ -2,7 +2,7 @@
 
 Core claims:
     - validate accepts shipped models and exits 2 with the violation text
-      for corrupted ones
+      for corrupted ones, and exits 2 naming the file for malformed ones
     - exponent reports the literature value for the third-fifth model and
       1/2 for the Lebesgue-like model
     - curve CSVs respect the gap invariant, carry the digest header, and
@@ -11,7 +11,8 @@ Core claims:
       file is written, and so do cells collapsed below the float spacing,
       naming --depth or --epsilon
     - --check-bracketing reports true on every grid point
-    - branching writes event/martingale/z files; mean-R over seeds is near 1;
+    - branching writes event/martingale/z files; mean-R over seeds is near 1
+      and its meta names the seed that ran;
       a population past MAX_NODES exits 2 naming --tmax, serial or not
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
@@ -66,6 +67,27 @@ class TestValidate:
         with pytest.raises(SystemExit) as err:
             run_cli(["validate", "--model", tmp_path / "missing.json"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["letters"][0].update(maps=[], weights=[]),
+        lambda d: d["letters"][0]["maps"][0].update(r="abc"),
+        lambda d: d.update(interval=[0]),
+        lambda d: d["letters"][0].update(prob=None),
+        lambda d: d["letters"][0]["maps"].__setitem__(0, [0.3, 0.0]),
+        lambda d: d["letters"],  # the file holds the letter list, not the model
+    ], ids=["empty-letter", "string-ratio", "short-interval", "null-prob", "list-map",
+            "top-level-list"])
+    def test_malformed_file_exit_2(self, tmp_path, tf_model, capsys, corrupt):
+        data = json.loads(tf_model.read_text())
+        bad, out = tmp_path / "bad.json", tmp_path / "report.json"
+        bad.write_text(json.dumps(corrupt(data) or data))
+        for command in (["validate"], ["exponent", "--out", out]):
+            with pytest.raises(SystemExit) as err:
+                run_cli([*command, "--model", bad])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert str(bad) in captured.err and captured.out == ""
+            assert not out.exists()
 
 
 class TestExponent:
@@ -277,6 +299,14 @@ class TestBranching:
         payload = json.loads(out.read_text())
         assert payload["seeds"] == 200
         assert abs(payload["mean"] - 1.0) <= 4 * payload["stderr"]
+
+    def test_mean_r_meta_names_the_seed_run(self, tf_model, tmp_path):
+        single, ranged = tmp_path / "single.json", tmp_path / "ranged.json"
+        base = ["branching", "--model", tf_model, "--tmax", 6, "--stat", "mean-R", "--at-n", 3]
+        run_cli(base + ["--seed", 5, "--out", single])
+        run_cli(base + ["--seeds", "5", "--out", ranged])
+        assert json.loads(single.read_text())["meta"]["seed"] == "5"
+        assert single.read_bytes() == ranged.read_bytes()
 
     def test_mean_r_workers_match_serial(self, tf_model, tmp_path):
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"

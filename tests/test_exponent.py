@@ -12,7 +12,8 @@ Core claims:
     - Malthusian residual vanishes at gamma_r; the tilted first moment and
       x log x functional match hand sums
     - the Nerman constant matches direct numerical integration
-    - build_report refuses an inadmissible model with the solvers' error
+    - every function of a model refuses an inadmissible one with the same
+      error, on every call, and validates a valid model once per object
 """
 import math
 
@@ -36,6 +37,7 @@ from cantorstring import (
     solve_homogeneous_exponent,
     solve_recursive_exponent,
 )
+from cantorstring import ifs
 from cantorstring.exponent import EQUAL, STRICTLY_LESS, letter_alpha, mean_product_power
 from cantorstring.ifs import five_interval_letter
 
@@ -261,8 +263,29 @@ class TestReport:
     def test_invalid_model_rejected(self):
         # maps 1 and 2 overlap: S_1(1) = 0.6 > S_2(0) = 0.4
         letter = make_letter("overlap", [(0.6, 0.0), (0.6, 0.4)], (0.5, 0.5))
-        with pytest.raises(ValueError, match="invalid model: .*overlap"):
-            build_report(single_letter_model(letter))
+        model = single_letter_model(letter)
+        entry_points = (build_report, solve_recursive_exponent, solve_homogeneous_exponent,
+                        check_equality_condition, classify_lattice,
+                        lambda m: mean_product_power(m, 0.5),
+                        lambda m: malthusian_diagnostics(m, 0.5),
+                        lambda m: nerman_constant_hat_phi(m, 0.5))
+        for call in entry_points * 2:  # a failed check is not cached
+            with pytest.raises(ValueError, match="invalid model: .*overlap"):
+                call(model)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            malthusian_diagnostics(model, 0.0)
+
+    def test_validates_once_per_model_object(self, monkeypatch):
+        # the exponent-sweep unit: compare --random's three calls, then the report
+        calls = []
+        validate = ifs.validate_model
+        monkeypatch.setattr(ifs, "validate_model", lambda m: calls.append(m) or validate(m))
+        model = random_model(12345)
+        solve_recursive_exponent(model)
+        solve_homogeneous_exponent(model)
+        check_equality_condition(model)
+        build_report(model)
+        assert calls == [model]
 
     def test_invalid_gamma_rejected(self, third_fifth):
         with pytest.raises(ValueError):
