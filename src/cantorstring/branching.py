@@ -13,16 +13,16 @@ and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
 The population up to t_max is the labelled tree of the same (model, seed),
-grown by the tree sampler with each node born by t_max expanded. Births are
-ordered by (sigma, preorder rank): lattice models have exact ties, which
-the lexicographic address order breaks. `events` is built only when read.
+grown by the tree sampler (many seeds as one forest) with each node born by
+t_max expanded. Births are ordered by (sigma, preorder rank): lattice models have
+exact ties, which the address order breaks. `events` is built only when read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,18 +43,18 @@ class BirthEvent:
 
 
 class PopulationRun:
-    """The tree of all individuals born up to t_max and their children.
+    """The trees, one per seed, of all individuals born up to t_max and their children.
 
-    Nodes are numbered generation by generation: `sigma` holds their birth
-    times, node f's children are first[f]:first[f + 1], and `order`, sorted
-    when first read, lists the born nodes in birth order.
+    Nodes are numbered generation by generation, roots first: `sigma` holds their birth
+    times, node f's children are first[f]:first[f + 1], and `order`, sorted when first
+    read, lists the born nodes root by root, each root's in birth order.
     """
 
-    def __init__(self, model: IfsModel, seed: int, t_max: float, generations: list):
-        self.model, self.seed, self.t_max, self.generations = model, seed, t_max, generations
+    def __init__(self, model: IfsModel, seeds: Sequence[int], t_max: float, generations: list):
+        self.model, self.seeds, self.t_max, self.generations = model, seeds, t_max, generations
         self.sigma = np.concatenate([gen.sigma for gen in generations])
         kids = [gen.first[1:] - gen.first[:-1] for gen in generations]
-        self.first = np.concatenate([[1]] + kids).cumsum()  # children follow from node 1 on
+        self.first = np.concatenate([[len(seeds)]] + kids).cumsum()  # children follow the roots
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.sigma <= self.t_max))
@@ -62,8 +62,9 @@ class PopulationRun:
     @cached_property
     def order(self) -> np.ndarray:
         born = np.flatnonzero(self.sigma <= self.t_max)
-        rank = np.concatenate(node_ranks(self.generations))[born]
-        return born[np.lexsort((rank, self.sigma[born]))]
+        rank = np.concatenate(node_ranks(self.generations))  # roots: nodes 0, 1, ...
+        root = rank[:len(self.seeds)].searchsorted(rank[born], "right") - 1  # preorder
+        return born[np.lexsort((rank[born], self.sigma[born], root))]
 
     @cached_property
     def events(self) -> List[BirthEvent]:
@@ -75,44 +76,58 @@ class PopulationRun:
                            offsets[letters[f]]) for f in self.order.tolist()]
 
 
+def simulate_populations(model: IfsModel, t_max: float, seeds: Sequence[int]) -> PopulationRun:
+    """The seeds' populations as one forest, each root's nodes bit for bit its seed's alone."""
+    if not t_max >= 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    generations = _grow(model, [root_state(seed) for seed in seeds],
+                        lambda k, length, sigma: sigma <= t_max, "use a smaller --tmax")
+    return PopulationRun(model, seeds, t_max, generations)
+
+
 def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationRun:
     """Materialize every individual with birth time <= t_max; deterministic in seed.
     Raises ValueError when the tree would have more than tree.MAX_NODES nodes."""
-    if not t_max >= 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    generations = _grow(model, [root_state(seed)], lambda k, length, sigma: sigma <= t_max,
-                        "use a smaller --tmax")
-    return PopulationRun(model, seed, t_max, generations)
+    return simulate_populations(model, t_max, [seed])
 
 
-def _increments(run: PopulationRun, alpha: Optional[float], n: int) -> List[float]:
-    """R_1 - R_0, ..., R_n - R_(n-1); alpha defaults to gamma_r of the model."""
+def _increments(run: PopulationRun, alpha: Optional[float], mothers: np.ndarray) -> List[float]:
+    """R_(k+1) - R_k for each mother row; alpha defaults to gamma_r of the model."""
     if alpha is None:
         alpha = solve_recursive_exponent(run.model)
-    mothers, first = run.order[:n], run.first.tolist()
+    first = run.first.tolist()
     # first[] increases, so the mothers and their children lie below first[max(mothers) + 1]
     e = list(map(math.exp, (-alpha * run.sigma[:first[mothers.max(initial=0) + 1]]).tolist()))
     return [math.fsum(e[first[f]:first[f + 1]]) - e[f] for f in mothers.tolist()]
+
+
+def martingale_R_by_root(run: PopulationRun, n: int,
+                         alpha: Optional[float] = None) -> List[Optional[float]]:
+    """R_n of each root, in seed order, None where n is outside 0..(its births)."""
+    begin = np.flatnonzero(run.order < len(run.seeds))  # a root is born first, at sigma 0
+    inside = (n >= 0) & (np.diff(begin, append=run.order.size) >= n)
+    steps = iter(_increments(run, alpha, run.order[begin[inside, None] + np.arange(n)].ravel()))
+    return [1.0 + math.fsum(islice(steps, n)) if ok else None for ok in inside.tolist()]
 
 
 def martingale_R(run: PopulationRun, n: int, alpha: Optional[float] = None) -> float:
     """R_n over the first n individuals; alpha defaults to gamma_r of the model."""
     if n < 0 or n > len(run):
         raise ValueError(f"n must be in 0..{len(run)}, got {n}")
-    return 1.0 + math.fsum(_increments(run, alpha, n))
+    return martingale_R_by_root(run, n, alpha)[0]
 
 
 def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[float]:
-    """[R_0, R_1, ..., R_N] for the whole materialized population."""
-    return list(accumulate(_increments(run, alpha, len(run)), initial=1.0))
+    """[R_0, R_1, ..., R_N] for the whole materialized one-seed population."""
+    return list(accumulate(_increments(run, alpha, run.order), initial=1.0))
 
 
 def z_process(run: PopulationRun, t: float) -> int:
     """Individuals born after t to mothers born at or before t."""
     if not 0 <= t <= run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
-    parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of nodes 1, 2, ...
-    return int(np.count_nonzero((parent <= t) & (run.sigma[1:] > t)))
+    parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of the non-roots
+    return int(np.count_nonzero((parent <= t) & (run.sigma[run.first[0]:] > t)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from functools import partial
 from pathlib import Path
 from typing import List, NoReturn, Optional, Sequence
 
@@ -29,6 +27,7 @@ from .tree import StopRule, sample_tree
 
 MAX_SEEDS = 1_000_000  # longest --seeds range; its list is built before any work
 MAX_POINTS = 10_000  # most --grid / --z-points points; a numpy sweep block is 256 rows x all
+FOREST_BIRTHS = 16_384  # mean-R seeds grow as forests of about this many births
 
 
 def _header(model: IfsModel, seed) -> str:
@@ -147,17 +146,22 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _mean_r_for_seed(model: IfsModel, tmax: float, at_n: int, alpha: float,
-                     seed: int) -> Optional[float]:
-    """R_at_n for one seed, or None when at_n is outside 0..(population size)."""
-    run = br.simulate_population(model, tmax, seed)
-    return br.martingale_R(run, at_n, alpha) if 0 <= at_n <= len(run) else None
+def _mean_r(model: IfsModel, tmax: float, at_n: int, alpha: float,
+            seeds: Sequence[int]) -> List[Optional[float]]:
+    values: List[Optional[float]] = []
+    batch = max(1, int(FOREST_BIRTHS * math.exp(-alpha * tmax)))  # a seed expects ~e^(alpha tmax)
+    for k in range(0, len(seeds), batch):
+        group = seeds[k:k + batch]
+        try:
+            runs = [br.simulate_populations(model, tmax, group)]
+        except ValueError:  # a forest past tree.MAX_NODES: each seed alone, or refused
+            runs = [br.simulate_population(model, tmax, seed) for seed in group]
+        values += [v for run in runs for v in br.martingale_R_by_root(run, at_n, alpha)]
+    return values
 
 
 def cmd_branching(args) -> int:
     model = _load_model_or_exit(args.model)
-    if args.workers < 1:
-        _fail(f"--workers must be >= 1, got {args.workers}")
     if not 0.0 <= args.tmax < math.inf:
         _fail(f"--tmax must be finite and >= 0, got {args.tmax}")
     if not 1 <= args.z_points <= MAX_POINTS:
@@ -168,8 +172,7 @@ def cmd_branching(args) -> int:
     alpha = ex.solve_recursive_exponent(model)
     try:  # a population past tree.MAX_NODES
         if args.stat == "mean-R":
-            task = partial(_mean_r_for_seed, model, args.tmax, args.at_n, alpha)
-            values = _map_seeds(task, seeds, args.workers)
+            values = _mean_r(model, args.tmax, args.at_n, alpha, seeds)
         else:
             run = br.simulate_population(model, args.tmax, seeds[0])
     except ValueError as err:
@@ -228,17 +231,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _map_seeds(fn, seeds: Sequence[int], workers: int) -> List:
-    # fn must be picklable (module-level function or partial of one); more
-    # processes than cores or seeds only add start-up cost
-    workers = min(workers, os.cpu_count() or 1, len(seeds))
-    if workers > 1:
-        from multiprocessing import Pool
-        with Pool(workers) as pool:
-            return pool.map(fn, seeds)
-    return [fn(s) for s in seeds]
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -281,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-points", type=int, default=50)
     p.add_argument("--stat", choices=["mean-R"])
     p.add_argument("--at-n", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_branching)
 
     p = sub.add_parser("compare", help="recursive vs homogeneous exponent")

@@ -17,7 +17,7 @@ per-letter root alpha of sum_i (r_i m_i)^alpha = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .ifs import IfsModel, Letter, contraction_products
@@ -209,16 +209,7 @@ class ExponentReport:
     comparison: str
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_r": self.gamma_r,
-            "gamma_h": self.gamma_h,
-            "hausdorff": dict(self.hausdorff),
-            "lattice": {"lattice": self.lattice.lattice, "span": self.lattice.span},
-            "malthusian_ok": self.malthusian_ok,
-            "condition2_value": self.condition2_value,
-            "xlogx_value": self.xlogx_value,
-            "comparison": self.comparison,
-        }
+        return asdict(self)
 
 
 def build_report(model: IfsModel) -> ExponentReport:
@@ -230,8 +221,7 @@ def build_report(model: IfsModel) -> ExponentReport:
         gamma_h=gamma_h,
         hausdorff={letter.id: hausdorff_dimension(letter) for letter in model.letters},
         lattice=classify_lattice(model),
-        malthusian_ok=(diag.condition1_residual <= 1e-12
-                       and math.isfinite(diag.condition2_value)),
+        malthusian_ok=diag.condition1_residual <= 1e-12,
         condition2_value=diag.condition2_value,
         xlogx_value=diag.xlogx_value,
         comparison=check_equality_condition(model),

@@ -62,7 +62,8 @@ class IfsModel:
     tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
+        a, b = self.interval  # exactly two entries
+        object.__setattr__(self, "interval", (float(a), float(b)))
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
 
@@ -84,7 +85,7 @@ class IfsModel:
         start[j]:start[j] + n_maps[j], and the running sums of probs without the last."""
         self.support  # raises on an invalid model
         n_maps = np.array([letter.n_maps for letter in self.letters])
-        rows = np.array([(s.ratio, s.offset, w, -math.log(q) if q else math.inf)
+        rows = np.array([(s.ratio, s.offset, w, -math.log(q))
                          for letter in self.letters for s, w, q in
                          zip(letter.maps, letter.weights, contraction_products(letter))])
         out = (n_maps, np.cumsum(n_maps) - n_maps, *rows.T, np.cumsum(self.probs)[:-1])
@@ -120,9 +121,11 @@ def validate_letter(letter: Letter, interval: Tuple[float, float], tol: float = 
     wsum = math.fsum(letter.weights)
     if abs(wsum - 1.0) > tol:
         out.append(f"letter {lid!r}: weights sum to {wsum!r}, not 1")
-    for i, s in enumerate(letter.maps):
+    for i, (s, w) in enumerate(zip(letter.maps, letter.weights)):
         if not (0.0 < s.ratio < 1.0):
             out.append(f"letter {lid!r} map {i + 1}: ratio {s.ratio} not in (0, 1)")
+        elif 0.0 < w and s.ratio * w == 0.0:
+            out.append(f"letter {lid!r} map {i + 1}: product {s.ratio!r} * {w!r} underflows to 0")
         if s(a) < a - tol or s(b) > b + tol:
             out.append(f"letter {lid!r} map {i + 1}: image [{s(a)!r}, {s(b)!r}] leaves the interval")
     first, last = letter.maps[0], letter.maps[-1]

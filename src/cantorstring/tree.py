@@ -99,15 +99,15 @@ def _grow(model: IfsModel, states: Sequence[int], expand: Callable[..., np.ndarr
 
 
 def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:
-    """Per generation, each node's preorder rank: its place among all addresses
-    in lexicographic order, from the sizes of the subtrees to its left."""
+    """Per generation, each node's preorder rank: its place among all addresses in
+    lexicographic order, forest roots in turn, from the sizes of the subtrees to its left."""
     size, befores = np.ones(0, np.intp), []  # subtree sizes of the generation below
     for gen in reversed(generations):
         before = np.zeros(size.size + 1, np.intp)  # nodes under the subtrees left of each
         size.cumsum(out=before[1:])
         size = 1 + before[gen.first[1:]] - before[gen.first[:-1]]
         befores.insert(0, before)
-    rank, ranks = np.zeros(1, np.intp), []
+    rank, ranks = size.cumsum() - size, []
     for gen, before in zip(generations, befores):
         ranks.append(rank)
         lo = gen.first[:-1]
@@ -116,8 +116,8 @@ def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:
 
 
 def node_addresses(generations: Sequence[Generation]) -> Iterator[Address]:
-    """Every address, generation by generation, each in lexicographic order."""
-    level: List[Address] = [()]
+    """Every address, generation by generation, each in lexicographic order (per root)."""
+    level: List[Address] = [()] * generations[0].letter.size
     for gen in generations:
         yield from level
         counts = np.diff(gen.first).tolist()

@@ -15,7 +15,9 @@ Core claims:
     - events, martingale traces and z values keep the bits recorded from
       the heap sampler, exact sigma ties across generations included, and
       the array forms of R_n and z_t equal loops over the events
+    - seeds grown as one forest keep each seed's R_n bits, lattice ties included
 """
+import functools
 import hashlib
 import math
 
@@ -341,3 +343,36 @@ def test_population_bits_pinned(name, seed):
     assert (len(run), ties, h.hexdigest()) == POPULATION_DIGESTS[name][seed]
     if name == "ties":
         assert ties > 0  # the address tiebreak across generations is exercised
+
+
+def test_forest_events_are_the_one_seed_events(third_fifth):
+    from cantorstring.branching import simulate_populations
+    forest = simulate_populations(third_fifth, 6.0, [3, 4, 5])
+    assert forest.events == [e for seed in (3, 4, 5)
+                             for e in simulate_population(third_fifth, 6.0, seed).events]
+
+
+@functools.lru_cache(maxsize=None)
+def one_seed_runs(name):
+    model = PIN_MODELS[name]()
+    return model, [simulate_population(model, 10.0, seed) for seed in range(230)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 20, "births", "births + 1", -1])
+@pytest.mark.parametrize("lo, hi", [(0, 70), (100, 230)])
+@pytest.mark.parametrize("name", PIN_MODELS)
+def test_forests_match_one_seed_runs(name, lo, hi, n, monkeypatch):
+    """`branching --stat mean-R` grows the seeds as forests (here of 18 to 33 seeds);
+    each seed's R_n keeps the bits of its one-seed run, and is None exactly where n is
+    outside 0..(its births), where the CLI refuses."""
+    from cantorstring import cli
+    monkeypatch.setattr(cli, "FOREST_BIRTHS", 1000)
+    model, runs = one_seed_runs(name)
+    runs = runs[lo:hi]
+    if isinstance(n, str):
+        n = len(runs[0]) + n.endswith("+ 1")
+    alpha = solve_recursive_exponent(model)
+    expected = [martingale_R(run, n, alpha).hex() if 0 <= n <= len(run) else None
+                for run in runs]
+    got = cli._mean_r(model, 10.0, n, alpha, list(range(lo, hi)))
+    assert [None if v is None else v.hex() for v in got] == expected

@@ -2,7 +2,8 @@
 
 Core claims:
     - validate accepts shipped models and exits 2 with the violation text
-      for corrupted ones, and exits 2 naming the file for malformed ones
+      for corrupted ones (a product r_i w_i that underflows to 0 included, in
+      every command), and exits 2 naming the file for malformed ones
     - exponent reports the literature value for the third-fifth model and
       1/2 for the Lebesgue-like model
     - curve CSVs respect the gap invariant, carry the digest header, and
@@ -13,7 +14,8 @@ Core claims:
     - --check-bracketing reports true on every grid point
     - branching writes event/martingale/z files; mean-R over seeds is near 1
       and its meta names the seed that ran;
-      a population past MAX_NODES exits 2 naming --tmax, serial or not
+      a population past MAX_NODES exits 2 naming --tmax, and a mean-R batch
+      whose forest is past it is regrown seed by seed to the same bytes
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
     - curve, exponent and branching run in an interpreter where importing
@@ -41,6 +43,12 @@ def forbid(monkeypatch, module, name):
     def called(*args, **kwargs):
         raise AssertionError(f"{name} ran before the input was rejected")
     monkeypatch.setattr(module, name, called)
+
+
+def forbid_growth(monkeypatch, branching):
+    """Forbid growing a population, one seed or a forest of them."""
+    for name in ("simulate_population", "simulate_populations"):
+        forbid(monkeypatch, branching, name)
 
 
 @pytest.fixture
@@ -72,11 +80,12 @@ class TestValidate:
         lambda d: d["letters"][0].update(maps=[], weights=[]),
         lambda d: d["letters"][0]["maps"][0].update(r="abc"),
         lambda d: d.update(interval=[0]),
+        lambda d: d.update(interval=[0.0, 1.0, 7.0]),
         lambda d: d["letters"][0].update(prob=None),
         lambda d: d["letters"][0]["maps"].__setitem__(0, [0.3, 0.0]),
         lambda d: d["letters"],  # the file holds the letter list, not the model
-    ], ids=["empty-letter", "string-ratio", "short-interval", "null-prob", "list-map",
-            "top-level-list"])
+    ], ids=["empty-letter", "string-ratio", "short-interval", "long-interval", "null-prob",
+            "list-map", "top-level-list"])
     def test_malformed_file_exit_2(self, tmp_path, tf_model, capsys, corrupt):
         data = json.loads(tf_model.read_text())
         bad, out = tmp_path / "bad.json", tmp_path / "report.json"
@@ -87,6 +96,21 @@ class TestValidate:
             assert err.value.code == 2
             captured = capsys.readouterr()
             assert str(bad) in captured.err and captured.out == ""
+            assert not out.exists()
+
+    def test_underflowing_product_exit_2(self, tmp_path, capsys):
+        from cantorstring import make_letter, save_model, single_letter_model
+        model, out = tmp_path / "underflow.json", tmp_path / "out"
+        # r_1 w_1 = 1e-200 * 1e-200 is 0.0 in floats: its birth offset -log(r_1 w_1) is inf
+        save_model(single_letter_model(make_letter(
+            "u", [(1e-200, 0.0), (0.3, 0.35), (0.3, 0.7)], (1e-200, 0.5, 0.5))), model)
+        for command in (["validate"], ["exponent", "--out", out], ["compare", "--out", out],
+                        ["curve", "--depth", 2, "--out", out],
+                        ["branching", "--tmax", 4, "--out", out]):
+            with pytest.raises(SystemExit) as err:
+                run_cli([*command, "--model", model])
+            assert err.value.code == 2
+            assert "letter 'u' map 1: product" in capsys.readouterr().err
             assert not out.exists()
 
 
@@ -308,15 +332,6 @@ class TestBranching:
         assert json.loads(single.read_text())["meta"]["seed"] == "5"
         assert single.read_bytes() == ranged.read_bytes()
 
-    def test_mean_r_workers_match_serial(self, tf_model, tmp_path):
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        base = ["branching", "--model", tf_model, "--seeds", "0..63", "--tmax", 10,
-                "--stat", "mean-R", "--at-n", 20]
-        run_cli(base + ["--out", serial])
-        run_cli(base + ["--workers", 2, "--out", parallel])
-        assert serial.read_bytes() == parallel.read_bytes()
-
-
     def test_at_n_beyond_population_exit_2(self, tf_model, tmp_path, capsys):
         out = tmp_path / "stat.json"
         for at_n in (10_000, -1):
@@ -327,12 +342,11 @@ class TestBranching:
             assert "outside the population" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_workers_below_one_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):
+    def test_bad_tmax_or_z_points_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):
         from cantorstring import branching, cli
-        forbid(monkeypatch, branching, "simulate_population")
+        forbid_growth(monkeypatch, branching)
         out = tmp_path / "stat.json"
-        for flag, value in (("--workers", 0), ("--workers", -3), ("--tmax", -1),
-                            ("--tmax", "nan"), ("--tmax", "inf")):
+        for flag, value in (("--tmax", -1), ("--tmax", "nan"), ("--tmax", "inf")):
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
                          "--stat", "mean-R", "--at-n", 2, flag, value, "--out", out])
@@ -351,7 +365,7 @@ class TestBranching:
 
     def test_bad_seeds_exit_2(self, tf_model, tmp_path, capsys, monkeypatch):
         from cantorstring import branching
-        forbid(monkeypatch, branching, "simulate_population")
+        forbid_growth(monkeypatch, branching)
         for seeds in ("abc", "1..x", "..4", "5..2", "0..1000000"):
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--seeds", seeds, "--tmax", 4,
@@ -360,14 +374,12 @@ class TestBranching:
             assert repr(seeds) in capsys.readouterr().err
 
     def test_node_budget_exit_2(self, tf_model, tmp_path, monkeypatch, capsys):
-        # a --tmax 12 population has a few hundred nodes, so the same run
-        # fails fast, not with a 10-million-node tree, if a worker misses the patch
+        # a --tmax 12 population has a few hundred nodes
         from cantorstring import tree
         monkeypatch.setattr(tree, "MAX_NODES", 100)
         out = tmp_path / "out"
         for extra in (["--seed", 1, "--out", out, "--martingale-out", out],
-                      ["--seeds", "0..3", "--stat", "mean-R", "--out", out],
-                      ["--seeds", "0..3", "--stat", "mean-R", "--workers", 2, "--out", out]):
+                      ["--seeds", "0..3", "--stat", "mean-R", "--out", out]):
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--tmax", 12] + extra)
             assert err.value.code == 2
@@ -375,39 +387,27 @@ class TestBranching:
             assert "100 nodes" in message and "--tmax" in message
             assert not out.exists()
 
+    def test_forest_past_node_budget_regrown_seed_by_seed(self, tf_model, tmp_path,
+                                                           monkeypatch):
+        from cantorstring import branching, load_model, tree
+        model = load_model(tf_model)
+        base = ["branching", "--model", tf_model, "--seeds", "0..99", "--tmax", 10,
+                "--stat", "mean-R", "--at-n", 20]  # one forest of 100 seeds
+        whole, regrown = tmp_path / "whole.json", tmp_path / "regrown.json"
+        run_cli(base + ["--out", whole])
+        largest = max(branching.simulate_population(model, 10.0, seed).sigma.size
+                      for seed in range(100))
+        monkeypatch.setattr(tree, "MAX_NODES", largest)  # every seed fits, the forest does not
+        with pytest.raises(ValueError, match=f"{largest} nodes"):
+            branching.simulate_populations(model, 10.0, range(100))
+        run_cli(base + ["--out", regrown])
+        assert regrown.read_bytes() == whole.read_bytes()
+
     def test_event_output_needs_single_seed_exit_2(self, tf_model, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
                      "--out", tmp_path / "e.csv"])
         assert err.value.code == 2
-
-    def test_workers_capped_before_spawning(self, tf_model, tmp_path, monkeypatch):
-        import multiprocessing
-
-        requested = []
-
-        class RecordingPool:
-            # stands in for multiprocessing.Pool so no process is ever started
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        serial, capped = tmp_path / "s.json", tmp_path / "c.json"
-        base = ["branching", "--model", tf_model, "--seeds", "0..7", "--tmax", 4,
-                "--stat", "mean-R", "--at-n", 2]
-        run_cli(base + ["--out", serial])
-        run_cli(base + ["--workers", 10 ** 6, "--out", capped])
-        assert all(n <= (os.cpu_count() or 1) for n in requested)
-        assert serial.read_bytes() == capped.read_bytes()
 
 
 class TestCompare:

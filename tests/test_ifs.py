@@ -2,7 +2,8 @@
 
 Core claims:
     - the canonical middle-third letter is admissible as constructed
-    - bad weight sums, endpoint pins, and overlaps are all reported with indices
+    - bad weight sums, endpoint pins, overlaps and products r_i m_i that
+      underflow to 0 are all reported with indices
     - contraction products are r_i * m_i in map order and stay in (0, 1)
     - validation is pure: identical violation lists on repeated calls
     - JSON round trips preserve the model and its digest
@@ -47,6 +48,11 @@ class TestValidation:
 
     def test_touching_maps_allowed(self, lebesgue):
         assert validate_model(lebesgue) == []
+
+    def test_underflowing_product_rejected(self):
+        letter = make_letter("u", [(1e-200, 0.0), (0.3, 0.35), (0.3, 0.7)], (1e-200, 0.5, 0.5))
+        assert [p for p in validate_letter(letter, (0.0, 1.0)) if "underflows" in p] == [
+            "letter 'u' map 1: product 1e-200 * 1e-200 underflows to 0"]
 
     def test_single_map_rejected(self):
         letter = make_letter("solo", [(0.5, 0.0)], (1.0,))
