@@ -93,8 +93,7 @@ def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationR
 
 def _increments(run: PopulationRun, alpha: Optional[float], mothers: np.ndarray) -> List[float]:
     """R_(k+1) - R_k for each mother row; alpha defaults to gamma_r of the model."""
-    if alpha is None:
-        alpha = solve_recursive_exponent(run.model)
+    alpha = solve_recursive_exponent(run.model) if alpha is None else alpha
     first = run.first.tolist()
     # first[] increases, so the mothers and their children lie below first[max(mothers) + 1]
     e = list(map(math.exp, (-alpha * run.sigma[:first[mothers.max(initial=0) + 1]]).tolist()))
@@ -106,7 +105,8 @@ def martingale_R_by_root(run: PopulationRun, n: int,
     """R_n of each root, in seed order, None where n is outside 0..(its births)."""
     begin = np.flatnonzero(run.order < len(run.seeds))  # a root is born first, at sigma 0
     inside = (n >= 0) & (np.diff(begin, append=run.order.size) >= n)
-    steps = iter(_increments(run, alpha, run.order[begin[inside, None] + np.arange(n)].ravel()))
+    rows = begin[inside, None] + np.arange(n if inside.any() else 0)  # n <= some root's births
+    steps = iter(_increments(run, alpha, run.order[rows].ravel()))
     return [1.0 + math.fsum(islice(steps, n)) if ok else None for ok in inside.tolist()]
 
 

@@ -334,7 +334,7 @@ class TestBranching:
 
     def test_at_n_beyond_population_exit_2(self, tf_model, tmp_path, capsys):
         out = tmp_path / "stat.json"
-        for at_n in (10_000, -1):
+        for at_n in (10_000, 10**10, -1):
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--seeds", "0..3", "--tmax", 4,
                          "--stat", "mean-R", "--at-n", at_n, "--out", out])
