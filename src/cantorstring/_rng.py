@@ -6,12 +6,13 @@ Every address owns a splitmix64 state (Steele, Lea, Flood 2014): the
 root's is one round of the seed, child i's one round of its parent's state
 xor i * SALT, so callers derive it in O(1) from the parent's they carry.
 One more round gives the uniform in [0, 1) that draws the node's letter.
-A round runs on a uint64 array, in place on one copy, with uint64 constants and
-no masks (uint64 arithmetic wraps mod 2**64); ints go through it as 1-element arrays.
+States are uint64 arrays only: a round runs on one copy, in place, with uint64
+constants and no masks (uint64 arithmetic wraps mod 2**64), so every root of a
+seed list is derived in one round.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -34,16 +35,13 @@ def splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def root_state(seed: int) -> int:
-    """Hash state of the root address () for a seed."""
-    return int(splitmix64(np.array([seed & _MASK64], np.uint64))[0])
+def root_states(seeds: Iterable[int]) -> np.ndarray:
+    """Hash states of the root address () for each seed, in one round."""
+    return splitmix64(np.array([seed & _MASK64 for seed in seeds], np.uint64))
 
 
-def child_state(state, i):
-    """Hash state of child i of the node whose state is `state`: ints, or uint64
-    arrays elementwise."""
-    if isinstance(state, int):
-        return int(child_state(np.array([state], np.uint64), np.array([i], np.uint64))[0])
+def child_state(state: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Hash states of children i of the nodes whose states are `state`, elementwise."""
     return splitmix64(state ^ i * _CHILD_SALT)
 
 

@@ -15,20 +15,21 @@ born after time t to mothers born at or before t.
 The population up to t_max is the labelled tree of the same (model, seed),
 grown by the tree sampler (many seeds as one forest) with each node born by
 t_max expanded. Births are ordered by (sigma, preorder rank): lattice models have
-exact ties, which the address order breaks. `events` is built only when read.
+exact ties, which the address order breaks. `events` is built only when read, from
+`tree.node_addresses`; `martingale_R`, `martingale_trace` and `z_process` refuse forests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._rng import Address, root_state
+from ._rng import Address, root_states
 from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
 from .tree import _grow, format_address, node_addresses, node_ranks, write_table
@@ -39,7 +40,6 @@ class BirthEvent:
     address: Address
     sigma: float
     letter_id: str
-    child_offsets: Tuple[float, ...]
 
 
 class PopulationRun:
@@ -68,19 +68,17 @@ class PopulationRun:
 
     @cached_property
     def events(self) -> List[BirthEvent]:
-        addresses = list(node_addresses(self.generations))
+        addresses = list(chain.from_iterable(node_addresses(self.generations)))
         letters = np.concatenate([gen.letter for gen in self.generations]).tolist()
-        _, start, *_, tau, _ = self.model.tables
-        sigma, offsets = self.sigma.tolist(), [tuple(t.tolist()) for t in np.split(tau, start[1:])]
-        return [BirthEvent(addresses[f], sigma[f], self.model.letters[letters[f]].id,
-                           offsets[letters[f]]) for f in self.order.tolist()]
+        sigma, ids = self.sigma.tolist(), [letter.id for letter in self.model.letters]
+        return [BirthEvent(addresses[f], sigma[f], ids[letters[f]]) for f in self.order.tolist()]
 
 
 def simulate_populations(model: IfsModel, t_max: float, seeds: Sequence[int]) -> PopulationRun:
     """The seeds' populations as one forest, each root's nodes bit for bit its seed's alone."""
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    generations = _grow(model, [root_state(seed) for seed in seeds],
+    generations = _grow(model, root_states(seeds),
                         lambda k, length, sigma: sigma <= t_max, "use a smaller --tmax")
     return PopulationRun(model, seeds, t_max, generations)
 
@@ -110,8 +108,14 @@ def martingale_R_by_root(run: PopulationRun, n: int,
     return [1.0 + math.fsum(islice(steps, n)) if ok else None for ok in inside.tolist()]
 
 
+def _require_one_seed(run: PopulationRun) -> None:
+    if len(run.seeds) != 1:
+        raise ValueError(f"needs a one-seed run, got {len(run.seeds)} seeds")
+
+
 def martingale_R(run: PopulationRun, n: int, alpha: Optional[float] = None) -> float:
     """R_n over the first n individuals; alpha defaults to gamma_r of the model."""
+    _require_one_seed(run)
     if n < 0 or n > len(run):
         raise ValueError(f"n must be in 0..{len(run)}, got {n}")
     return martingale_R_by_root(run, n, alpha)[0]
@@ -119,11 +123,13 @@ def martingale_R(run: PopulationRun, n: int, alpha: Optional[float] = None) -> f
 
 def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[float]:
     """[R_0, R_1, ..., R_N] for the whole materialized one-seed population."""
+    _require_one_seed(run)
     return list(accumulate(_increments(run, alpha, run.order), initial=1.0))
 
 
 def z_process(run: PopulationRun, t: float) -> int:
-    """Individuals born after t to mothers born at or before t."""
+    """Individuals born after t to mothers born at or before t, in a one-seed run."""
+    _require_one_seed(run)
     if not 0 <= t <= run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
     parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of the non-roots

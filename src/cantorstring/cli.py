@@ -25,7 +25,7 @@ from .stieltjes import (StieltjesString, check_bracketing, counting_curve, depth
                         export_curve_csv)
 from .tree import StopRule, sample_tree
 
-MAX_SEEDS = 1_000_000  # longest --seeds range; its list is built before any work
+MAX_SEEDS = 1_000_000  # longest --seeds range (its list is built before any work) or --random
 MAX_POINTS = 10_000  # most --grid / --z-points points; a numpy sweep block is 256 rows x all
 FOREST_BIRTHS = 16_384  # mean-R seeds grow as forests of about this many births
 
@@ -154,8 +154,11 @@ def _mean_r(model: IfsModel, tmax: float, at_n: int, alpha: float,
         group = seeds[k:k + batch]
         try:
             runs = [br.simulate_populations(model, tmax, group)]
-        except ValueError:  # a forest past tree.MAX_NODES: each seed alone, or refused
-            runs = [br.simulate_population(model, tmax, seed) for seed in group]
+        except ValueError:  # past tree.MAX_NODES: a lone seed is refused
+            if len(group) == 1:
+                raise
+            runs = []  # regrown seed by seed below, once the refused forest is freed
+        runs = runs or [br.simulate_population(model, tmax, seed) for seed in group]
         values += [v for run in runs for v in br.martingale_R_by_root(run, at_n, alpha)]
     return values
 
@@ -200,8 +203,8 @@ def cmd_branching(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.random is not None and args.random < 1:
-        _fail(f"--random must be >= 1, got {args.random}")
+    if args.random is not None and not 1 <= args.random <= MAX_SEEDS:  # a seed range too
+        _fail(f"--random must be in 1..{MAX_SEEDS}, got {args.random}")
     if args.random:
         violations, worst_gap = 0, -math.inf
         tallies = {ex.EQUAL: 0, ex.STRICTLY_LESS: 0}

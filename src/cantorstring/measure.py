@@ -5,20 +5,21 @@ under the composed maps along its path, and its mass M is the product of
 the path's weights. The tree's generations hold R, C and M, so a measure
 is a slice of them: one generation, or every leaf in lexicographic
 (preorder) address order, or the root children's pieces, grown as one
-forest; `Cell` tuples are built only when read.
+forest. Addresses and `Cell` tuples are built only when read, each view by
+slicing or permuting the levels of `tree.node_addresses`.
 Atomization collapses every cell to a point mass at its midpoint; that
 discrete surrogate is what the string solver consumes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ._rng import Address, child_state, root_state
-from .tree import RandomTree, _grow, node_ranks
+from ._rng import Address, child_state, root_states
+from .tree import RandomTree, _grow, node_addresses, node_ranks
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,8 @@ def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
     """Cells of generation n: geometry S_ii([a, b]), mass = weight product."""
     _require_depth(tree, n)
     gen = tree.generations[n]
-    return _cells(tree, n, gen.ratio, gen.offset, gen.mass, lambda: tree.generation(n))
+    return _cells(tree, n, gen.ratio, gen.offset, gen.mass,
+                  lambda: node_addresses(tree.generations[:n + 1])[n])
 
 
 def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
@@ -84,17 +86,16 @@ def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
     k + 1 choosing which of its nodes expand, split by following `first` down (each
     slice bit for bit the child alone)."""
     _require_depth(tree, n, least=1)
-    gens, root = tree.generations, root_state(tree.seed)  # every tree is sampled from its seed
-    forest = _grow(tree.model, [child_state(root, i) for i in range(1, gens[0].first[1] + 1)],
-                   lambda k, length, _: (gens[k + 1].expanded if k < n - 1
-                                         else np.zeros(length.size, bool)))
+    gens, root = tree.generations, root_states([tree.seed])  # every tree is sampled from its seed
+    kids = child_state(root, np.arange(1, gens[0].first[1] + 1, dtype=np.uint64))
+    forest = _grow(tree.model, kids, lambda k, length, _: (gens[k + 1].expanded if k < n - 1
+                                                           else np.zeros(length.size, bool)))
     bounds = np.arange(forest[0].letter.size + 1)  # each root's slice of the generation
     for gen in forest[:n - 1]:
         bounds = gen.first[bounds]
-    gen = forest[n - 1]
+    gen, level = forest[n - 1], cache(lambda: node_addresses(forest)[n - 1])
     return [_cells(tree, n - 1, gen.ratio[lo:hi], gen.offset[lo:hi], gen.mass[lo:hi],
-                   lambda i=i: [a[1:] for a in tree.generation(n) if a[0] == i])
-            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1)]
+                   lambda lo=lo, hi=hi: level()[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def leaf_cells(tree: RandomTree) -> MeasureApprox:
@@ -103,9 +104,11 @@ def leaf_cells(tree: RandomTree) -> MeasureApprox:
     order = np.argsort(np.concatenate([r[~g.expanded] for g, r in zip(gens, node_ranks(gens))]))
     ratio, offset, mass = (np.concatenate([getattr(gen, k)[~gen.expanded] for gen in gens])[order]
                            for k in ("ratio", "offset", "mass"))
-    expanded = np.concatenate([gen.expanded for gen in gens]).tolist()
-    return _cells(tree, None, ratio, offset, mass,
-                  lambda: sorted(x for x, e in zip(tree.addresses(), expanded) if not e))
+    def addresses() -> List[Address]:
+        leaves = [a for gen, level in zip(gens, node_addresses(gens))
+                  for a, e in zip(level, gen.expanded.tolist()) if not e]
+        return [leaves[k] for k in order.tolist()]
+    return _cells(tree, None, ratio, offset, mass, addresses)
 
 
 class CollapsedCells(ValueError):

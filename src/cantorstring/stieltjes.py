@@ -151,10 +151,6 @@ class StieltjesString:
         pos = a + (b - a) * (2 * np.arange(1, n + 1) - 1) / (2 * n)
         return cls(interval, pos, np.full(n, total_mass / n))
 
-    def pencil(self, boundary: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(diagonal of K, off-diagonal of K) for the boundary; the diagonal is read-only."""
-        return self._diags[_boundary_index(boundary)], -(1.0 / self.links[1:-1])
-
 
 @dataclass(frozen=True)
 class CountingSample:
@@ -213,11 +209,9 @@ def _compiled_sweep(kernel, string: StieltjesString, shifts: np.ndarray) -> np.n
     return counts
 
 
-def _block_sweep(string: StieltjesString, shifts: np.ndarray,
-                 boundaries: Sequence[str]) -> np.ndarray:
-    """(len(boundaries), len(shifts)) pivot counts, _CHUNK_ROWS rows at a time, all columns at once."""
-    diags = string._diags[[_BOUNDARIES.index(boundary) for boundary in boundaries]]
-    b2, pivmin = string._b2, string._pivmin
+def _block_sweep(string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
+    """(2, len(shifts)) pivot counts, _CHUNK_ROWS rows at a time, all columns at once."""
+    diags, b2, pivmin = string._diags, string._b2, string._pivmin
     groups, n = diags.shape
     width = groups * shifts.size
     height = min(n, _CHUNK_ROWS)
@@ -264,7 +258,7 @@ def _counts(string: StieltjesString, xs: Sequence[float]) -> np.ndarray:
     shifts = xs * TIE_SHIFT
     kernel = _kernel()
     if kernel is None:
-        counts = _block_sweep(string, shifts, _BOUNDARIES)
+        counts = _block_sweep(string, shifts)
     else:
         counts = _compiled_sweep(kernel, string, shifts)
     # the constant vector is an exact null vector of K_N, so the zero eigenvalue
@@ -333,7 +327,7 @@ def dense_eigenvalues(string: StieltjesString, boundary: str) -> np.ndarray:
     """
     if boundary not in string._dense:
         from scipy.linalg import eigvalsh_tridiagonal
-        diag, off = string.pencil(boundary)
+        diag, off = string._diags[_boundary_index(boundary)], -(1.0 / string.links[1:-1])
         m = string.masses
         s = 1.0 / np.sqrt(m)
         values = eigvalsh_tridiagonal(diag / m, off * s[:-1] * s[1:])  # n = 1: exactly diag / m
@@ -378,7 +372,7 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
         raise ValueError("spectral parameter x must be >= 0")
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:
-        root = tree.letter_at(())
+        root = tree.model.letters[tree.generations[0].letter[0]]
         memo[n] = [(s.ratio * w, StieltjesString.from_measure(atomize(cells)))
                    for s, w, cells in zip(root.maps, root.weights, piece_cells(tree, n))]
     whole_d, whole_n = _pair(depth_string(tree, n), x)

@@ -7,19 +7,21 @@ are immutable afterwards. A tree is one `Generation` of arrays per depth,
 in lexicographic address order, each drawn from the one above: child i
 gets hash state child_state(state, i), the letter that state draws, the
 composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
-sigma' = sigma - log(r_i w_i), all read from model.tables; the states live only
-while `_grow` runs, which also grows forests of roots side by side, each root's
-rows bit for bit those of growing it alone. `node_ranks` gives preorder ranks.
+sigma' = sigma - log(r_i w_i), all read from model.tables; the uint64 states live
+only while `_grow` runs, which also grows forests of roots side by side, each root's
+rows bit for bit those of growing it alone. `node_ranks` gives preorder ranks, and
+`node_addresses` each generation's addresses, which every address view slices or permutes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
-from ._rng import Address, child_state, letter_draw, root_state
+from ._rng import Address, child_state, letter_draw, root_states
 from .ifs import IfsModel, Letter, model_digest
 
 MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated
@@ -65,14 +67,13 @@ class Generation:
             array.flags.writeable = False
 
 
-def _grow(model: IfsModel, states: Sequence[int], expand: Callable[..., np.ndarray],
+def _grow(model: IfsModel, states: np.ndarray, expand: Callable[..., np.ndarray],
           remedy: str = "use a larger epsilon or a smaller depth") -> List[Generation]:
-    """Generations below roots with these hash states, each root's nodes contiguous;
+    """Generations below roots with these uint64 hash states, each root's nodes contiguous;
     expand(k, length, sigma) marks which nodes of generation k, with these cell lengths
     and birth times, have children. Raises ValueError on an invalid model (model.tables
     validates it) and, ending in `remedy`, past MAX_NODES."""
     n_maps, start, r_i, c_i, w_i, tau, cum = model.tables
-    states = np.array(states, dtype=np.uint64)
     n = nodes = states.size
     ratio, offset, mass, sigma = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
     length = np.full(n, model.interval[1] - model.interval[0])
@@ -115,13 +116,13 @@ def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:
     return ranks
 
 
-def node_addresses(generations: Sequence[Generation]) -> Iterator[Address]:
-    """Every address, generation by generation, each in lexicographic order (per root)."""
-    level: List[Address] = [()] * generations[0].letter.size
-    for gen in generations:
-        yield from level
+def node_addresses(generations: Sequence[Generation]) -> List[List[Address]]:
+    """Each generation's addresses, in lexicographic order per root; every root is ()."""
+    levels: List[List[Address]] = [[()] * generations[0].letter.size]
+    for gen in generations[:-1]:
         counts = np.diff(gen.first).tolist()
-        level = [a + (i,) for a, c in zip(level, counts) for i in range(1, c + 1)]
+        levels.append([a + (i,) for a, c in zip(levels[-1], counts) for i in range(1, c + 1)])
+    return levels
 
 
 @dataclass(eq=False, repr=False)
@@ -143,13 +144,7 @@ class RandomTree:
         return sum(gen.letter.size for gen in self.generations)
 
     def addresses(self) -> Iterator[Address]:
-        return node_addresses(self.generations)
-
-    def generation(self, n: int) -> List[Address]:
-        """All addresses of length n, lexicographically sorted."""
-        if n < 0:
-            raise ValueError(f"generation index must be >= 0, got {n}")
-        return [a for a in self.addresses() if len(a) == n]
+        return chain.from_iterable(node_addresses(self.generations))
 
     def label_index(self, address: Address) -> int:
         j = 0
@@ -163,11 +158,6 @@ class RandomTree:
     def letter_at(self, address: Address) -> Letter:
         return self.model.letters[self.label_index(address)]
 
-    def __eq__(self, other) -> bool:
-        def labels(tree):
-            return tree.model, [(g.letter.tolist(), g.first.tolist()) for g in tree.generations]
-        return isinstance(other, RandomTree) and labels(self) == labels(other)
-
 
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic.
@@ -177,7 +167,7 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
             return np.full(length.size, k < stop.value)
         return length >= stop.value
 
-    return RandomTree(model, seed, stop, _grow(model, [root_state(seed)], expand))
+    return RandomTree(model, seed, stop, _grow(model, root_states([seed]), expand))
 
 
 def format_address(address: Address) -> str:

@@ -15,7 +15,8 @@ Core claims:
     - events, martingale traces and z values keep the bits recorded from
       the heap sampler, exact sigma ties across generations included, and
       the array forms of R_n and z_t equal loops over the events
-    - seeds grown as one forest keep each seed's R_n bits, lattice ties included
+    - seeds grown as one forest keep each seed's R_n bits, lattice ties included;
+      the one-seed statistics (R_n, the trace, z_t) refuse a forest
 """
 import functools
 import hashlib
@@ -26,6 +27,7 @@ import pytest
 
 from cantorstring import (
     IfsModel,
+    contraction_products,
     make_letter,
     martingale_R,
     martingale_trace,
@@ -45,13 +47,19 @@ from cantorstring.tree import StopRule
 LN6 = math.log(6.0)
 
 
+def child_offsets(model):
+    """Letter id -> the birth-time offsets -log(r_i m_i) of its children, in map order."""
+    return {letter.id: [-math.log(q) for q in contraction_products(letter)]
+            for letter in model.letters}
+
+
 class TestSimulation:
     def test_horizon_zero(self, third_fifth):
         run = simulate_population(third_fifth, 0.0, 3)
         assert len(run) == 1
         (event,) = run.events
         assert event.address == () and event.sigma == 0.0
-        assert all(tau > 0 for tau in event.child_offsets)
+        assert all(tau > 0 for tau in child_offsets(third_fifth)[event.letter_id])
 
     def test_negative_horizon_rejected(self, third_fifth):
         for t_max in (-1.0, math.nan):
@@ -94,13 +102,14 @@ class TestSimulation:
         run = simulate_population(third_fifth, 7.0, seed)
         tree = sample_tree(third_fifth, StopRule.depth(6), seed)
         events = {event.address: event for event in run.events}
+        offsets = child_offsets(third_fifth)
         present = set(tree.addresses())
         for address, event in events.items():
             if address in present:
                 assert event.letter_id == tree.letter_at(address).id
             if address:
                 mother = events[address[:-1]]
-                tau = mother.child_offsets[address[-1] - 1]
+                tau = offsets[mother.letter_id][address[-1] - 1]
                 assert event.sigma == pytest.approx(mother.sigma + tau, abs=1e-12)
 
     def test_node_budget(self, third_fifth, monkeypatch):
@@ -205,7 +214,7 @@ class TestZProcess:
     def test_t_zero_counts_root_children(self, third_fifth):
         for seed in range(10):
             run = simulate_population(third_fifth, 0.0, seed)
-            assert z_process(run, 0.0) == len(run.events[0].child_offsets)
+            assert z_process(run, 0.0) == len(child_offsets(third_fifth)[run.events[0].letter_id])
 
     def test_middle_third_hand_count(self, middle_third):
         # at t = 1.5 ln6 generations 0 and 1 are born; only the four
@@ -265,11 +274,12 @@ def test_arrays_match_event_loops(k):
     model = random_model(k)
     gamma = solve_recursive_exponent(model)
     run = simulate_population(model, 6.0, k)
+    offsets = child_offsets(model)
     keys = [(e.sigma, e.address) for e in run.events]
     assert keys == sorted(keys) and len(run.events) == len(run)
     trace, acc, steps = [1.0], 1.0, []
     for e in run.events:
-        steps.append(math.fsum(math.exp(-gamma * (e.sigma + tau)) for tau in e.child_offsets)
+        steps.append(math.fsum(math.exp(-gamma * (e.sigma + tau)) for tau in offsets[e.letter_id])
                      - math.exp(-gamma * e.sigma))
         acc += steps[-1]
         trace.append(acc)
@@ -278,7 +288,7 @@ def test_arrays_match_event_loops(k):
             == [1.0 + math.fsum(steps[:n]) for n in range(len(run) + 1)])
     for t in np.linspace(0.0, 6.0, 13).tolist():
         assert z_process(run, t) == sum(e.sigma <= t < e.sigma + tau
-                                        for e in run.events for tau in e.child_offsets)
+                                        for e in run.events for tau in offsets[e.letter_id])
 
 
 def tie_model():
@@ -350,6 +360,21 @@ def test_forest_events_are_the_one_seed_events(third_fifth):
     forest = simulate_populations(third_fifth, 6.0, [3, 4, 5])
     assert forest.events == [e for seed in (3, 4, 5)
                              for e in simulate_population(third_fifth, 6.0, seed).events]
+
+
+def test_one_seed_statistics_refuse_forests(third_fifth):
+    from cantorstring.branching import martingale_R_by_root, simulate_populations
+    forest = simulate_populations(third_fifth, 6.0, [3, 4, 5])
+    births = [len(simulate_population(third_fifth, 6.0, seed)) for seed in (3, 4, 5)]
+    assert births[0] < len(forest)  # n between root 0's births and the forest's: was None
+    for n in (0, births[0] + 1, len(forest)):
+        with pytest.raises(ValueError, match="one-seed"):
+            martingale_R(forest, n)
+    with pytest.raises(ValueError, match="one-seed"):
+        martingale_trace(forest)
+    with pytest.raises(ValueError, match="one-seed"):
+        z_process(forest, 1.0)
+    assert martingale_R_by_root(forest, births[0] + 1)[0] is None  # the per-root form
 
 
 @functools.lru_cache(maxsize=None)

@@ -375,17 +375,22 @@ class TestBranching:
 
     def test_node_budget_exit_2(self, tf_model, tmp_path, monkeypatch, capsys):
         # a --tmax 12 population has a few hundred nodes
-        from cantorstring import tree
+        from cantorstring import branching, tree
         monkeypatch.setattr(tree, "MAX_NODES", 100)
+        real, grown = branching._grow, []
+        monkeypatch.setattr(branching, "_grow", lambda *args: grown.append(1) or real(*args))
         out = tmp_path / "out"
-        for extra in (["--seed", 1, "--out", out, "--martingale-out", out],
-                      ["--seeds", "0..3", "--stat", "mean-R", "--out", out]):
+        for extra, growths in ((["--seed", 1, "--out", out, "--martingale-out", out], 1),
+                               (["--seeds", "0..3", "--stat", "mean-R", "--out", out], 2),
+                               (["--seed", 1, "--stat", "mean-R", "--out", out], 1)):
+            grown.clear()
             with pytest.raises(SystemExit) as err:
                 run_cli(["branching", "--model", tf_model, "--tmax", 12] + extra)
             assert err.value.code == 2
             message = capsys.readouterr().err
             assert "100 nodes" in message and "--tmax" in message
             assert not out.exists()
+            assert len(grown) == growths  # a refused one-seed group is not grown again
 
     def test_forest_past_node_budget_regrown_seed_by_seed(self, tf_model, tmp_path,
                                                            monkeypatch):
@@ -426,9 +431,11 @@ class TestCompare:
         assert payload["equal"] + payload["strictly_less"] == 30
         assert payload["worst_gap"] <= 1e-12
 
-    def test_needs_model_or_random(self, tmp_path):
+    def test_needs_model_or_random(self, tmp_path, monkeypatch):
+        from cantorstring import cli
+        monkeypatch.setattr(cli, "random_model", None)  # refused before any model is built
         out = tmp_path / "batch.json"
-        for extra in ([], ["--random", -3], ["--random", 0]):
+        for extra in ([], ["--random", -3], ["--random", 0], ["--random", cli.MAX_SEEDS + 1]):
             with pytest.raises(SystemExit) as err:
                 run_cli(["compare", *extra, "--out", out])
             assert err.value.code == 2

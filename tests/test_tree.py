@@ -9,6 +9,8 @@ Core claims:
     - |I_{n+1}| equals the sum of child counts over generation n
     - a forest of roots grows each root's rows as growing it alone would,
       and label lookups of absent addresses raise KeyError
+    - every address view (generations, root-child pieces, leaves, forests and
+      their birth events) equals its reference definition over a preorder walk
     - resolution stop expands exactly the cells no shorter than epsilon
     - a tree past MAX_NODES is refused; an invalid model is refused, also
       after an equal model with a looser tol was sampled
@@ -22,18 +24,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cantorstring import (IfsModel, middle_third_letter, random_model, sample_tree,
-                          simulate_population, single_letter_model, third_fifth_model,
-                          tree as tree_module)
-from cantorstring._rng import child_state, root_state, splitmix64
+from cantorstring import (IfsModel, build_cells, leaf_cells, middle_third_letter, random_model,
+                          sample_tree, simulate_population, single_letter_model,
+                          third_fifth_model, tree as tree_module)
+from cantorstring._rng import child_state, root_states, splitmix64
+from cantorstring.branching import simulate_populations
 from cantorstring.ifs import model_from_dict, model_to_dict
-from cantorstring.tree import StopRule, dump_tree, format_address
+from cantorstring.measure import piece_cells
+from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses
+
+ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "first")
+
+
+def generation_bytes(tree):
+    """Every array of every generation, as bytes: equal exactly when the trees are."""
+    return [getattr(gen, name).tobytes() for gen in tree.generations for name in ARRAYS]
 
 
 class TestStopRules:
     def test_depth_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(0), 5)
-        assert len(tree) == 1 and tree.generation(0) == [()]
+        assert len(tree) == 1 and node_addresses(tree.generations) == [[()]]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -59,9 +70,10 @@ class TestStopRules:
                 value *= letter.maps[addr[k] - 1].ratio
             return value
 
+        levels = node_addresses(tree.generations) + [[]]
         for n in range(len(tree.generations)):
-            parents = {addr[:-1] for addr in tree.generation(n + 1)}
-            for addr in tree.generation(n):
+            parents = {addr[:-1] for addr in levels[n + 1]}
+            for addr in levels[n]:
                 if addr in parents:
                     assert length(addr) >= eps
                 else:
@@ -71,18 +83,18 @@ class TestStopRules:
 class TestSampling:
     def test_single_letter_complete_tree(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(2), 9)
-        assert [len(tree.generation(n)) for n in range(3)] == [1, 2, 4]
+        assert [len(level) for level in node_addresses(tree.generations)] == [1, 2, 4]
         assert all(tree.letter_at(a).id == "third" for a in tree.addresses())
 
     def test_replay_determinism(self, third_fifth):
         t1 = sample_tree(third_fifth, StopRule.depth(6), 123)
         t2 = sample_tree(third_fifth, StopRule.depth(6), 123)
-        assert t1 == t2
+        assert generation_bytes(t1) == generation_bytes(t2)
 
     def test_seeds_differ(self, third_fifth):
         t1 = sample_tree(third_fifth, StopRule.depth(10), 1)
         t2 = sample_tree(third_fifth, StopRule.depth(10), 2)
-        assert t1 != t2
+        assert generation_bytes(t1) != generation_bytes(t2)
 
     def test_root_label_frequency(self, third_fifth):
         n = 10_000
@@ -142,26 +154,28 @@ class TestSampling:
 class TestGenerations:
     def test_generation_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 4)
-        assert tree.generation(0) == [()]
+        assert node_addresses(tree.generations)[0] == [()]
 
     def test_single_letter_counts(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(3), 0)
-        assert len(tree.generation(3)) == 8
+        assert len(node_addresses(tree.generations)[3]) == 8
 
     def test_growth_identity(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(5), 11)
+        levels = node_addresses(tree.generations)
         for n in range(5):
-            expected = sum(tree.letter_at(a).n_maps for a in tree.generation(n))
-            assert len(tree.generation(n + 1)) == expected
+            expected = sum(tree.letter_at(a).n_maps for a in levels[n])
+            assert len(levels[n + 1]) == expected
 
     def test_beyond_depth_is_empty(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 4)
-        assert tree.generation(5) == []
+        assert len(node_addresses(tree.generations)) == 3
+        assert max(len(a) for a in tree.addresses()) == 2
 
     def test_lexicographic_order(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(3), 4)
-        gen = tree.generation(3)
-        assert gen == sorted(gen)
+        for gen, level in zip(tree.generations, node_addresses(tree.generations)):
+            assert level == sorted(level) and len(level) == gen.letter.size
 
 
 class TestForest:
@@ -169,12 +183,12 @@ class TestForest:
         # each root's slice of every generation equals its own one-root growth
         def grow(states):
             return tree_module._grow(third_fifth, states, lambda k, length, sigma: length >= 0.01)
-        states = [root_state(seed) for seed in (3, 4, 5)]
+        states = root_states([3, 4, 5])
         forest = grow(states)
-        for k, state in enumerate(states):
+        for k in range(states.size):
             lo, hi = k, k + 1
-            for gen, alone in zip(forest, grow([state])):
-                for name in ("letter", "ratio", "offset", "mass", "sigma", "expanded"):
+            for gen, alone in zip(forest, grow(states[k:k + 1])):
+                for name in ARRAYS[:-1]:
                     assert getattr(gen, name)[lo:hi].tobytes() == getattr(alone, name).tobytes()
                 assert (gen.first[lo:hi + 1] - gen.first[lo]).tolist() == alone.first.tolist()
                 lo, hi = gen.first[lo], gen.first[hi]
@@ -183,6 +197,63 @@ class TestForest:
         tree = sample_tree(third_fifth, StopRule.depth(1), 8)
         with pytest.raises(KeyError):
             tree.label_index((9, 9))
+
+
+def preorder(generations, k=0, j=0, prefix=()):
+    """(address, expanded) of node j of generation k and every node below it, in
+    preorder (lexicographic order), by recursion over `first` alone."""
+    gen = generations[k]
+    yield prefix, bool(gen.expanded[j])
+    for i, child in enumerate(range(gen.first[j], gen.first[j + 1]), start=1):
+        yield from preorder(generations, k + 1, child, prefix + (i,))
+
+
+VIEW_MODELS = {"third-fifth": third_fifth_model,
+               "middle-third": lambda: single_letter_model(middle_third_letter()),
+               "random-1": lambda: random_model(1), "random-6": lambda: random_model(6)}
+VIEW_STOPS = [StopRule.depth(3), StopRule.depth(5), StopRule.resolution(0.02),
+              StopRule.resolution(2e-3)]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("stop", VIEW_STOPS, ids=StopRule.describe)
+@pytest.mark.parametrize("name", VIEW_MODELS)
+def test_address_views_match_reference(name, stop, seed):
+    """Every address view is a slice, permutation or chain of `node_addresses`, and
+    equals its reference definition over a preorder walk of the tree: a generation is
+    the walk filtered by length, root child i's piece the walk filtered by length and
+    first index with that index stripped, the leaves the sorted unexpanded nodes."""
+    tree = sample_tree(VIEW_MODELS[name](), stop, seed)
+    gens, walk = tree.generations, list(preorder(tree.generations))
+    everything = [a for a, _ in walk]
+    levels = node_addresses(gens)
+    assert [len(level) for level in levels] == [gen.letter.size for gen in gens]
+    for n, level in enumerate(levels):
+        assert level == [a for a in everything if len(a) == n]
+    assert list(tree.addresses()) == [a for level in levels for a in level]
+    complete = [n for n in range(len(gens)) if all(gen.expanded.all() for gen in gens[:n])]
+    for n in complete:
+        assert [c.address for c in build_cells(tree, n).cells] == levels[n]
+    for n in complete[1:]:
+        pieces = piece_cells(tree, n)
+        assert [[c.address for c in piece.cells] for piece in pieces] == [
+            [a[1:] for a in everything if len(a) == n and a[0] == i]
+            for i in range(1, len(pieces) + 1)]
+    assert [c.address for c in leaf_cells(tree).cells] == sorted(a for a, e in walk if not e)
+
+
+@pytest.mark.parametrize("seeds", [[3, 4, 5], [0, 1, 2, 3, 4, 5, 6, 7]])
+@pytest.mark.parametrize("name", ["third-fifth", "middle-third", "random-6"])
+def test_forest_addresses_match_reference(name, seeds):
+    """A forest's generations are its roots' generations side by side, each root (), and
+    its birth events carry the walk's address of each born node."""
+    run = simulate_populations(VIEW_MODELS[name](), 6.0, seeds)
+    walks = [list(preorder(run.generations, 0, root)) for root in range(len(seeds))]
+    levels = node_addresses(run.generations)
+    for n, level in enumerate(levels):
+        assert level == [a for walk in walks for a, _ in walk if len(a) == n]
+    flat = [a for level in levels for a in level]  # node numbering: generation by generation
+    assert [e.address for e in run.events] == [flat[f] for f in run.order.tolist()]
 
 
 def masked_round(z: int) -> int:
@@ -200,11 +271,11 @@ class TestHashAndTables:
     def test_array_round_equals_int_round(self):
         mask = (1 << 64) - 1
         roots = [masked_round(s & mask) for s in self.SEEDS]
-        assert [root_state(s) for s in self.SEEDS] == roots
+        assert root_states(self.SEEDS).tolist() == roots
+        assert [root_states([s]).tolist() for s in self.SEEDS] == [[r] for r in roots]
         assert splitmix64(np.array([s & mask for s in self.SEEDS], np.uint64)).tolist() == roots
         for i in (1, 2, 5):
             kids = [masked_round(r ^ ((i * 0xD1B54A32D192ED03) & mask)) for r in roots]
-            assert [child_state(r, i) for r in roots] == kids
             assert child_state(np.array(roots, np.uint64),
                                np.full(len(roots), i, np.uint64)).tolist() == kids
 
@@ -218,11 +289,7 @@ class TestHashAndTables:
         for seed, trees in enumerate(grown):
             for model, tree in zip(models, trees):
                 alone = sample_tree(model_from_dict(model_to_dict(model)), stop, seed)
-                assert len(tree.generations) == len(alone.generations)
-                for gen, ref in zip(tree.generations, alone.generations):
-                    for name in ("letter", "ratio", "offset", "mass", "sigma", "expanded",
-                                 "first"):
-                        assert getattr(gen, name).tobytes() == getattr(ref, name).tobytes()
+                assert generation_bytes(tree) == generation_bytes(alone)
 
     def test_tables_read_only(self, third_fifth):
         for array in third_fifth.tables:
