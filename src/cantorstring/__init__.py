@@ -62,7 +62,6 @@ from .exponent import (
 from .branching import (
     BirthEvent,
     PopulationRun,
-    martingale_R,
     martingale_trace,
     simulate_population,
     z_process,

@@ -13,10 +13,11 @@ and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
 The population up to t_max is the labelled tree of the same (model, seed),
-grown by the tree sampler (many seeds as one forest) with each node born by
-t_max expanded. Births are ordered by (sigma, preorder rank): lattice models have
-exact ties, which the address order breaks. `events` is built only when read, from
-`tree.node_addresses`; `martingale_R`, `martingale_trace` and `z_process` refuse forests.
+grown by the tree sampler with each node born by t_max expanded; `forests` grows many
+seeds as forests of about FOREST_BIRTHS births, read per root by `martingale_R_by_root`
+and `martingale_traces`. Births are ordered by (sigma, preorder rank): lattice models
+have exact ties, which the address order breaks. `events` is built only when read,
+from `tree.node_addresses`; `martingale_trace` and `z_process` refuse forests.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from ._rng import Address, root_states
 from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
 from .tree import _grow, format_address, node_addresses, node_ranks, write_table
+
+FOREST_BIRTHS = 16_384  # seeds grow as forests of about this many expected births
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class PopulationRun:
 
     Nodes are numbered generation by generation, roots first: `sigma` holds their birth
     times, node f's children are first[f]:first[f + 1], and `order`, sorted when first
-    read, lists the born nodes root by root, each root's in birth order.
+    read, lists the born nodes root by root from `starts`, each root's in birth order.
     """
 
     def __init__(self, model: IfsModel, seeds: Sequence[int], t_max: float, generations: list):
@@ -65,6 +68,10 @@ class PopulationRun:
         rank = np.concatenate(node_ranks(self.generations))  # roots: nodes 0, 1, ...
         root = rank[:len(self.seeds)].searchsorted(rank[born], "right") - 1  # preorder
         return born[np.lexsort((rank[born], self.sigma[born], root))]
+
+    @cached_property
+    def starts(self) -> np.ndarray:  # a root is born first, at sigma 0
+        return np.flatnonzero(self.order < len(self.seeds))
 
     @cached_property
     def events(self) -> List[BirthEvent]:
@@ -89,6 +96,23 @@ def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationR
     return simulate_populations(model, t_max, [seed])
 
 
+def forests(model: IfsModel, t_max: float, seeds: Sequence[int],
+            alpha: float) -> Iterator[PopulationRun]:
+    """The seeds' populations, in seed order, as forests of about FOREST_BIRTHS births
+    (a seed expects ~e^(alpha t_max)). A refused lone seed raises ValueError; a forest
+    past tree.MAX_NODES is regrown seed by seed once its arrays are freed."""
+    batch = max(1, int(FOREST_BIRTHS * math.exp(-alpha * t_max)))
+    for k in range(0, len(seeds), batch):
+        group = seeds[k:k + batch]
+        try:
+            runs = [simulate_populations(model, t_max, group)]
+        except ValueError:
+            if len(group) == 1:
+                raise
+            runs = []  # regrown below, once the refused forest is out of the traceback
+        yield from runs or (simulate_population(model, t_max, seed) for seed in group)
+
+
 def _increments(run: PopulationRun, alpha: Optional[float], mothers: np.ndarray) -> List[float]:
     """R_(k+1) - R_k for each mother row; alpha defaults to gamma_r of the model."""
     alpha = solve_recursive_exponent(run.model) if alpha is None else alpha
@@ -101,11 +125,17 @@ def _increments(run: PopulationRun, alpha: Optional[float], mothers: np.ndarray)
 def martingale_R_by_root(run: PopulationRun, n: int,
                          alpha: Optional[float] = None) -> List[Optional[float]]:
     """R_n of each root, in seed order, None where n is outside 0..(its births)."""
-    begin = np.flatnonzero(run.order < len(run.seeds))  # a root is born first, at sigma 0
-    inside = (n >= 0) & (np.diff(begin, append=run.order.size) >= n)
-    rows = begin[inside, None] + np.arange(n if inside.any() else 0)  # n <= some root's births
+    inside = (n >= 0) & (np.diff(run.starts, append=run.order.size) >= n)
+    rows = run.starts[inside, None] + np.arange(n if inside.any() else 0)  # n <= some births
     steps = iter(_increments(run, alpha, run.order[rows].ravel()))
     return [1.0 + math.fsum(islice(steps, n)) if ok else None for ok in inside.tolist()]
+
+
+def martingale_traces(run: PopulationRun, alpha: Optional[float] = None) -> List[List[float]]:
+    """[R_0, R_1, ..., R_N] of each root, in seed order, accumulated in birth order."""
+    steps = _increments(run, alpha, run.order)
+    bounds = run.starts.tolist() + [len(steps)]
+    return [list(accumulate(steps[b:e], initial=1.0)) for b, e in zip(bounds, bounds[1:])]
 
 
 def _require_one_seed(run: PopulationRun) -> None:
@@ -113,18 +143,10 @@ def _require_one_seed(run: PopulationRun) -> None:
         raise ValueError(f"needs a one-seed run, got {len(run.seeds)} seeds")
 
 
-def martingale_R(run: PopulationRun, n: int, alpha: Optional[float] = None) -> float:
-    """R_n over the first n individuals; alpha defaults to gamma_r of the model."""
-    _require_one_seed(run)
-    if n < 0 or n > len(run):
-        raise ValueError(f"n must be in 0..{len(run)}, got {n}")
-    return martingale_R_by_root(run, n, alpha)[0]
-
-
 def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[float]:
     """[R_0, R_1, ..., R_N] for the whole materialized one-seed population."""
     _require_one_seed(run)
-    return list(accumulate(_increments(run, alpha, run.order), initial=1.0))
+    return martingale_traces(run, alpha)[0]
 
 
 def z_process(run: PopulationRun, t: float) -> int:
@@ -153,7 +175,6 @@ def export_martingale_csv(run: PopulationRun, path: str | Path,
 
 def export_z_csv(run: PopulationRun, ts: Sequence[float], gamma: float,
                  path: str | Path, header: str = "") -> None:
-    ts = [float(t) for t in ts]
     zs = [z_process(run, t) for t in ts]
     write_table(path, header, ("t", "z_t", "scaled"),
                 ((t, z, math.exp(-gamma * t) * z) for t, z in zip(ts, zs)))

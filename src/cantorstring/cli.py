@@ -27,7 +27,6 @@ from .tree import StopRule, sample_tree
 
 MAX_SEEDS = 1_000_000  # longest --seeds range (its list is built before any work) or --random
 MAX_POINTS = 10_000  # most --grid / --z-points points; a numpy sweep block is 256 rows x all
-FOREST_BIRTHS = 16_384  # mean-R seeds grow as forests of about this many births
 
 
 def _header(model: IfsModel, seed) -> str:
@@ -146,23 +145,6 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _mean_r(model: IfsModel, tmax: float, at_n: int, alpha: float,
-            seeds: Sequence[int]) -> List[Optional[float]]:
-    values: List[Optional[float]] = []
-    batch = max(1, int(FOREST_BIRTHS * math.exp(-alpha * tmax)))  # a seed expects ~e^(alpha tmax)
-    for k in range(0, len(seeds), batch):
-        group = seeds[k:k + batch]
-        try:
-            runs = [br.simulate_populations(model, tmax, group)]
-        except ValueError:  # past tree.MAX_NODES: a lone seed is refused
-            if len(group) == 1:
-                raise
-            runs = []  # regrown seed by seed below, once the refused forest is freed
-        runs = runs or [br.simulate_population(model, tmax, seed) for seed in group]
-        values += [v for run in runs for v in br.martingale_R_by_root(run, at_n, alpha)]
-    return values
-
-
 def cmd_branching(args) -> int:
     model = _load_model_or_exit(args.model)
     if not 0.0 <= args.tmax < math.inf:
@@ -175,7 +157,8 @@ def cmd_branching(args) -> int:
     alpha = ex.solve_recursive_exponent(model)
     try:  # a population past tree.MAX_NODES
         if args.stat == "mean-R":
-            values = _mean_r(model, args.tmax, args.at_n, alpha, seeds)
+            values = [v for run in br.forests(model, args.tmax, seeds, alpha)
+                      for v in br.martingale_R_by_root(run, args.at_n, alpha)]
         else:
             run = br.simulate_population(model, args.tmax, seeds[0])
     except ValueError as err:
@@ -197,8 +180,8 @@ def cmd_branching(args) -> int:
     if args.martingale_out:
         br.export_martingale_csv(run, args.martingale_out, alpha, header=header)
     if args.z_out:
-        ts = np.linspace(0.0, args.tmax, args.z_points)
-        br.export_z_csv(run, [float(t) for t in ts], alpha, args.z_out, header=header)
+        ts = np.linspace(0.0, args.tmax, args.z_points).tolist()
+        br.export_z_csv(run, ts, alpha, args.z_out, header=header)
     return 0
 
 
@@ -289,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as err:  # the model file is read in _load_model_or_exit: an output failed
+        _fail(f"cannot write {err.filename or 'output'}: {err.strerror or err}")
 
 
 if __name__ == "__main__":

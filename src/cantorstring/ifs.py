@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -149,17 +150,16 @@ def validate_model(model: IfsModel) -> List[str]:
 
     Violations are data, not failures: callers decide whether to raise.
     """
-    out: List[str] = []
+    if not 0.0 <= model.tol < math.inf:  # NaN or inf would pass every check below
+        return [f"tolerance: {model.tol!r} must be finite and >= 0"]
     a, b = model.interval
     if not a < b:
-        out.append(f"interval: a = {a!r} must be < b = {b!r}")
-        return out
+        return [f"interval: a = {a!r} must be < b = {b!r}"]
     if not model.letters:
-        out.append("letters: model has no letters")
-        return out
+        return ["letters: model has no letters"]
     if len(model.probs) != len(model.letters):
-        out.append(f"probs: {len(model.probs)} probabilities for {len(model.letters)} letters")
-        return out
+        return [f"probs: {len(model.probs)} probabilities for {len(model.letters)} letters"]
+    out: List[str] = []
     ids = [letter.id for letter in model.letters]
     if len(set(ids)) != len(ids):
         out.append("letters: ids are not unique")
@@ -291,15 +291,9 @@ def random_model(seed: int, *, balanced: bool = False) -> IfsModel:
             raw_w = [rng.uniform(0.5, 2.0) for _ in range(n)]
             wsum = sum(raw_w)
             weights = [v / wsum for v in raw_w]
-        maps = []
-        pos = 0.0
-        for i in range(n):
-            maps.append((lengths[i], pos))
-            pos += lengths[i]
-            if i < n - 1:
-                pos += gaps[i]
-        # pin the right endpoint exactly
-        maps[-1] = (lengths[-1], 1.0 - lengths[-1])
+        # a map starts after the lengths and gaps before it, summed in turn; the last ends at 1
+        starts = list(accumulate(chain.from_iterable(zip(lengths, gaps)), initial=0.0))[::2]
+        maps = list(zip(lengths, starts[:-1])) + [(lengths[-1], 1.0 - lengths[-1])]
         letters.append(make_letter(f"L{j + 1}", maps, weights))
     raw_p = [rng.uniform(0.3, 1.0) for _ in range(n_letters)]
     psum = sum(raw_p)

@@ -37,7 +37,6 @@ from cantorstring import (
     hausdorff_dimension,
     lebesgue_model,
     leaf_cells,
-    martingale_trace,
     middle_third_letter,
     nerman_constant_hat_phi,
     random_model,
@@ -51,6 +50,7 @@ from cantorstring import (
     validate_model,
     z_process,
 )
+from cantorstring.branching import forests, martingale_traces
 from cantorstring.cli import main as cli_main
 from cantorstring.exponent import EQUAL
 from cantorstring.ifs import five_interval_letter
@@ -177,11 +177,13 @@ def test_c08_martingale_suite():
         model = third_fifth_model()
         gamma = solve_recursive_exponent(model)
         r50 = np.empty(10_000)
-        for seed in range(10_000):
-            trace = martingale_trace(simulate_population(model, 14.0, seed), gamma)
+        traces = (trace for run in forests(model, 14.0, range(10_000), gamma)
+                  for trace in martingale_traces(run, gamma))
+        for seed, trace in enumerate(traces):
             assert len(trace) > 50
             assert min(trace) >= 0.0
             r50[seed] = trace[50]
+        assert seed == len(r50) - 1  # one trace per seed
         se = r50.std(ddof=1) / math.sqrt(len(r50))
         assert abs(r50.mean() - 1.0) <= 3 * se
 
@@ -193,9 +195,9 @@ def test_c08_martingale_suite():
                           (1 / 3, 1 / 3, 1 / 3))
         balanced = IfsModel((0.0, 1.0), (middle_third_letter(), tri), (0.5, 0.5))
         gb = solve_recursive_exponent(balanced)
-        for seed in range(50):
-            trace = martingale_trace(simulate_population(balanced, 12.0, seed), gb)
-            assert max(abs(v - 1.0) for v in trace) <= 1e-9
+        for run in forests(balanced, 12.0, range(50), gb):
+            for trace in martingale_traces(run, gb):
+                assert max(abs(v - 1.0) for v in trace) <= 1e-9
 
 
 def test_c09_cmj_strong_law():

@@ -15,8 +15,9 @@ Core claims:
     - events, martingale traces and z values keep the bits recorded from
       the heap sampler, exact sigma ties across generations included, and
       the array forms of R_n and z_t equal loops over the events
-    - seeds grown as one forest keep each seed's R_n bits, lattice ties included;
-      the one-seed statistics (R_n, the trace, z_t) refuse a forest
+    - seeds grown as forests, or regrown seed by seed when a forest is refused,
+      keep each seed's R_n and trace bits, lattice ties included; the one-seed
+      statistics (the trace, z_t) refuse a forest
 """
 import functools
 import hashlib
@@ -29,7 +30,6 @@ from cantorstring import (
     IfsModel,
     contraction_products,
     make_letter,
-    martingale_R,
     martingale_trace,
     middle_third_letter,
     nerman_constant_hat_phi,
@@ -41,7 +41,9 @@ from cantorstring import (
     third_fifth_model,
     z_process,
 )
-from cantorstring.branching import export_events_csv, export_martingale_csv, export_z_csv
+from cantorstring import branching
+from cantorstring.branching import (export_events_csv, export_martingale_csv, export_z_csv,
+                                    forests, martingale_R_by_root, martingale_traces)
 from cantorstring.tree import StopRule
 
 LN6 = math.log(6.0)
@@ -131,7 +133,7 @@ class TestSimulation:
 class TestMartingale:
     def test_r0_is_one(self, third_fifth):
         run = simulate_population(third_fifth, 5.0, 1)
-        assert martingale_R(run, 0) == 1.0
+        assert martingale_R_by_root(run, 0) == [1.0]
 
     def test_single_letter_identically_one(self, middle_third):
         gamma = solve_recursive_exponent(middle_third)
@@ -143,47 +145,44 @@ class TestMartingale:
         gamma = solve_recursive_exponent(middle_third)
         run = simulate_population(middle_third, 1.0, 0)
         # R_1 = 1 + 2 e^(-gamma ln6) - 1 = 2 * 6^(-gamma) = 1
-        assert martingale_R(run, 1, gamma) == pytest.approx(2 * 6 ** -gamma, abs=1e-14)
+        assert martingale_R_by_root(run, 1, gamma)[0] == pytest.approx(2 * 6 ** -gamma,
+                                                                        abs=1e-14)
 
     def test_balanced_model_identically_one(self, balanced_pair):
         gamma = solve_recursive_exponent(balanced_pair)
-        for seed in range(10):
-            run = simulate_population(balanced_pair, 12.0, seed)
-            trace = martingale_trace(run, gamma)
-            assert max(abs(v - 1.0) for v in trace) <= 1e-9
+        for run in forests(balanced_pair, 12.0, range(10), gamma):
+            for trace in martingale_traces(run, gamma):
+                assert max(abs(v - 1.0) for v in trace) <= 1e-9
 
     def test_mean_is_one(self, third_fifth):
         gamma = solve_recursive_exponent(third_fifth)
-        values = [martingale_R(simulate_population(third_fifth, 14.0, seed), 50, gamma)
-                  for seed in range(2000)]
+        values = [v for run in forests(third_fifth, 14.0, range(2000), gamma)
+                  for v in martingale_R_by_root(run, 50, gamma)]
         arr = np.asarray(values)
         se = arr.std(ddof=1) / math.sqrt(len(arr))
         assert abs(arr.mean() - 1.0) <= 3 * se
 
     def test_never_negative(self, third_fifth):
         gamma = solve_recursive_exponent(third_fifth)
-        for seed in range(200):
-            run = simulate_population(third_fifth, 10.0, seed)
-            assert min(martingale_trace(run, gamma)) >= 0.0
+        for run in forests(third_fifth, 10.0, range(200), gamma):
+            for trace in martingale_traces(run, gamma):
+                assert min(trace) >= 0.0
 
     def test_increment_mean_zero(self, third_fifth):
         # martingale property at one step: E[R_{n+1} - R_n] = 0
         gamma = solve_recursive_exponent(third_fifth)
         diffs = []
-        for seed in range(2000):
-            run = simulate_population(third_fifth, 10.0, seed)
-            trace = martingale_trace(run, gamma)
-            diffs.append(trace[21] - trace[20])
+        for run in forests(third_fifth, 10.0, range(2000), gamma):
+            for trace in martingale_traces(run, gamma):
+                diffs.append(trace[21] - trace[20])
         arr = np.asarray(diffs)
         se = arr.std(ddof=1) / math.sqrt(len(arr))
         assert abs(arr.mean()) <= 3 * se
 
     def test_out_of_range_rejected(self, third_fifth):
         run = simulate_population(third_fifth, 1.0, 0)
-        with pytest.raises(ValueError):
-            martingale_R(run, len(run.events) + 1)
-        with pytest.raises(ValueError):
-            martingale_R(run, -1)
+        assert martingale_R_by_root(run, len(run.events) + 1) == [None]
+        assert martingale_R_by_root(run, -1) == [None]
 
 
 class TestEstimateW:
@@ -192,21 +191,22 @@ class TestEstimateW:
     def test_deterministic_model(self, middle_third):
         run = simulate_population(middle_third, 3 * LN6, 5)
         gamma = solve_recursive_exponent(middle_third)
-        assert martingale_R(run, len(run.events), gamma) == pytest.approx(1.0, abs=1e-12)
+        assert martingale_R_by_root(run, len(run.events), gamma)[0] == pytest.approx(1.0,
+                                                                                    abs=1e-12)
 
     def test_positive_across_seeds(self, third_fifth):
         gamma = solve_recursive_exponent(third_fifth)
-        for seed in range(500):
-            run = simulate_population(third_fifth, 10.0, seed)
-            assert martingale_R(run, len(run.events), gamma) > 0.0
+        for run in forests(third_fifth, 10.0, range(500), gamma):
+            for trace in martingale_traces(run, gamma):
+                assert trace[-1] > 0.0  # R_n over the root's whole population
 
     def test_cauchy_differences_shrink(self, third_fifth):
         gamma = solve_recursive_exponent(third_fifth)
         early, late = [], []
-        for seed in range(300):
-            trace = martingale_trace(simulate_population(third_fifth, 14.0, seed), gamma)
-            early.append(abs(trace[50] - trace[25]))
-            late.append(abs(trace[200] - trace[100]))
+        for run in forests(third_fifth, 14.0, range(300), gamma):
+            for trace in martingale_traces(run, gamma):
+                early.append(abs(trace[50] - trace[25]))
+                late.append(abs(trace[200] - trace[100]))
         assert np.mean(late) < np.mean(early)
 
 
@@ -284,7 +284,7 @@ def test_arrays_match_event_loops(k):
         acc += steps[-1]
         trace.append(acc)
     assert martingale_trace(run, gamma) == trace
-    assert ([martingale_R(run, n, gamma) for n in range(len(run) + 1)]
+    assert ([martingale_R_by_root(run, n, gamma)[0] for n in range(len(run) + 1)]
             == [1.0 + math.fsum(steps[:n]) for n in range(len(run) + 1)])
     for t in np.linspace(0.0, 6.0, 13).tolist():
         assert z_process(run, t) == sum(e.sigma <= t < e.sigma + tau
@@ -356,48 +356,58 @@ def test_population_bits_pinned(name, seed):
 
 
 def test_forest_events_are_the_one_seed_events(third_fifth):
-    from cantorstring.branching import simulate_populations
-    forest = simulate_populations(third_fifth, 6.0, [3, 4, 5])
+    forest = branching.simulate_populations(third_fifth, 6.0, [3, 4, 5])
     assert forest.events == [e for seed in (3, 4, 5)
                              for e in simulate_population(third_fifth, 6.0, seed).events]
 
 
 def test_one_seed_statistics_refuse_forests(third_fifth):
-    from cantorstring.branching import martingale_R_by_root, simulate_populations
-    forest = simulate_populations(third_fifth, 6.0, [3, 4, 5])
+    forest = branching.simulate_populations(third_fifth, 6.0, [3, 4, 5])
     births = [len(simulate_population(third_fifth, 6.0, seed)) for seed in (3, 4, 5)]
-    assert births[0] < len(forest)  # n between root 0's births and the forest's: was None
-    for n in (0, births[0] + 1, len(forest)):
-        with pytest.raises(ValueError, match="one-seed"):
-            martingale_R(forest, n)
     with pytest.raises(ValueError, match="one-seed"):
         martingale_trace(forest)
     with pytest.raises(ValueError, match="one-seed"):
         z_process(forest, 1.0)
-    assert martingale_R_by_root(forest, births[0] + 1)[0] is None  # the per-root form
+    assert births[0] < len(forest)  # n between root 0's births and the forest's
+    assert martingale_R_by_root(forest, births[0] + 1)[0] is None  # the per-root forms
+    assert [len(trace) - 1 for trace in martingale_traces(forest)] == births
 
 
 @functools.lru_cache(maxsize=None)
 def one_seed_runs(name):
     model = PIN_MODELS[name]()
-    return model, [simulate_population(model, 10.0, seed) for seed in range(230)]
+    alpha = solve_recursive_exponent(model)
+    runs = [simulate_population(model, 10.0, seed) for seed in range(230)]
+    return model, alpha, runs, [list(map(float.hex, martingale_trace(run, alpha)))
+                                for run in runs]
 
 
 @pytest.mark.parametrize("n", [0, 1, 20, "births", "births + 1", -1])
 @pytest.mark.parametrize("lo, hi", [(0, 70), (100, 230)])
 @pytest.mark.parametrize("name", PIN_MODELS)
 def test_forests_match_one_seed_runs(name, lo, hi, n, monkeypatch):
-    """`branching --stat mean-R` grows the seeds as forests (here of 18 to 33 seeds);
-    each seed's R_n keeps the bits of its one-seed run, and is None exactly where n is
-    outside 0..(its births), where the CLI refuses."""
-    from cantorstring import cli
-    monkeypatch.setattr(cli, "FOREST_BIRTHS", 1000)
-    model, runs = one_seed_runs(name)
-    runs = runs[lo:hi]
+    """`branching --stat mean-R` grows the seeds through `forests` (here of 18 to 33
+    seeds); each seed's R_n and trace keep the bits of its one-seed run, and R_n is None
+    exactly where n is outside 0..(its births), where the CLI refuses. At n = 20 the
+    seeds are grown again under a node budget of the largest one-seed tree, which
+    refuses every forest, so that each is regrown seed by seed."""
+    from cantorstring import tree
+    monkeypatch.setattr(branching, "FOREST_BIRTHS", 1000)
+    model, alpha, runs, traces = one_seed_runs(name)
+    runs, traces = runs[lo:hi], traces[lo:hi]
     if isinstance(n, str):
         n = len(runs[0]) + n.endswith("+ 1")
-    alpha = solve_recursive_exponent(model)
-    expected = [martingale_R(run, n, alpha).hex() if 0 <= n <= len(run) else None
-                for run in runs]
-    got = cli._mean_r(model, 10.0, n, alpha, list(range(lo, hi)))
-    assert [None if v is None else v.hex() for v in got] == expected
+    expected = [None if v is None else v.hex()
+                for run in runs for v in martingale_R_by_root(run, n, alpha)]
+    grown = list(forests(model, 10.0, list(range(lo, hi)), alpha))
+    assert 1 < len(grown[0].seeds) < hi - lo  # forest boundaries are crossed
+    attempts = [grown]
+    if n == 20:
+        monkeypatch.setattr(tree, "MAX_NODES", max(run.sigma.size for run in runs))
+        attempts.append(list(forests(model, 10.0, list(range(lo, hi)), alpha)))
+        assert [len(run.seeds) for run in attempts[-1]] == [1] * len(runs)
+    for grown in attempts:
+        got = [v for run in grown for v in martingale_R_by_root(run, n, alpha)]
+        assert [None if v is None else v.hex() for v in got] == expected
+        assert [list(map(float.hex, trace))
+                for run in grown for trace in martingale_traces(run, alpha)] == traces

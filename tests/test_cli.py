@@ -16,6 +16,8 @@ Core claims:
       and its meta names the seed that ran;
       a population past MAX_NODES exits 2 naming --tmax, and a mean-R batch
       whose forest is past it is regrown seed by seed to the same bytes
+    - an output path that cannot be written (a missing directory, or a directory)
+      exits 2 naming it, for every output flag; outputs written before it remain
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
     - curve, exponent and branching run in an interpreter where importing
@@ -440,6 +442,39 @@ class TestCompare:
                 run_cli(["compare", *extra, "--out", out])
             assert err.value.code == 2
             assert not out.exists()
+
+
+OUTPUT_FLAGS = {  # every output flag of every command, given a path after --model
+    "exponent": ["exponent", "--out"],
+    "curve": ["curve", "--depth", 3, "--grid", "1:1e3:4", "--out"],
+    "branching-events": ["branching", "--seed", 1, "--tmax", 4, "--out"],
+    "branching-martingale": ["branching", "--seed", 1, "--tmax", 4, "--martingale-out"],
+    "branching-z": ["branching", "--seed", 1, "--tmax", 4, "--z-out"],
+    "branching-mean-R": ["branching", "--seeds", "0..3", "--tmax", 4, "--stat", "mean-R",
+                         "--at-n", 2, "--out"],
+    "compare": ["compare", "--out"],
+    "compare-random": ["compare", "--random", 2, "--out"],  # reads no model
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", OUTPUT_FLAGS)
+    def test_exit_2(self, tf_model, tmp_path, capsys, command, target):
+        out = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
+        name, *flags = OUTPUT_FLAGS[command]
+        with pytest.raises(SystemExit) as err:
+            run_cli([name, "--model", tf_model, *flags, out])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+
+    def test_earlier_outputs_remain(self, tf_model, tmp_path):
+        events = tmp_path / "events.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
+                     "--out", events, "--martingale-out", tmp_path / "missing" / "m.csv"])
+        assert err.value.code == 2
+        assert events.read_text().startswith("# model=")
 
 
 def fresh_python(code, *args):

@@ -4,6 +4,7 @@ Core claims:
     - the canonical middle-third letter is admissible as constructed
     - bad weight sums, endpoint pins, overlaps and products r_i m_i that
       underflow to 0 are all reported with indices
+    - a tolerance that is NaN, infinite or negative is reported, not used
     - contraction products are r_i * m_i in map order and stay in (0, 1)
     - validation is pure: identical violation lists on repeated calls
     - JSON round trips preserve the model and its digest
@@ -68,6 +69,25 @@ class TestValidation:
         model = IfsModel((0.0, 1.0), (middle_third_letter(), middle_third_letter()),
                          (0.5, 0.5))
         assert any("unique" in p for p in validate_model(model))
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-Infinity", "-1"])
+    def test_bad_tolerance_rejected(self, tmp_path, tol):
+        # with a NaN or infinite tolerance, overlapping maps whose weights sum to 0.6
+        # passed every check; -1 failed the probabilities, which sum to 1.0
+        letter = make_letter("bad", [(0.5, 0.0), (0.5, 0.4)], (0.3, 0.3))
+        path = tmp_path / "m.json"
+        save_model(IfsModel((0.0, 1.0), (letter,), (1.0,)), path)
+        path.write_text(path.read_text().replace("1e-12", tol))
+        model = load_model(path)
+        assert validate_model(model) == [f"tolerance: {float(tol)!r} must be finite and >= 0"]
+        with pytest.raises(ValueError, match="tolerance"):
+            model.support
+
+    def test_loose_tolerance_accepted(self, third_fifth):
+        loose = IfsModel(third_fifth.interval, third_fifth.letters, third_fifth.probs, tol=1e-3)
+        assert validate_model(loose) == []
+        letter = make_letter("bad", [(1 / 3, 0.0), (1 / 3, 2 / 3)], (0.6, 0.6))
+        assert any("sum" in p for p in validate_letter(letter, (0.0, 1.0), 1e-3))
 
     def test_validation_is_pure(self):
         letter = make_letter("bad", [(0.5, 0.0), (0.5, 0.4)], (0.6, 0.6))
