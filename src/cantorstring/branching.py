@@ -12,12 +12,12 @@ evaluated at the Malthusian tilt alpha = gamma_r, has mean one for every n
 and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
-The population up to t_max is the labelled tree of the same (model, seed),
-grown by the tree sampler with each node born by t_max expanded; `forests` grows many
-seeds as forests of about FOREST_BIRTHS births, read per root by `martingale_R_by_root`
-and `martingale_traces`. Births are ordered by (sigma, preorder rank): lattice models
-have exact ties, which the address order breaks. `events` is built only when read,
-from `tree.node_addresses`; `martingale_trace` and `z_process` refuse forests.
+The population up to t_max is the labelled tree of the same (model, seed), grown by the
+tree sampler with each node born by t_max expanded. `forests` grows many seeds as forests
+of about FOREST_BIRTHS births, which `martingale_R_by_root` and `martingale_traces` read
+per root (one seed's R_n is `martingale_R_by_root(run, n)[0]`; `martingale_R` is removed).
+Births are ordered by (sigma, preorder rank), so lattice ties fall in address order, and
+`events` is built only when read; `martingale_trace` and `z_process` refuse forests.
 """
 from __future__ import annotations
 
