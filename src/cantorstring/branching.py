@@ -14,10 +14,10 @@ born after time t to mothers born at or before t.
 
 The population up to t_max is the labelled tree of the same (model, seed), grown by the
 tree sampler with each node born by t_max expanded. `forests` grows many seeds as forests
-of about FOREST_BIRTHS births, which `martingale_R_by_root` and `martingale_traces` read
-per root (one seed's R_n is `martingale_R_by_root(run, n)[0]`; `martingale_R` is removed).
-Births are ordered by (sigma, preorder rank), so lattice ties fall in address order, and
-`events` is built only when read; `martingale_trace` and `z_process` refuse forests.
+of about FOREST_BIRTHS births, read per root by `martingale_R_by_root`, `martingale_traces`
+and `z_by_root`, which sums hits between `tree.root_bounds`; `martingale_trace` and
+`z_process` are their one-root cases and refuse forests. Births are ordered by (sigma,
+preorder rank), so lattice ties fall in address order, and `events` is built when read.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 from ._rng import Address, root_states
 from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
-from .tree import _grow, format_address, node_addresses, node_ranks, write_table
+from .tree import _grow, format_address, node_addresses, node_ranks, root_bounds, write_table
 
 FOREST_BIRTHS = 16_384  # seeds grow as forests of about this many expected births
 
@@ -149,13 +149,22 @@ def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[
     return martingale_traces(run, alpha)[0]
 
 
-def z_process(run: PopulationRun, t: float) -> int:
-    """Individuals born after t to mothers born at or before t, in a one-seed run."""
-    _require_one_seed(run)
+def z_by_root(run: PopulationRun, t: float) -> List[int]:
+    """Individuals born after t to mothers born at or before t, per root in seed order."""
     if not 0 <= t <= run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
     parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of the non-roots
-    return int(np.count_nonzero((parent <= t) & (run.sigma[run.first[0]:] > t)))
+    hits = np.flatnonzero((parent <= t) & (run.sigma[run.first[0]:] > t)) + run.first[0]
+    bounds = root_bounds(run.generations)
+    size = bounds[:, -1]  # nodes of each generation, numbered after those above it
+    before = hits.searchsorted(bounds + (size.cumsum() - size)[:, None])  # hits below a bound
+    return np.diff(before).sum(axis=0).tolist()
+
+
+def z_process(run: PopulationRun, t: float) -> int:
+    """Individuals born after t to mothers born at or before t, in a one-seed run."""
+    _require_one_seed(run)
+    return z_by_root(run, t)[0]
 
 
 # ---------------------------------------------------------------------------

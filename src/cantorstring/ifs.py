@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL, MAX_TOL = 1e-12, 1e-3  # a model's default and loosest tolerance
 RANDOM_MAX_LETTERS, RANDOM_MAX_MAPS = 3, 4  # random_model's letter and map counts
 
 
@@ -152,6 +152,8 @@ def validate_model(model: IfsModel) -> List[str]:
     """
     if not 0.0 <= model.tol < math.inf:  # NaN or inf would pass every check below
         return [f"tolerance: {model.tol!r} must be finite and >= 0"]
+    if model.tol > MAX_TOL:
+        return [f"tolerance: {model.tol!r} must be <= {MAX_TOL!r}"]
     a, b = model.interval
     if not a < b:
         return [f"interval: a = {a!r} must be < b = {b!r}"]

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._rng import Address, child_state, root_states
-from .tree import RandomTree, _grow, node_addresses, node_ranks
+from .tree import RandomTree, _grow, node_addresses, node_ranks, root_bounds
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,14 @@ def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
 def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
     """Per root child i, generation n - 1 of the subtree at i, addresses relative to i:
     one forest of the root children, grown n - 1 generations deep with tree generation
-    k + 1 choosing which of its nodes expand, split by following `first` down (each
-    slice bit for bit the child alone)."""
+    k + 1 choosing which of its nodes expand, split at the root bounds (each slice bit
+    for bit the child alone)."""
     _require_depth(tree, n, least=1)
     gens, root = tree.generations, root_states([tree.seed])  # every tree is sampled from its seed
     kids = child_state(root, np.arange(1, gens[0].first[1] + 1, dtype=np.uint64))
     forest = _grow(tree.model, kids, lambda k, length, _: (gens[k + 1].expanded if k < n - 1
                                                            else np.zeros(length.size, bool)))
-    bounds = np.arange(forest[0].letter.size + 1)  # each root's slice of the generation
-    for gen in forest[:n - 1]:
-        bounds = gen.first[bounds]
+    bounds = root_bounds(forest)[n - 1]
     gen, level = forest[n - 1], cache(lambda: node_addresses(forest)[n - 1])
     return [_cells(tree, n - 1, gen.ratio[lo:hi], gen.offset[lo:hi], gen.mass[lo:hi],
                    lambda lo=lo, hi=hi: level()[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]

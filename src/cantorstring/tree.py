@@ -9,8 +9,8 @@ gets hash state child_state(state, i), the letter that state draws, the
 composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
 sigma' = sigma - log(r_i w_i), all read from model.tables; the uint64 states live
 only while `_grow` runs, which also grows forests of roots side by side, each root's
-rows bit for bit those of growing it alone. `node_ranks` gives preorder ranks, and
-`node_addresses` each generation's addresses, which every address view slices or permutes.
+rows bit for bit those of growing it alone. `root_bounds` gives each root's nodes per
+generation, `node_ranks` preorder ranks, and `node_addresses` the addresses every view reads.
 """
 from __future__ import annotations
 
@@ -97,6 +97,14 @@ def _grow(model: IfsModel, states: np.ndarray, expand: Callable[..., np.ndarray]
         ratio, offset = up * r_i[row], up * c_i[row] + offset[parent]
         mass, length = mass[parent] * w_i[row], length[parent] * r_i[row]
         sigma = sigma[parent] + tau[row]
+
+
+def root_bounds(generations: Sequence[Generation]) -> np.ndarray:
+    """Row k: forest root r owns nodes bounds[k, r]:bounds[k, r + 1] of generation k."""
+    bounds = [np.arange(generations[0].letter.size + 1)]
+    for gen in generations[:-1]:
+        bounds.append(gen.first[bounds[-1]])
+    return np.array(bounds)
 
 
 def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:

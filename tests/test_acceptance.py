@@ -41,16 +41,14 @@ from cantorstring import (
     nerman_constant_hat_phi,
     random_model,
     sample_tree,
-    simulate_population,
     single_letter_model,
     solve_homogeneous_exponent,
     solve_recursive_exponent,
     tail_statistics,
     third_fifth_model,
     validate_model,
-    z_process,
 )
-from cantorstring.branching import forests, martingale_traces
+from cantorstring.branching import forests, martingale_traces, z_by_root
 from cantorstring.cli import main as cli_main
 from cantorstring.exponent import EQUAL
 from cantorstring.ifs import five_interval_letter
@@ -208,8 +206,9 @@ def test_c09_cmj_strong_law():
         target = nerman_constant_hat_phi(model, gamma)
         t = 12.0
         scale = math.exp(-gamma * t)
-        values = [scale * z_process(simulate_population(model, t, seed), t)
-                  for seed in range(1000)]
+        values = [scale * z for run in forests(model, t, range(1000), gamma)
+                  for z in z_by_root(run, t)]
+        assert len(values) == 1000  # one z per seed
         assert abs(np.mean(values) / target - 1.0) <= 0.10
 
 

@@ -16,8 +16,8 @@ Core claims:
       the heap sampler, exact sigma ties across generations included, and
       the array forms of R_n and z_t equal loops over the events
     - seeds grown as forests, or regrown seed by seed when a forest is refused,
-      keep each seed's R_n and trace bits, lattice ties included; the one-seed
-      statistics (the trace, z_t) refuse a forest
+      keep each seed's R_n, trace and z_t, lattice ties included; the one-seed
+      statistics (the trace, z_t) refuse a forest, and z_by_root gives z_t per seed
 """
 import functools
 import hashlib
@@ -43,7 +43,7 @@ from cantorstring import (
 )
 from cantorstring import branching
 from cantorstring.branching import (export_events_csv, export_martingale_csv, export_z_csv,
-                                    forests, martingale_R_by_root, martingale_traces)
+                                    forests, martingale_R_by_root, martingale_traces, z_by_root)
 from cantorstring.tree import StopRule
 
 LN6 = math.log(6.0)
@@ -244,9 +244,9 @@ class TestZProcess:
         gamma = solve_recursive_exponent(third_fifth)
         target = nerman_constant_hat_phi(third_fifth, gamma)
         t = 10.0
-        vals = [math.exp(-gamma * t) * z_process(simulate_population(third_fifth, t, s), t)
-                for s in range(400)]
-        assert abs(np.mean(vals) / target - 1.0) <= 0.15
+        vals = [math.exp(-gamma * t) * z for run in forests(third_fifth, t, range(400), gamma)
+                for z in z_by_root(run, t)]
+        assert len(vals) == 400 and abs(np.mean(vals) / target - 1.0) <= 0.15
 
 
 def test_csv_exports(tmp_path, third_fifth):
@@ -368,6 +368,8 @@ def test_one_seed_statistics_refuse_forests(third_fifth):
         martingale_trace(forest)
     with pytest.raises(ValueError, match="one-seed"):
         z_process(forest, 1.0)
+    assert z_by_root(forest, 1.0) == [z_process(simulate_population(third_fifth, 6.0, seed), 1.0)
+                                      for seed in (3, 4, 5)]
     assert births[0] < len(forest)  # n between root 0's births and the forest's
     assert martingale_R_by_root(forest, births[0] + 1)[0] is None  # the per-root forms
     assert [len(trace) - 1 for trace in martingale_traces(forest)] == births
@@ -387,7 +389,8 @@ def one_seed_runs(name):
 @pytest.mark.parametrize("name", PIN_MODELS)
 def test_forests_match_one_seed_runs(name, lo, hi, n, monkeypatch):
     """`branching --stat mean-R` grows the seeds through `forests` (here of 18 to 33
-    seeds); each seed's R_n and trace keep the bits of its one-seed run, and R_n is None
+    seeds); each seed's R_n, trace and z_t (at 0, at t_max and at a birth time, which
+    lattice ties share across seeds) keep the bits of its one-seed run, and R_n is None
     exactly where n is outside 0..(its births), where the CLI refuses. At n = 20 the
     seeds are grown again under a node budget of the largest one-seed tree, which
     refuses every forest, so that each is regrown seed by seed."""
@@ -399,6 +402,8 @@ def test_forests_match_one_seed_runs(name, lo, hi, n, monkeypatch):
         n = len(runs[0]) + n.endswith("+ 1")
     expected = [None if v is None else v.hex()
                 for run in runs for v in martingale_R_by_root(run, n, alpha)]
+    ts = (0.0, 10.0, float(runs[0].sigma[runs[0].order[len(runs[0]) // 2]]))
+    zs = [[z_process(run, t) for run in runs] for t in ts]
     grown = list(forests(model, 10.0, list(range(lo, hi)), alpha))
     assert 1 < len(grown[0].seeds) < hi - lo  # forest boundaries are crossed
     attempts = [grown]
@@ -411,3 +416,4 @@ def test_forests_match_one_seed_runs(name, lo, hi, n, monkeypatch):
         assert [None if v is None else v.hex() for v in got] == expected
         assert [list(map(float.hex, trace))
                 for run in grown for trace in martingale_traces(run, alpha)] == traces
+        assert [[z for run in grown for z in z_by_root(run, t)] for t in ts] == zs

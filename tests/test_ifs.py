@@ -4,7 +4,7 @@ Core claims:
     - the canonical middle-third letter is admissible as constructed
     - bad weight sums, endpoint pins, overlaps and products r_i m_i that
       underflow to 0 are all reported with indices
-    - a tolerance that is NaN, infinite or negative is reported, not used
+    - a tolerance that is NaN, infinite, negative or above 1e-3 is reported, not used
     - contraction products are r_i * m_i in map order and stay in (0, 1)
     - validation is pure: identical violation lists on repeated calls
     - JSON round trips preserve the model and its digest
@@ -80,6 +80,17 @@ class TestValidation:
         path.write_text(path.read_text().replace("1e-12", tol))
         model = load_model(path)
         assert validate_model(model) == [f"tolerance: {float(tol)!r} must be finite and >= 0"]
+        with pytest.raises(ValueError, match="tolerance"):
+            model.support
+
+    def test_huge_tolerance_rejected(self, tmp_path):
+        # middle-third maps whose weights sum to 0.6 passed every check at tolerance 1e9
+        letter = make_letter("bad", [(1 / 3, 0.0), (1 / 3, 2 / 3)], (0.3, 0.3))
+        path = tmp_path / "m.json"
+        save_model(IfsModel((0.0, 1.0), (letter,), (1.0,)), path)
+        path.write_text(path.read_text().replace("1e-12", "1e9"))
+        model = load_model(path)
+        assert validate_model(model) == ["tolerance: 1000000000.0 must be <= 0.001"]
         with pytest.raises(ValueError, match="tolerance"):
             model.support
 
