@@ -16,8 +16,9 @@ The population up to t_max is the labelled tree of the same (model, seed), grown
 tree sampler with each node born by t_max expanded. `forests` grows many seeds as forests
 of about FOREST_BIRTHS births, read per root by `martingale_R_by_root`, `martingale_traces`
 and `z_by_root`, which sums hits between `tree.root_bounds`; `martingale_trace` and
-`z_process` are their one-root cases and refuse forests. Births are ordered by (sigma,
-preorder rank), so lattice ties fall in address order, and `events` is built when read.
+`z_process` are their one-root cases and refuse forests, and `z_counts` gives one root's
+z at many times from one sort. Births are ordered by (sigma, preorder rank), so lattice
+ties fall in address order, and `events` is built when read.
 """
 from __future__ import annotations
 
@@ -85,8 +86,7 @@ def simulate_populations(model: IfsModel, t_max: float, seeds: Sequence[int]) ->
     """The seeds' populations as one forest, each root's nodes bit for bit its seed's alone."""
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    generations = _grow(model, root_states(seeds),
-                        lambda k, length, sigma: sigma <= t_max, "use a smaller --tmax")
+    generations = _grow(model, root_states(seeds), max_sigma=t_max, remedy="use a smaller --tmax")
     return PopulationRun(model, seeds, t_max, generations)
 
 
@@ -167,6 +167,19 @@ def z_process(run: PopulationRun, t: float) -> int:
     return z_by_root(run, t)[0]
 
 
+def z_counts(run: PopulationRun, ts: Sequence[float]) -> List[int]:
+    """z_process at every t of ts in a one-seed run, from one sort: a birth time is never
+    below its mother's, so z(t) = #(non-roots' mothers born by t) - #(non-roots born by t)."""
+    _require_one_seed(run)
+    ts = np.asarray(ts, dtype=float)
+    inside = (0 <= ts) & (ts <= run.t_max)
+    if not inside.all():
+        raise ValueError(f"t must be in [0, {run.t_max}], got {ts[~inside][0]}")
+    mothers = np.sort(np.repeat(run.sigma, run.first[1:] - run.first[:-1]))
+    born = np.sort(run.sigma[run.first[0]:])
+    return (mothers.searchsorted(ts, "right") - born.searchsorted(ts, "right")).tolist()
+
+
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
@@ -184,6 +197,6 @@ def export_martingale_csv(run: PopulationRun, path: str | Path,
 
 def export_z_csv(run: PopulationRun, ts: Sequence[float], gamma: float,
                  path: str | Path, header: str = "") -> None:
-    zs = [z_process(run, t) for t in ts]
+    zs = z_counts(run, ts)
     write_table(path, header, ("t", "z_t", "scaled"),
                 ((t, z, math.exp(-gamma * t) * z) for t, z in zip(ts, zs)))

@@ -8,11 +8,13 @@ command reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import List, NoReturn, Optional, Sequence
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,6 +103,28 @@ def _write_json(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _write_all(outputs: Sequence[Tuple[Optional[str], Callable[[str], None]]]) -> None:
+    """write(temporary) for each (path, write) with a path, then every temporary moved onto
+    its path: an output that cannot be written leaves none of them behind."""
+    staged = []
+    try:
+        for path, write in outputs:
+            if path:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                staged.append((f"{path}.{os.getpid()}.tmp", path))
+                try:
+                    write(staged[-1][0])
+                except OSError as err:
+                    raise OSError(err.errno, err.strerror, path) from err
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -175,13 +199,11 @@ def cmd_branching(args) -> int:
                     args.out)
         return 0
     header = _header(model, seeds[0])
-    if args.out:
-        br.export_events_csv(run, args.out, header=header)
-    if args.martingale_out:
-        br.export_martingale_csv(run, args.martingale_out, alpha, header=header)
-    if args.z_out:
-        ts = np.linspace(0.0, args.tmax, args.z_points).tolist()
-        br.export_z_csv(run, ts, alpha, args.z_out, header=header)
+    ts = np.linspace(0.0, args.tmax, args.z_points).tolist()
+    _write_all([(args.out, lambda path: br.export_events_csv(run, path, header=header)),
+                (args.martingale_out,
+                 lambda path: br.export_martingale_csv(run, path, alpha, header=header)),
+                (args.z_out, lambda path: br.export_z_csv(run, ts, alpha, path, header=header))])
     return 0
 
 

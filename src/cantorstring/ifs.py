@@ -85,14 +85,19 @@ class IfsModel:
         object after `support` has checked it: map arrays with letter j's rows at
         start[j]:start[j] + n_maps[j], and the running sums of probs without the last."""
         self.support  # raises on an invalid model
-        n_maps = np.array([letter.n_maps for letter in self.letters])
-        rows = np.array([(s.ratio, s.offset, w, -math.log(q))
-                         for letter in self.letters for s, w, q in
-                         zip(letter.maps, letter.weights, contraction_products(letter))])
-        out = (n_maps, np.cumsum(n_maps) - n_maps, *rows.T, np.cumsum(self.probs)[:-1])
+        n_maps = np.array([letter.n_maps for letter in self.letters], np.int64)
+        columns = np.array([(s.ratio, s.offset, w, -math.log(q))
+                            for letter in self.letters for s, w, q in
+                            zip(letter.maps, letter.weights, contraction_products(letter))]).T
+        out = (n_maps, np.cumsum(n_maps) - n_maps, *columns.copy(), np.cumsum(self.probs)[:-1])
         for array in out:  # shared by every tree grown from this object
             array.flags.writeable = False
         return out
+
+    @cached_property
+    def table_addresses(self) -> Tuple[int, ...]:
+        """Addresses of the contiguous `tables` arrays, taken once, for the compiled growth."""
+        return tuple(array.ctypes.data for array in self.tables)
 
 
 def make_letter(letter_id: str, maps: Sequence[Tuple[float, float]], weights: Sequence[float]) -> Letter:

@@ -82,14 +82,13 @@ def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
 
 def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
     """Per root child i, generation n - 1 of the subtree at i, addresses relative to i:
-    one forest of the root children, grown n - 1 generations deep with tree generation
-    k + 1 choosing which of its nodes expand, split at the root bounds (each slice bit
-    for bit the child alone)."""
+    one forest of the root children, grown n - 1 generations deep (tree generations
+    1..n - 1 are complete), split at the root bounds (each slice bit for bit the child
+    alone)."""
     _require_depth(tree, n, least=1)
-    gens, root = tree.generations, root_states([tree.seed])  # every tree is sampled from its seed
-    kids = child_state(root, np.arange(1, gens[0].first[1] + 1, dtype=np.uint64))
-    forest = _grow(tree.model, kids, lambda k, length, _: (gens[k + 1].expanded if k < n - 1
-                                                           else np.zeros(length.size, bool)))
+    root = root_states([tree.seed])  # every tree is sampled from its seed
+    kids = child_state(root, np.arange(1, tree.generations[0].first[1] + 1, dtype=np.uint64))
+    forest = _grow(tree.model, kids, depth=n - 1)
     bounds = root_bounds(forest)[n - 1]
     gen, level = forest[n - 1], cache(lambda: node_addresses(forest)[n - 1])
     return [_cells(tree, n - 1, gen.ratio[lo:hi], gen.offset[lo:hi], gen.mass[lo:hi],

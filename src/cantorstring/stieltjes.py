@@ -29,42 +29,31 @@ x * (1 + 1e-15); a vanishing pivot is replaced by a tiny negative value
 set of shifts.
 
 The two pencils share M and the off-diagonal, so a count sweeps both
-boundaries at once in the C loop of _sturm.c, 256 shifts a tile, rows outer
-and shifts inner: d = (K[k, k] - x' m_k) - b_{k-1}^2 / d, then the branchless
+boundaries at once in the C loop of _native.c (built and loaded by
+_native.library), 256 shifts a tile, rows outer and shifts inner:
+d = (K[k, k] - x' m_k) - b_{k-1}^2 / d, then the branchless
 count += d < pivmin; d = (d < pivmin) & (d > -pivmin) ? -pivmin : d, which
 counts and clamps for every float (+-0, +-inf, and NaN, which fails both
 tests) as `if |d| < pivmin: d = -pivmin; count d <= 0` would; counts run in
-double lanes, exact below 2^53, and leave as int64. The first count
-compiles it with sysconfig's CC, else cc, and `-O3 -shared -fPIC
--ffp-contract=off` into $XDG_CACHE_HOME/cantorstring or
-~/.cache/cantorstring (mode 0700), named by the sha256 of the source, the
-flags and the platform, rebuilds a library there that fails to load, and
-loads it with ctypes. -O3 packs two shifts into each divide (SSE2).
-`-ffp-contract=off` forbids fusing x' m_k into the subtract, which would
-round once where numpy rounds twice; -ffast-math and -Ofast reorder, and
-the cache is keyed by platform, not by the CPU -march=native targets, so
-none is used: each step is numpy's IEEE operation and every count keeps its
-bits. One-shift counts pass the string's pointers, taken once, and no numpy
-array. With no compiler, a failed build or an unusable cache, counts come
-from _block_sweep, the numpy reference: _CHUNK_ROWS rows at a time, one
-column per (boundary, shift). Its safeguard is tested once per chunk: before
-the first pivot below it the unguarded recurrence is the guarded one, so the
-chunk is redone from that row on.
+double lanes, exact below 2^53, and leave as int64. -O3 packs two shifts
+into each divide (SSE2); -ffp-contract=off keeps x' m_k out of the subtract,
+so every count keeps its bits. One-shift counts pass the string's pointers,
+taken once, and no numpy array. With no compiler, a failed build or an
+unusable cache, counts come from _block_sweep, the numpy reference:
+_CHUNK_ROWS rows at a time, one column per (boundary, shift). Its safeguard
+is tested once per chunk: before the first pivot below it the unguarded
+recurrence is the guarded one, so the chunk is redone from that row on.
 """
 from __future__ import annotations
 
 import ctypes
-import functools
-import os
-import shutil
-import sysconfig
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from . import _native
 from .exponent import _bisect
 from .measure import AtomizedMeasure, atomize, build_cells, piece_cells
 from .tree import RandomTree, write_table
@@ -72,8 +61,6 @@ from .tree import RandomTree, write_table
 TIE_SHIFT = 1.0 + 1e-15
 _SAFMIN = np.finfo(float).tiny
 _CHUNK_ROWS = 256  # rows of the numpy block swept between two safeguard tests
-_SOURCE = Path(__file__).with_name("_sturm.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _BOUNDARIES = ("dirichlet", "neumann")
 
@@ -159,53 +146,12 @@ class CountingSample:
     count_neumann: int
 
 
-@functools.cache
-def _kernel():
-    """sturm_counts of _sturm.c, built on first use into the user cache; None if it cannot be."""
-    import hashlib
-    import subprocess
-    try:
-        key = repr((_SOURCE.read_bytes(), _CFLAGS, sysconfig.get_platform())).encode()
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cantorstring"
-        library = cache / f"_sturm-{hashlib.sha256(key).hexdigest()[:16]}.so"
-        if not library.exists():
-            _build(library)
-        owner = cache.stat()
-        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
-            return None  # a library that others can replace is never loaded
-        try:
-            sturm_counts = ctypes.CDLL(str(library)).sturm_counts
-        except (OSError, AttributeError):  # a corrupt or foreign library is built again, once
-            _build(library)
-            sturm_counts = ctypes.CDLL(str(library)).sturm_counts
-    except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError):
-        return None
-    sturm_counts.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p,) * 6
-    sturm_counts.restype = None
-    return sturm_counts
-
-
-def _build(library: Path) -> None:
-    """Compile _sturm.c in a temporary directory beside library, then move it into place."""
-    import subprocess
-    compiler = next((cc for cc in ((sysconfig.get_config_var("CC") or "cc").split(), ["cc"])
-                     if shutil.which(cc[0])), None)
-    if compiler is None:
-        raise FileNotFoundError("no C compiler on PATH")
-    library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=library.parent) as scratch:
-        built = os.path.join(scratch, library.name)
-        subprocess.run([*compiler, *_CFLAGS, "-o", built, str(_SOURCE)],
-                       check=True, capture_output=True, timeout=300)
-        os.replace(built, library)
-
-
-def _compiled_sweep(kernel, string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
+def _compiled_sweep(library, string: StieltjesString, shifts: np.ndarray) -> np.ndarray:
     """(2, len(shifts)) Dirichlet and Neumann pivot counts from the C loop."""
     pivots = np.empty(2 * shifts.size)
     counts = np.empty((2, shifts.size), dtype=np.int64)
-    kernel(string.n, shifts.size, string._pivmin, *string._pointers, shifts.ctypes.data,
-           pivots.ctypes.data, counts.ctypes.data)
+    library.sturm_counts(string.n, shifts.size, string._pivmin, *string._pointers,
+                         shifts.ctypes.data, pivots.ctypes.data, counts.ctypes.data)
     return counts
 
 
@@ -256,11 +202,11 @@ def _counts(string: StieltjesString, xs: Sequence[float]) -> np.ndarray:
     if not (xs >= 0).all():
         raise ValueError("spectral parameter x must be >= 0")
     shifts = xs * TIE_SHIFT
-    kernel = _kernel()
-    if kernel is None:
+    library = _native.library()
+    if library is None:
         counts = _block_sweep(string, shifts)
     else:
-        counts = _compiled_sweep(kernel, string, shifts)
+        counts = _compiled_sweep(library, string, shifts)
     # the constant vector is an exact null vector of K_N, so the zero eigenvalue
     # belongs to the count for every x >= 0; the final pivot carries it and
     # floats may round it either way
@@ -270,12 +216,13 @@ def _counts(string: StieltjesString, xs: Sequence[float]) -> np.ndarray:
 
 def _pair(string: StieltjesString, x: float) -> Tuple[int, int]:
     """(N_D(x), N_N(x)) as _counts gives them, one shift through the C loop without numpy."""
-    kernel = _kernel()
-    if kernel is None or not x >= 0:
+    library = _native.library()
+    if library is None or not x >= 0:
         return tuple(_counts(string, [x])[:, 0].tolist())
     counts = (ctypes.c_int64 * 2)()
-    kernel(string.n, 1, string._pivmin, *string._pointers,
-           ctypes.byref(ctypes.c_double(x * TIE_SHIFT)), (ctypes.c_double * 2)(), counts)
+    library.sturm_counts(string.n, 1, string._pivmin, *string._pointers,
+                         ctypes.byref(ctypes.c_double(x * TIE_SHIFT)), (ctypes.c_double * 2)(),
+                         counts)
     return counts[0], max(counts[1], 1)
 
 

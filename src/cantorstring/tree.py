@@ -7,20 +7,27 @@ are immutable afterwards. A tree is one `Generation` of arrays per depth,
 in lexicographic address order, each drawn from the one above: child i
 gets hash state child_state(state, i), the letter that state draws, the
 composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
-sigma' = sigma - log(r_i w_i), all read from model.tables; the uint64 states live
-only while `_grow` runs, which also grows forests of roots side by side, each root's
-rows bit for bit those of growing it alone. `root_bounds` gives each root's nodes per
-generation, `node_ranks` preorder ranks, and `node_addresses` the addresses every view reads.
+sigma' = sigma - log(r_i w_i), all read from model.tables. `_grow` also grows forests of
+roots side by side, each root's rows bit for bit those of growing it alone: the compiled
+walks of _native.c count the generations depth first, refusing a tree past MAX_NODES
+before any array is allocated, then fill exact-size arrays; `_grow_numpy`, a generation
+at a time, is the no-compiler path and the test oracle. The uint64 states live only while
+a tree grows. `root_bounds` gives each root's nodes per generation, `node_ranks` preorder
+ranks, and `node_addresses` the addresses every view reads.
 """
 from __future__ import annotations
 
+import ctypes
+import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
+from . import _native
 from ._rng import Address, child_state, letter_draw, root_states
 from .ifs import IfsModel, Letter, model_digest
 
@@ -52,7 +59,8 @@ class StopRule:
 
 @dataclass(frozen=True, eq=False)
 class Generation:
-    """The nodes of one depth, in lexicographic address order (read-only arrays)."""
+    """The nodes of one depth, in lexicographic address order (arrays made read-only by
+    the growth that builds them)."""
 
     letter: np.ndarray    # letter index
     ratio: np.ndarray     # composed ratio R of the path's maps
@@ -62,17 +70,60 @@ class Generation:
     expanded: np.ndarray  # bool: the node has children
     first: np.ndarray     # children of node j: next generation's first[j]:first[j + 1]
 
-    def __post_init__(self):
-        for array in vars(self).values():
-            array.flags.writeable = False
 
-
-def _grow(model: IfsModel, states: np.ndarray, expand: Callable[..., np.ndarray],
+def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
+          min_length: float = -math.inf, max_sigma: float = math.inf,
           remedy: str = "use a larger epsilon or a smaller depth") -> List[Generation]:
     """Generations below roots with these uint64 hash states, each root's nodes contiguous;
-    expand(k, length, sigma) marks which nodes of generation k, with these cell lengths
-    and birth times, have children. Raises ValueError on an invalid model (model.tables
-    validates it) and, ending in `remedy`, past MAX_NODES."""
+    a node of generation k with cell length L and birth time sigma has children iff
+    k < depth, L >= min_length and sigma <= max_sigma. Raises ValueError on an invalid
+    model (model.tables validates it) and, ending in `remedy`, past MAX_NODES. The
+    compiled walks of _native.c count the generations, refusing before anything is
+    allocated, then fill them; without the library the numpy loop grows them."""
+    tables, library = model.tables, _native.library()
+    if library is None:
+        return _grow_numpy(model, states, depth, min_length, max_sigma, remedy)
+    a, b = model.interval
+    states = np.ascontiguousarray(states, np.uint64)  # the walks read states.size of them
+    head = (*model.table_addresses, tables[-1].size, depth, min_length, max_sigma,
+            states.size, states.ctypes.data, b - a, MAX_NODES)
+    sizes = (ctypes.c_int64 * 64)()
+    gens = library.grow_count(*head, len(sizes), sizes)
+    if gens > len(sizes):  # deeper than the buffer: count again into one that fits
+        sizes = (ctypes.c_int64 * gens)()
+        gens = library.grow_count(*head, gens, sizes)
+    _refuse(gens, remedy)
+    n = sum(sizes[:gens])
+    # one array per field, as the numpy loop has: one block of them all fragments the heap
+    ratio, offset, mass, sigma = (np.empty(n) for _ in range(4))
+    letter, first, expanded = np.empty(n, np.int64), np.empty(n + gens, np.int64), np.empty(n, bool)
+    arrays = (ratio, offset, mass, sigma, letter, first, expanded)
+    _refuse(library.grow_fill(*head, gens, sizes, *(array.ctypes.data for array in arrays)),
+            remedy)
+    for array in arrays:
+        array.flags.writeable = False
+    generations, lo = [], 0
+    for k, size in enumerate(sizes[:gens]):
+        hi = lo + size
+        generations.append(Generation(letter[lo:hi], ratio[lo:hi], offset[lo:hi], mass[lo:hi],
+                                      sigma[lo:hi], expanded[lo:hi], first[lo + k:hi + k + 1]))
+        lo = hi
+    return generations
+
+
+def _refuse(code: int, remedy: str) -> None:
+    """Raise for a negative return code of the compiled walks."""
+    if code == -1:
+        raise ValueError(f"tree would exceed {MAX_NODES} nodes; {remedy}")
+    if code == -2:
+        raise MemoryError("no memory for the tree walk")
+    if code < 0:
+        raise RuntimeError("the compiled tree walk disagrees with its own count")
+
+
+def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: float,
+                max_sigma: float, remedy: str) -> List[Generation]:
+    """_grow one generation at a time in numpy: the no-compiler path and the test oracle."""
     n_maps, start, r_i, c_i, w_i, tau, cum = model.tables
     n = nodes = states.size
     ratio, offset, mass, sigma = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
@@ -80,14 +131,15 @@ def _grow(model: IfsModel, states: np.ndarray, expand: Callable[..., np.ndarray]
     out: List[Generation] = []
     while True:
         letters = letter_draw(cum, states)
-        expanded = expand(len(out), length, sigma)
+        expanded = (len(out) < depth) & (length >= min_length) & (sigma <= max_sigma)
         counts = np.where(expanded, n_maps[letters], 0)
         first = np.zeros(counts.size + 1, counts.dtype)
         counts.cumsum(out=first[1:])
         if (nodes := nodes + first[-1]) > MAX_NODES:
-            raise ValueError(f"tree would exceed {MAX_NODES} nodes at generation {len(out) + 1}; "
-                             f"{remedy}")
+            raise ValueError(f"tree would exceed {MAX_NODES} nodes; {remedy}")
         out.append(Generation(letters, ratio, offset, mass, sigma, expanded, first))
+        for array in vars(out[-1]).values():
+            array.flags.writeable = False
         if first[-1] == 0:
             return out
         parent = np.arange(letters.size).repeat(counts)
@@ -170,12 +222,8 @@ class RandomTree:
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic.
     Raises ValueError when the tree would have more than MAX_NODES nodes."""
-    def expand(k: int, length: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        if stop.kind == "depth":
-            return np.full(length.size, k < stop.value)
-        return length >= stop.value
-
-    return RandomTree(model, seed, stop, _grow(model, root_states([seed]), expand))
+    limit = {"depth": int(stop.value)} if stop.kind == "depth" else {"min_length": stop.value}
+    return RandomTree(model, seed, stop, _grow(model, root_states([seed]), **limit))
 
 
 def format_address(address: Address) -> str:

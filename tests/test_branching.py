@@ -18,6 +18,8 @@ Core claims:
     - seeds grown as forests, or regrown seed by seed when a forest is refused,
       keep each seed's R_n, trace and z_t, lattice ties included; the one-seed
       statistics (the trace, z_t) refuse a forest, and z_by_root gives z_t per seed
+    - z_counts gives z_process at many times from one sort, tied births included,
+      and the z CSV rows follow it
 """
 import functools
 import hashlib
@@ -29,7 +31,6 @@ import pytest
 from cantorstring import (
     IfsModel,
     contraction_products,
-    make_letter,
     martingale_trace,
     middle_third_letter,
     nerman_constant_hat_phi,
@@ -45,6 +46,7 @@ from cantorstring import branching
 from cantorstring.branching import (export_events_csv, export_martingale_csv, export_z_csv,
                                     forests, martingale_R_by_root, martingale_traces, z_by_root)
 from cantorstring.tree import StopRule
+from conftest import tie_model
 
 LN6 = math.log(6.0)
 
@@ -250,6 +252,27 @@ class TestZProcess:
         assert abs(np.mean(vals) / target - 1.0) <= 0.15
 
 
+def test_z_counts_equal_z_process(tmp_path):
+    """z at 200 times from one sort, as z_process gives each: on a lattice model, with
+    tied births, at every birth time itself and between them; the CSV rows follow."""
+    model = tie_model()
+    run = simulate_population(model, 10.0, 3)
+    lattice = sorted({s for s in run.sigma.tolist() if s <= 10.0})
+    ts = sorted(np.linspace(0.0, 10.0, 200 - len(lattice)).tolist() + lattice)
+    zs = branching.z_counts(run, ts)
+    assert zs == [z_process(run, t) for t in ts]
+    assert len(set(zs)) > 5
+    gamma = solve_recursive_exponent(model)
+    export_z_csv(run, ts, gamma, tmp_path / "z.csv", header="# h")
+    assert (tmp_path / "z.csv").read_text().splitlines()[2:] == [
+        f"{t},{z_process(run, t)},{math.exp(-gamma * t) * z_process(run, t)}" for t in ts]
+    for bad in (-1e-9, 10.5, math.nan):
+        with pytest.raises(ValueError, match="t must be in"):
+            branching.z_counts(run, [1.0, bad])
+    with pytest.raises(ValueError, match="one-seed"):
+        branching.z_counts(branching.simulate_populations(model, 4.0, [1, 2]), [1.0])
+
+
 def test_csv_exports(tmp_path, third_fifth):
     run = simulate_population(third_fifth, 4.0, 9)
     gamma = solve_recursive_exponent(third_fifth)
@@ -292,14 +315,6 @@ def test_arrays_match_event_loops(k):
                                         for e in run.events for tau in offsets[e.letter_id])
 
 
-def tie_model():
-    """Offsets a = -log(1/4) and 2a = -log(1/16) are exact multiples of one
-    double, so child 2 of a "quarter" node ties with its grandchild 1.1."""
-    quarter = make_letter("quarter", [(0.5, 0.0), (0.125, 0.875)], (0.5, 0.5))
-    eighth = make_letter("eighth", [(0.25, 0.0), (0.25, 0.75)], (0.5, 0.5))
-    return IfsModel((0.0, 1.0), (quarter, eighth), (0.5, 0.5))
-
-
 # sha256 of every event's (address, sigma.hex(), letter id), the repr of
 # every martingale_trace value and z_process at 8 times in [0, t]; recorded
 # from the heap sampler, with (population size, adjacent cross-generation ties)
@@ -339,21 +354,22 @@ PIN_MODELS = {"third-fifth": third_fifth_model,
 
 @pytest.mark.parametrize("name, seed", [(name, seed) for name in POPULATION_DIGESTS
                                         for seed in range(10)])
-def test_population_bits_pinned(name, seed):
+def test_population_bits_pinned(name, seed, both_paths):
     t = 10.0
-    run = simulate_population(PIN_MODELS[name](), t, seed)
-    h = hashlib.sha256()
-    for e in run.events:
-        h.update(f"{e.address}|{e.sigma.hex()}|{e.letter_id}\n".encode())
-    for value in martingale_trace(run):
-        h.update(repr(value).encode() + b"\n")
-    for u in np.linspace(0.0, t, 8).tolist():
-        h.update(f"{z_process(run, u)}\n".encode())
-    ties = sum(a.sigma == b.sigma and len(a.address) != len(b.address)
-               for a, b in zip(run.events, run.events[1:]))
-    assert (len(run), ties, h.hexdigest()) == POPULATION_DIGESTS[name][seed]
-    if name == "ties":
-        assert ties > 0  # the address tiebreak across generations is exercised
+    for path in both_paths():
+        run = simulate_population(PIN_MODELS[name](), t, seed)
+        h = hashlib.sha256()
+        for e in run.events:
+            h.update(f"{e.address}|{e.sigma.hex()}|{e.letter_id}\n".encode())
+        for value in martingale_trace(run):
+            h.update(repr(value).encode() + b"\n")
+        for u in np.linspace(0.0, t, 8).tolist():
+            h.update(f"{z_process(run, u)}\n".encode())
+        ties = sum(a.sigma == b.sigma and len(a.address) != len(b.address)
+                   for a, b in zip(run.events, run.events[1:]))
+        assert (len(run), ties, h.hexdigest()) == POPULATION_DIGESTS[name][seed], path
+        if name == "ties":
+            assert ties > 0  # the address tiebreak across generations is exercised
 
 
 def test_forest_events_are_the_one_seed_events(third_fifth):

@@ -17,7 +17,8 @@ Core claims:
       a population past MAX_NODES exits 2 naming --tmax, and a mean-R batch
       whose forest is past it is regrown seed by seed to the same bytes
     - an output path that cannot be written (a missing directory, or a directory)
-      exits 2 naming it, for every output flag; outputs written before it remain
+      exits 2 naming it, for every output flag, and leaves none of the command's
+      outputs behind (an existing file keeps its bytes)
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
     - curve, exponent and branching run in an interpreter where importing
@@ -380,7 +381,8 @@ class TestBranching:
         from cantorstring import branching, tree
         monkeypatch.setattr(tree, "MAX_NODES", 100)
         real, grown = branching._grow, []
-        monkeypatch.setattr(branching, "_grow", lambda *args: grown.append(1) or real(*args))
+        monkeypatch.setattr(branching, "_grow",
+                            lambda *args, **limits: grown.append(1) or real(*args, **limits))
         out = tmp_path / "out"
         for extra, growths in ((["--seed", 1, "--out", out, "--martingale-out", out], 1),
                                (["--seeds", "0..3", "--stat", "mean-R", "--out", out], 2),
@@ -468,13 +470,20 @@ class TestUnwritableOutput:
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
 
-    def test_earlier_outputs_remain(self, tf_model, tmp_path):
-        events = tmp_path / "events.csv"
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+    def test_no_output_left(self, tf_model, tmp_path, capsys, bad):
+        # the events CSV is written first, but none is left when a later output fails;
+        # an existing file at a path keeps its bytes
+        events, z_out = tmp_path / "events.csv", tmp_path / "z.csv"
+        z_out.write_text("kept\n")
+        failing = tmp_path / "missing" / "m.csv" if bad == "missing-dir" else tmp_path
         with pytest.raises(SystemExit) as err:
             run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
-                     "--out", events, "--martingale-out", tmp_path / "missing" / "m.csv"])
+                     "--out", events, "--martingale-out", failing, "--z-out", z_out])
         assert err.value.code == 2
-        assert events.read_text().startswith("# model=")
+        assert capsys.readouterr().err.startswith(f"cannot write {failing}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.csv"]
+        assert z_out.read_text() == "kept\n"
 
 
 def fresh_python(code, *args):

@@ -246,8 +246,8 @@ class TestSelfSimilarity:
         """piece_cells(deep tree, n) grows an n-generation forest, bit for bit the
         pieces of the same seed sampled to depth n."""
         real, depths = measure._grow, []
-        monkeypatch.setattr(measure, "_grow",
-                            lambda *args: depths.append(len(out := real(*args))) or out)
+        monkeypatch.setattr(measure, "_grow", lambda *args, **limits:
+                            depths.append(len(out := real(*args, **limits))) or out)
         deep = sample_tree(third_fifth, StopRule.depth(10), seed)
         for n in range(1, 10):
             shallow = sample_tree(third_fifth, StopRule.depth(n), seed)
@@ -280,15 +280,16 @@ ATOM_DIGESTS = [
 
 
 @pytest.mark.parametrize("model_seed, seed, kind, size, digest", ATOM_DIGESTS)
-def test_atom_bits_pinned(model_seed, seed, kind, size, digest):
+def test_atom_bits_pinned(model_seed, seed, kind, size, digest, both_paths):
     """third-fifth at eps = 1e-6 and random_model(k) at eps = 1e-4 for "leaf";
-    build_cells at generation 8 of a depth-8 tree for "depth8"."""
+    build_cells at generation 8 of a depth-8 tree for "depth8"; on both growth paths."""
     model = third_fifth_model() if model_seed is None else random_model(model_seed)
-    if kind == "leaf":
-        eps = 1e-6 if model_seed is None else 1e-4
-        atoms = atomize(leaf_cells(sample_tree(model, StopRule.resolution(eps), seed)))
-    else:
-        atoms = atomize(build_cells(sample_tree(model, StopRule.depth(8), seed), 8))
-    h = hashlib.sha256(atoms.positions.tobytes())
-    h.update(atoms.masses.tobytes())
-    assert (atoms.positions.size, h.hexdigest()) == (size, digest)
+    for path in both_paths():
+        if kind == "leaf":
+            eps = 1e-6 if model_seed is None else 1e-4
+            atoms = atomize(leaf_cells(sample_tree(model, StopRule.resolution(eps), seed)))
+        else:
+            atoms = atomize(build_cells(sample_tree(model, StopRule.depth(8), seed), 8))
+        h = hashlib.sha256(atoms.positions.tobytes())
+        h.update(atoms.masses.tobytes())
+        assert (atoms.positions.size, h.hexdigest()) == (size, digest), path

@@ -66,7 +66,7 @@ from cantorstring import (
     single_letter_model,
     third_fifth_model,
 )
-from cantorstring import measure, stieltjes
+from cantorstring import _native, measure, stieltjes
 from cantorstring.stieltjes import (
     TIE_SHIFT,
     _block_sweep,
@@ -99,14 +99,6 @@ def random_string(seed: int, max_atoms: int = 200) -> StieltjesString:
     return StieltjesString((0.0, 1.0), pos, mas)
 
 
-def both_paths(monkeypatch):
-    """Yield "compiled" with the C loop in place (when it builds), then "reference" with it off."""
-    yield "compiled"
-    with monkeypatch.context() as patch:
-        patch.setattr(stieltjes, "_kernel", lambda: None)
-        yield "reference"
-
-
 def reference_counts(s, xs):
     """_counts of the numpy block sweep: raw pivot counts, Neumann floored at the zero mode."""
     counts = _block_sweep(s, np.asarray(xs, dtype=float) * TIE_SHIFT)
@@ -122,7 +114,7 @@ def find_compiler():
 
 @pytest.fixture
 def kernel():
-    compiled = stieltjes._kernel()
+    compiled = _native.library()
     if compiled is None:
         pytest.skip("no C compiler: the compiled count loop cannot be built")
     return compiled
@@ -313,18 +305,18 @@ class TestSweepPaths:
                 rng.shuffle(xs)
                 self.assert_paths_agree(kernel, s, xs)
 
-    def test_exact_eigenvalue_ties(self, kernel, monkeypatch):
+    def test_exact_eigenvalue_ties(self, kernel, monkeypatch, both_paths):
         # uniform(2) has the exact Dirichlet spectrum {8, 16} and Neumann {0, 8}
         u = StieltjesString.uniform(2)
         ties = [8.0, 16.0] + EXTREME_SHIFTS + [float(x) for x in np.geomspace(1.0, 1e3, 33)]
         for chunk_rows in (1, 2, 256):
             monkeypatch.setattr(stieltjes, "_CHUNK_ROWS", chunk_rows)
-            for path in both_paths(monkeypatch):
+            for path in both_paths():
                 assert count_dirichlet(u, 8.0) == 1 and count_dirichlet(u, 16.0) == 2
                 assert count_neumann(u, 8.0) == 2
             self.assert_paths_agree(kernel, u, ties)
 
-    def test_vanishing_pivot_safeguard(self, kernel, monkeypatch):
+    def test_vanishing_pivot_safeguard(self, kernel, monkeypatch, both_paths):
         # uniform(2): K_D = [[6, -2], [-2, 6]], M = I/2. At x' = 12 the first
         # pivot is exactly zero and, unguarded, the next row would divide by
         # it; at x' = 16 the last pivot is exactly zero and must be counted.
@@ -341,7 +333,7 @@ class TestSweepPaths:
             for s, zeros in cases:
                 xs = [x / TIE_SHIFT for x in zeros]
                 assert [x * TIE_SHIFT for x in xs] == list(zeros)
-                for path in both_paths(monkeypatch):
+                for path in both_paths():
                     for x, count in zip(xs, zeros.values()):
                         assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet") == count
                 self.assert_paths_agree(kernel, s, (xs * 20)[:35] + EXTREME_SHIFTS)
@@ -360,8 +352,9 @@ class TestSweepPaths:
             shifts = np.array(xs) * TIE_SHIFT
             pivots = np.empty(2 * shifts.size)
             counts = np.empty((2, shifts.size), dtype=np.int64)
-            kernel(s.n, shifts.size, s._pivmin, s._diags.ctypes.data, s.masses.ctypes.data,
-                   s._b2.ctypes.data, shifts.ctypes.data, pivots.ctypes.data, counts.ctypes.data)
+            kernel.sturm_counts(s.n, shifts.size, s._pivmin, s._diags.ctypes.data,
+                                s.masses.ctypes.data, s._b2.ctypes.data, shifts.ctypes.data,
+                                pivots.ctypes.data, counts.ctypes.data)
             expected = []
             for diag in s._diags.tolist():
                 for x in shifts.tolist():
@@ -408,9 +401,9 @@ class TestSweepPaths:
                 assert c.count_dirichlet == dense_count(s, c.x, "dirichlet")
                 assert c.count_neumann == dense_count(s, c.x, "neumann")
 
-    def test_eigenvalues_pinned(self, monkeypatch):
+    def test_eigenvalues_pinned(self, both_paths):
         # exact floats of the single-shift numpy sweep, on both count paths
-        for path in both_paths(monkeypatch):
+        for path in both_paths():
             s = random_string(21, max_atoms=40)
             assert [eigenvalue(s, k, "dirichlet") for k in (1, 6, 11)] == [
                 3.397571695037186, 521.3895064592361, 204323.2441253662]
@@ -420,12 +413,12 @@ class TestSweepPaths:
             assert eigenvalue(u, 1, "dirichlet") == 9.869401467964053
             assert eigenvalue(u, 7, "neumann") == 483.12356358766556
 
-    def test_single_shift_counts_pinned(self, third_fifth, monkeypatch):
+    def test_single_shift_counts_pinned(self, third_fifth, both_paths):
         # whole string and every piece of the depth-8 bracketing memo at the
         # shifts check_bracketing uses; then uniform(2) and a 3-atom string at
         # exact ties (8, 16), zero pivots (x' = 12, 16 and 8, 4), 0 and shifts
         # where x' m overflows to a -inf pivot; on both count paths
-        for path in both_paths(monkeypatch):
+        for path in both_paths():
             lines = []
             for seed in range(5):
                 tree = sample_tree(third_fifth, StopRule.depth(8), seed)
@@ -452,9 +445,9 @@ class TestKernelLoader:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        stieltjes._kernel.cache_clear()
+        _native.library.cache_clear()
         yield tmp_path / "xdg" / "cantorstring"
-        stieltjes._kernel.cache_clear()
+        _native.library.cache_clear()
 
     @staticmethod
     def assert_reference_counts():
@@ -468,15 +461,15 @@ class TestKernelLoader:
     def test_no_compiler(self, monkeypatch, fresh_cache):
         monkeypatch.setattr(shutil, "which", lambda name: None)
         self.assert_reference_counts()
-        assert stieltjes._kernel() is None
+        assert _native.library() is None
         assert not fresh_cache.exists()
 
     def test_failing_compile(self, monkeypatch, tmp_path, fresh_cache):
-        broken = tmp_path / "_sturm.c"
+        broken = tmp_path / "_native.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(stieltjes, "_SOURCE", broken)
+        monkeypatch.setattr(_native, "_SOURCE", broken)
         self.assert_reference_counts()
-        assert stieltjes._kernel() is None
+        assert _native.library() is None
         assert list(fresh_cache.iterdir()) == []  # the temporary build directory is removed
 
     def test_cache_under_a_file(self, tmp_path, monkeypatch):
@@ -484,7 +477,7 @@ class TestKernelLoader:
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
         self.assert_reference_counts()
-        assert stieltjes._kernel() is None
+        assert _native.library() is None
 
     def test_read_only_cache(self, monkeypatch, fresh_cache):
         fresh_cache.mkdir(parents=True, mode=0o500)
@@ -492,20 +485,20 @@ class TestKernelLoader:
             raise PermissionError("read-only cache directory")
         monkeypatch.setattr("tempfile.mkdtemp", refuse)
         self.assert_reference_counts()
-        assert stieltjes._kernel() is None
+        assert _native.library() is None
 
     def test_shared_cache_not_loaded(self, fresh_cache):
         if find_compiler() is None:
             pytest.skip("no C compiler: nothing is built to load")
-        assert stieltjes._kernel() is not None
-        stieltjes._kernel.cache_clear()
+        assert _native.library() is not None
+        _native.library.cache_clear()
         fresh_cache.chmod(0o777)  # others could replace the library
         self.assert_reference_counts()
-        assert stieltjes._kernel() is None
+        assert _native.library() is None
 
     def test_compiler_means_kernel(self):
         # with a compiler on PATH the C loop must load, so no run measures the fallback unnoticed
-        assert (stieltjes._kernel() is not None) == (find_compiler() is not None)
+        assert (_native.library() is not None) == (find_compiler() is not None)
 
     def test_corrupt_library_rebuilt(self, fresh_cache):
         # a cached library that does not load is built again, not left to send
@@ -514,19 +507,19 @@ class TestKernelLoader:
         if find_compiler() is None:
             pytest.skip("no C compiler: nothing is built to load")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        code = "from cantorstring import stieltjes; assert stieltjes._kernel() is not None"
+        code = "from cantorstring import _native; assert _native.library() is not None"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
         (library,) = fresh_cache.glob("*.so")
         library.write_bytes(b"not a shared library\n")
-        stieltjes._kernel.cache_clear()
-        assert stieltjes._kernel() is not None
+        _native.library.cache_clear()
+        assert _native.library() is not None
         self.assert_reference_counts()
         assert list(fresh_cache.iterdir()) == [library]
         assert library.read_bytes().startswith(b"\x7fELF") or sys.platform != "linux"
 
     def test_concurrent_first_loads(self, fresh_cache):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        code = "from cantorstring import stieltjes; print(stieltjes._kernel() is not None)"
+        code = "from cantorstring import _native; print(_native.library() is not None)"
         procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                                   text=True) for _ in range(2)]
         outs = [proc.communicate(timeout=120)[0].strip() for proc in procs]
@@ -538,11 +531,11 @@ class TestKernelLoader:
 
 
 class TestCurve:
-    def test_counts_pinned(self, monkeypatch):
+    def test_counts_pinned(self, both_paths):
         tree = sample_tree(third_fifth_model(), StopRule.resolution(1e-5), 0)
         string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
         assert string.n == 3672
-        for path in both_paths(monkeypatch):
+        for path in both_paths():
             samples = counting_curve(string, np.geomspace(1.0, 1e9, 120))
             text = "\n".join(f"{s.x!r},{s.count_dirichlet},{s.count_neumann}" for s in samples)
             assert hashlib.sha256(text.encode()).hexdigest() == CURVE_COUNTS_DIGEST, path
@@ -644,7 +637,8 @@ class TestBracketing:
 
     def test_one_forest_per_memo_entry(self, third_fifth, monkeypatch):
         real, calls = measure._grow, []
-        monkeypatch.setattr(measure, "_grow", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(measure, "_grow",
+                            lambda *args, **limits: calls.append(args) or real(*args, **limits))
         tree = sample_tree(third_fifth, StopRule.depth(6), 5)
         for x in (10.0, 1e3, 1e5):
             check_bracketing(tree, 6, x)
@@ -652,22 +646,24 @@ class TestBracketing:
 
     @pytest.mark.parametrize("name, atoms, digest", PIECE_DIGESTS,
                              ids=[name for name, _, _ in PIECE_DIGESTS])
-    def test_piece_bits_pinned(self, name, atoms, digest, request):
-        """Depth-n tree of seed 3n + 1 for n = 1..8; every piece keeps every bit."""
+    def test_piece_bits_pinned(self, name, atoms, digest, request, both_paths):
+        """Depth-n tree of seed 3n + 1 for n = 1..8; every piece keeps every bit, on both
+        growth (and count) paths."""
         model = {"third-fifth": third_fifth_model,
                  "middle-third": lambda: single_letter_model(middle_third_letter()),
                  "balanced-pair": lambda: request.getfixturevalue("balanced_pair"),
                  "random-1": lambda: random_model(1), "random-6": lambda: random_model(6),
                  "random-2-balanced": lambda: random_model(2, balanced=True)}[name]()
-        h, total = hashlib.sha256(), 0
-        for n in range(1, 9):
-            tree = sample_tree(model, StopRule.depth(n), 3 * n + 1)
-            check_bracketing(tree, n, 0.0)
-            for scale, piece in tree.memo["bracketing"][n]:
-                for array in (np.float64(scale), piece.positions, piece.masses):
-                    h.update(array.tobytes())
-                total += piece.n
-        assert (total, h.hexdigest()) == (atoms, digest)
+        for path in both_paths():
+            h, total = hashlib.sha256(), 0
+            for n in range(1, 9):
+                tree = sample_tree(model, StopRule.depth(n), 3 * n + 1)
+                check_bracketing(tree, n, 0.0)
+                for scale, piece in tree.memo["bracketing"][n]:
+                    for array in (np.float64(scale), piece.positions, piece.masses):
+                        h.update(array.tobytes())
+                    total += piece.n
+            assert (total, h.hexdigest()) == (atoms, digest), path
 
     def test_requires_positive_depth(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 2)

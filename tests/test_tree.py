@@ -17,21 +17,28 @@ Core claims:
     - the hash round on uint64 arrays equals the masked round on ints, and
       models grown in turn each keep their own rows (tables per model object)
     - the text dump lists every node's address and letter id
+    - the compiled growth gives every generation array byte for byte as the
+      numpy loop does, refuses the same trees, never draws a letter of
+      probability 0, and refuses a tree before it allocates its arrays
 """
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cantorstring import (IfsModel, build_cells, leaf_cells, middle_third_letter, random_model,
-                          sample_tree, simulate_population, single_letter_model,
-                          third_fifth_model, tree as tree_module)
+from cantorstring import (IfsModel, build_cells, leaf_cells, make_letter, middle_third_letter,
+                          random_model, sample_tree, simulate_population, single_letter_model,
+                          solve_recursive_exponent, third_fifth_model, tree as tree_module)
+from cantorstring import _native
 from cantorstring._rng import child_state, root_states, splitmix64
 from cantorstring.branching import simulate_populations
 from cantorstring.ifs import model_from_dict, model_to_dict
 from cantorstring.measure import piece_cells
 from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses
+from conftest import tie_model
 
 ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "first")
 
@@ -182,7 +189,7 @@ class TestForest:
     def test_roots_side_by_side(self, third_fifth):
         # each root's slice of every generation equals its own one-root growth
         def grow(states):
-            return tree_module._grow(third_fifth, states, lambda k, length, sigma: length >= 0.01)
+            return tree_module._grow(third_fifth, states, min_length=0.01)
         states = root_states([3, 4, 5])
         forest = grow(states)
         for k in range(states.size):
@@ -295,6 +302,99 @@ class TestHashAndTables:
         for array in third_fifth.tables:
             with pytest.raises(ValueError):
                 array[...] = 0
+
+
+GROWTH_MODELS = {"third-fifth": third_fifth_model,
+                 "middle-third": lambda: single_letter_model(middle_third_letter()),
+                 "ties": tie_model, **{f"random-{k}": functools.partial(random_model, k)
+                                       for k in range(20)}}
+
+
+def both_growths(both_paths, model, states, **limits):
+    """[compiled, numpy] generations, or the ValueError message of a refusal, per path."""
+    out = []
+    for _ in both_paths():
+        try:
+            out.append(tree_module._grow(model, states, **limits))
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+def assert_same_generations(compiled, reference):
+    assert len(compiled) == len(reference)
+    for gen, ref in zip(compiled, reference):
+        for name in ARRAYS:
+            got, want = getattr(gen, name), getattr(ref, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable and not want.flags.writeable
+
+
+class TestCompiledGrowth:
+    """The walks of _native.c against _grow_numpy, the numpy loop they replace."""
+
+    @pytest.mark.parametrize("name", GROWTH_MODELS)
+    @pytest.mark.parametrize("roots", [1, 5])
+    def test_generations_and_refusals_match_numpy(self, name, roots, both_paths,
+                                                  monkeypatch):
+        model = GROWTH_MODELS[name]()
+        t_max = math.log(300) / solve_recursive_exponent(model)
+        states = root_states(range(7, 7 + roots))
+        for limits in ({"depth": 5}, {"min_length": 0.01}, {"max_sigma": t_max},
+                       {"depth": 4, "min_length": 0.02, "max_sigma": t_max}):
+            compiled, reference = both_growths(both_paths, model, states, **limits)
+            assert_same_generations(compiled, reference)
+            size = sum(gen.letter.size for gen in compiled)
+            monkeypatch.setattr(tree_module, "MAX_NODES", size)
+            grown = both_growths(both_paths, model, states, **limits)
+            for generations in grown:
+                assert_same_generations(generations, reference)
+            monkeypatch.setattr(tree_module, "MAX_NODES", size - 1)
+            refused = both_growths(both_paths, model, states, remedy="grow less", **limits)
+            assert refused == [f"tree would exceed {size - 1} nodes; grow less"] * 2
+            monkeypatch.undo()
+
+    def test_deeper_than_the_first_count_buffer(self, both_paths):
+        # a map with r w near 1 makes a chain of ~100 generations (the count buffer
+        # holds 64, so the walk counts again into one that fits)
+        letter = make_letter("long", [(0.98, 0.0), (0.01, 0.99)], (0.99, 0.01))
+        model = IfsModel((0.0, 1.0), (letter,), (1.0,))
+        for limits in ({"min_length": 0.1}, {"max_sigma": 3.0}):
+            compiled, reference = both_growths(both_paths, model, root_states([1, 2]), **limits)
+            assert 64 < len(compiled) < 200
+            assert_same_generations(compiled, reference)
+
+    @pytest.mark.parametrize("probs", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)])
+    def test_zero_probability_letter_never_drawn(self, probs, both_paths):
+        letters = (middle_third_letter(),
+                   make_letter("halves", [(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5)),
+                   make_letter("fifths", [(0.2, 0.0), (0.2, 0.4), (0.2, 0.8)], (0.3, 0.4, 0.3)))
+        model = IfsModel((0.0, 1.0), letters, probs)
+        never = probs.index(0.0)
+        compiled, reference = both_growths(both_paths, model, root_states(range(40)), depth=7)
+        assert_same_generations(compiled, reference)
+        drawn = np.concatenate([gen.letter for gen in compiled])
+        assert drawn.size > 10_000 and never not in drawn
+        assert set(drawn.tolist()) == {0, 1, 2} - {never}
+
+    def test_refusal_allocates_no_arrays(self, third_fifth, monkeypatch):
+        # the count walk refuses before any generation array is allocated; the numpy
+        # loop, which refuses only after a generation's arrays exist, peaks far higher
+        if _native.library() is None:
+            pytest.skip("no C compiler: the compiled growth cannot be built")
+        monkeypatch.setattr(tree_module, "MAX_NODES", 200_000)
+        peaks = []
+        for library in (_native.library(), None):
+            monkeypatch.setattr(_native, "library", lambda: library)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="exceed 200000 nodes"):
+                    sample_tree(third_fifth, StopRule.resolution(1e-8), 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1 << 20 < peaks[1]
 
 
 class TestDumpLoad:
