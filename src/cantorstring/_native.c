@@ -77,11 +77,12 @@ void sturm_counts(int64_t n, int64_t ns, double pivmin, const double *restrict d
    depth and no node arrays. Preorder meets each generation's nodes in
    address order, so seen[k] is the index, within generation k, of the next
    node met there: grow_fill writes node (k, seen[k]) to its breadth-first
-   place, and its children start at seen[k + 1]. grow_count only counts:
+   place base[k] + seen[k], base[k] being the nodes above generation k, and
+   its children start at base[k + 1] + seen[k + 1]. grow_count only counts:
    it writes the first cap generation sizes and returns how many generations
    there are (a caller with too small a buffer asks again), and returns -1
    as soon as the forest passes max_nodes, before anything is allocated but
-   the frames. grow_fill takes those sizes and fills one array per field of
+   the frames. grow_fill takes those sizes and fills one array per field,
    the generations in turn (Out). Both return -2 if the frames cannot be
    allocated; grow_fill returns -3 if the walk does not meet the sizes. */
 #include <stdlib.h>
@@ -114,9 +115,9 @@ typedef struct {
     int64_t row, next, end;
 } Frame;
 
-typedef struct {  /* grow_fill's arrays, one per field of all the generations in turn */
+typedef struct {  /* grow_fill's arrays, one per field, the generations in turn */
     double *ratio, *offset, *mass, *sigma;
-    int64_t *letter, *first;  /* first: n + generations entries, generation k's at base_k + k */
+    int64_t *letter, *first;  /* first: n + 1 entries, node f's children first[f]:first[f + 1] */
     uint8_t *expanded;
 } Out;
 
@@ -130,7 +131,7 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
     int64_t *seen = calloc(room, sizeof *seen), *base = calloc(room, sizeof *base);
     if (!path || !seen || !base)
         goto done;
-    for (int64_t k = 1; fill && k < gens; k++)
+    for (int64_t k = 1; fill && k <= gens; k++)  /* base[gens] = n, below the last row */
         base[k] = base[k - 1] + sizes[k - 1];
     for (int64_t q = 0; q < roots; q++) {
         int64_t d = 0;
@@ -161,7 +162,7 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
                 out->mass[at] = node->mass;
                 out->sigma[at] = node->sigma;
                 out->letter[at] = j;
-                out->first[at + d] = seen[d + 1];
+                out->first[at] = base[d + 1] + seen[d + 1];
                 out->expanded[at] = (uint8_t)grows;
             }
             seen[d]++;
@@ -200,17 +201,11 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
     next_root:;
     }
     if (fill) {
-        if (levels != gens) {
+        if (levels != gens || total != base[gens]) {  /* no seen[k] passed sizes[k] */
             result = -3;
             goto done;
         }
-        for (int64_t k = 0; k < gens; k++) {
-            if (seen[k] != sizes[k]) {
-                result = -3;
-                goto done;
-            }
-            out->first[base[k] + k + sizes[k]] = seen[k + 1];  /* first[-1]: the row below */
-        }
+        out->first[total] = total;  /* first[n] = n closes the last node's range */
     } else {
         for (int64_t k = 0; k < levels && k < cap; k++)
             seen_out[k] = seen[k];

@@ -13,7 +13,8 @@ and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
 The population up to t_max is the labelled tree of the same (model, seed), grown by the
-tree sampler with each node born by t_max expanded. `forests` grows many seeds as forests
+tree sampler with each node born by t_max expanded; its `tree.NodeTable` numbers the
+nodes generation by generation, roots first. `forests` grows many seeds as forests
 of about FOREST_BIRTHS births, read per root by `martingale_R_by_root`, `martingale_traces`
 and `z_by_root`, which sums hits between `tree.root_bounds`; `martingale_trace` and
 `z_process` are their one-root cases and refuse forests, and `z_counts` gives one root's
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence
 
@@ -34,7 +35,8 @@ import numpy as np
 from ._rng import Address, root_states
 from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
-from .tree import _grow, format_address, node_addresses, node_ranks, root_bounds, write_table
+from .tree import (NodeTable, _grow, format_address, node_addresses, node_ranks, root_bounds,
+                   write_table)
 
 FOREST_BIRTHS = 16_384  # seeds grow as forests of about this many expected births
 
@@ -49,16 +51,14 @@ class BirthEvent:
 class PopulationRun:
     """The trees, one per seed, of all individuals born up to t_max and their children.
 
-    Nodes are numbered generation by generation, roots first: `sigma` holds their birth
-    times, node f's children are first[f]:first[f + 1], and `order`, sorted when first
-    read, lists the born nodes root by root from `starts`, each root's in birth order.
+    `nodes` is their node table: `sigma` holds the birth times, node f's children are
+    first[f]:first[f + 1], and `order`, sorted when first read, lists the born nodes root
+    by root from `starts`, each root's in birth order.
     """
 
-    def __init__(self, model: IfsModel, seeds: Sequence[int], t_max: float, generations: list):
-        self.model, self.seeds, self.t_max, self.generations = model, seeds, t_max, generations
-        self.sigma = np.concatenate([gen.sigma for gen in generations])
-        kids = [gen.first[1:] - gen.first[:-1] for gen in generations]
-        self.first = np.concatenate([[len(seeds)]] + kids).cumsum()  # children follow the roots
+    def __init__(self, model: IfsModel, seeds: Sequence[int], t_max: float, nodes: NodeTable):
+        self.model, self.seeds, self.t_max, self.nodes = model, seeds, t_max, nodes
+        self.sigma, self.first = nodes.sigma, nodes.first
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.sigma <= self.t_max))
@@ -66,7 +66,7 @@ class PopulationRun:
     @cached_property
     def order(self) -> np.ndarray:
         born = np.flatnonzero(self.sigma <= self.t_max)
-        rank = np.concatenate(node_ranks(self.generations))  # roots: nodes 0, 1, ...
+        rank = node_ranks(self.nodes)  # roots: nodes 0, 1, ...
         root = rank[:len(self.seeds)].searchsorted(rank[born], "right") - 1  # preorder
         return born[np.lexsort((rank[born], self.sigma[born], root))]
 
@@ -76,8 +76,7 @@ class PopulationRun:
 
     @cached_property
     def events(self) -> List[BirthEvent]:
-        addresses = list(chain.from_iterable(node_addresses(self.generations)))
-        letters = np.concatenate([gen.letter for gen in self.generations]).tolist()
+        addresses, letters = node_addresses(self.nodes), self.nodes.letter.tolist()
         sigma, ids = self.sigma.tolist(), [letter.id for letter in self.model.letters]
         return [BirthEvent(addresses[f], sigma[f], ids[letters[f]]) for f in self.order.tolist()]
 
@@ -86,8 +85,8 @@ def simulate_populations(model: IfsModel, t_max: float, seeds: Sequence[int]) ->
     """The seeds' populations as one forest, each root's nodes bit for bit its seed's alone."""
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    generations = _grow(model, root_states(seeds), max_sigma=t_max, remedy="use a smaller --tmax")
-    return PopulationRun(model, seeds, t_max, generations)
+    nodes = _grow(model, root_states(seeds), max_sigma=t_max, remedy="use a smaller --tmax")
+    return PopulationRun(model, seeds, t_max, nodes)
 
 
 def simulate_population(model: IfsModel, t_max: float, seed: int) -> PopulationRun:
@@ -155,9 +154,7 @@ def z_by_root(run: PopulationRun, t: float) -> List[int]:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
     parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of the non-roots
     hits = np.flatnonzero((parent <= t) & (run.sigma[run.first[0]:] > t)) + run.first[0]
-    bounds = root_bounds(run.generations)
-    size = bounds[:, -1]  # nodes of each generation, numbered after those above it
-    before = hits.searchsorted(bounds + (size.cumsum() - size)[:, None])  # hits below a bound
+    before = hits.searchsorted(root_bounds(run.nodes))  # hits below each bound
     return np.diff(before).sum(axis=0).tolist()
 
 

@@ -2,11 +2,11 @@
 
 The cell of an address is the image R [a, b] + C of the base interval
 under the composed maps along its path, and its mass M is the product of
-the path's weights. The tree's generations hold R, C and M, so a measure
-is a slice of them: one generation, or every leaf in lexicographic
+the path's weights. The tree's node table holds R, C and M, so a measure
+is a slice of it: one generation, or every leaf in lexicographic
 (preorder) address order, or the root children's pieces, grown as one
 forest. Addresses and `Cell` tuples are built only when read, each view by
-slicing or permuting the levels of `tree.node_addresses`.
+slicing or permuting the flat list of `tree.node_addresses`.
 Atomization collapses every cell to a point mass at its midpoint; that
 discrete surrogate is what the string solver consumes.
 """
@@ -68,16 +68,18 @@ def _cells(tree: RandomTree, n: Optional[int], ratio: np.ndarray, offset: np.nda
 def _require_depth(tree: RandomTree, n: int, least: int = 0) -> None:
     if n < least:
         raise ValueError(f"generation must be >= {least}, got {n}")
-    if n >= len(tree.generations) or not all(gen.expanded.all() for gen in tree.generations[:n]):
+    levels = tree.nodes.levels
+    if n >= levels.size - 1 or not tree.nodes.expanded[:levels[n]].all():
         raise ValueError(f"depth {n} exceeds the sampled tree")
 
 
 def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
     """Cells of generation n: geometry S_ii([a, b]), mass = weight product."""
     _require_depth(tree, n)
-    gen = tree.generations[n]
-    return _cells(tree, n, gen.ratio, gen.offset, gen.mass,
-                  lambda: node_addresses(tree.generations[:n + 1])[n])
+    nodes = tree.nodes
+    lo, hi = nodes.levels[n:n + 2].tolist()
+    return _cells(tree, n, nodes.ratio[lo:hi], nodes.offset[lo:hi], nodes.mass[lo:hi],
+                  lambda: node_addresses(nodes)[lo:hi])
 
 
 def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
@@ -87,25 +89,24 @@ def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
     alone)."""
     _require_depth(tree, n, least=1)
     root = root_states([tree.seed])  # every tree is sampled from its seed
-    kids = child_state(root, np.arange(1, tree.generations[0].first[1] + 1, dtype=np.uint64))
+    kids = child_state(root, np.arange(1, tree.nodes.first[1], dtype=np.uint64))  # 1..n_maps
     forest = _grow(tree.model, kids, depth=n - 1)
-    bounds = root_bounds(forest)[n - 1]
-    gen, level = forest[n - 1], cache(lambda: node_addresses(forest)[n - 1])
-    return [_cells(tree, n - 1, gen.ratio[lo:hi], gen.offset[lo:hi], gen.mass[lo:hi],
-                   lambda lo=lo, hi=hi: level()[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    bounds, addresses = root_bounds(forest)[n - 1].tolist(), cache(lambda: node_addresses(forest))
+    return [_cells(tree, n - 1, forest.ratio[lo:hi], forest.offset[lo:hi], forest.mass[lo:hi],
+                   lambda lo=lo, hi=hi: addresses()[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def leaf_cells(tree: RandomTree) -> MeasureApprox:
     """Cells of all leaves, in preorder; the natural measure of a resolution-stopped tree."""
-    gens = tree.generations
-    order = np.argsort(np.concatenate([r[~g.expanded] for g, r in zip(gens, node_ranks(gens))]))
-    ratio, offset, mass = (np.concatenate([getattr(gen, k)[~gen.expanded] for gen in gens])[order]
-                           for k in ("ratio", "offset", "mass"))
+    nodes = tree.nodes
+    leaves = np.flatnonzero(~nodes.expanded)
+    leaves = leaves[np.argsort(node_ranks(nodes)[leaves])]
     def addresses() -> List[Address]:
-        leaves = [a for gen, level in zip(gens, node_addresses(gens))
-                  for a, e in zip(level, gen.expanded.tolist()) if not e]
-        return [leaves[k] for k in order.tolist()]
-    return _cells(tree, None, ratio, offset, mass, addresses)
+        every = node_addresses(nodes)
+        return [every[f] for f in leaves.tolist()]
+    return _cells(tree, None, nodes.ratio[leaves], nodes.offset[leaves], nodes.mass[leaves],
+                  addresses)
 
 
 class CollapsedCells(ValueError):

@@ -319,7 +319,7 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
         raise ValueError("spectral parameter x must be >= 0")
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:
-        root = tree.model.letters[tree.generations[0].letter[0]]
+        root = tree.model.letters[tree.nodes.letter[0]]
         memo[n] = [(s.ratio * w, StieltjesString.from_measure(atomize(cells)))
                    for s, w, cells in zip(root.maps, root.weights, piece_cells(tree, n))]
     whole_d, whole_n = _pair(depth_string(tree, n), x)

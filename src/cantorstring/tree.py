@@ -3,17 +3,17 @@
 Every node carries an i.i.d. letter label; the label decides how many
 children the node has and how its cell subdivides. Trees are materialized
 eagerly up to a stop rule (fixed depth, or geometric cell resolution) and
-are immutable afterwards. A tree is one `Generation` of arrays per depth,
-in lexicographic address order, each drawn from the one above: child i
-gets hash state child_state(state, i), the letter that state draws, the
-composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and birth time
-sigma' = sigma - log(r_i w_i), all read from model.tables. `_grow` also grows forests of
-roots side by side, each root's rows bit for bit those of growing it alone: the compiled
-walks of _native.c count the generations depth first, refusing a tree past MAX_NODES
-before any array is allocated, then fill exact-size arrays; `_grow_numpy`, a generation
-at a time, is the no-compiler path and the test oracle. The uint64 states live only while
-a tree grows. `root_bounds` gives each root's nodes per generation, `node_ranks` preorder
-ranks, and `node_addresses` the addresses every view reads.
+are immutable afterwards. A tree is one `NodeTable`, one flat array per field:
+generation after generation, each in lexicographic address order, roots first, node f's
+children at first[f]:first[f + 1]. Child i gets hash state child_state(state, i), the
+letter that state draws, the composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and
+birth time sigma' = sigma - log(r_i w_i), all read from model.tables. `_grow` also grows
+forests of roots side by side, each root's rows bit for bit those of growing it alone: the
+compiled walks of _native.c count the generations depth first, refusing a tree past
+MAX_NODES before any array is allocated, then fill exact-size arrays; `_grow_numpy`, a
+generation at a time, is the no-compiler path and the test oracle. The uint64 states live
+only while a tree grows. `root_bounds` gives each root's nodes per generation,
+`node_ranks` preorder ranks, and `node_addresses` the addresses every view reads.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import ctypes
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence
 
@@ -58,9 +57,10 @@ class StopRule:
 
 
 @dataclass(frozen=True, eq=False)
-class Generation:
-    """The nodes of one depth, in lexicographic address order (arrays made read-only by
-    the growth that builds them)."""
+class NodeTable:
+    """A forest's nodes, one read-only array per field: generation k is nodes
+    levels[k]:levels[k + 1], in lexicographic address order, and the roots are nodes
+    0..R-1."""
 
     letter: np.ndarray    # letter index
     ratio: np.ndarray     # composed ratio R of the path's maps
@@ -68,47 +68,45 @@ class Generation:
     mass: np.ndarray      # product M of the path's weights
     sigma: np.ndarray     # birth time: sum of -log(r_i w_i) along the path
     expanded: np.ndarray  # bool: the node has children
-    first: np.ndarray     # children of node j: next generation's first[j]:first[j + 1]
+    first: np.ndarray     # n + 1 entries: the children of node f are first[f]:first[f + 1]
+    levels: np.ndarray    # generation k is nodes levels[k]:levels[k + 1]
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():
+            array.flags.writeable = False
 
 
 def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
           min_length: float = -math.inf, max_sigma: float = math.inf,
-          remedy: str = "use a larger epsilon or a smaller depth") -> List[Generation]:
-    """Generations below roots with these uint64 hash states, each root's nodes contiguous;
-    a node of generation k with cell length L and birth time sigma has children iff
-    k < depth, L >= min_length and sigma <= max_sigma. Raises ValueError on an invalid
-    model (model.tables validates it) and, ending in `remedy`, past MAX_NODES. The
-    compiled walks of _native.c count the generations, refusing before anything is
-    allocated, then fill them; without the library the numpy loop grows them."""
+          remedy: str = "use a larger epsilon or a smaller depth") -> NodeTable:
+    """The nodes below roots with these uint64 hash states, each root's nodes contiguous
+    per generation; a node of generation k with cell length L and birth time sigma has
+    children iff k < depth, L >= min_length and sigma <= max_sigma. Raises ValueError on
+    an invalid model (model.tables validates it) and, ending in `remedy`, past MAX_NODES.
+    The compiled walks of _native.c count the generations, refusing before anything is
+    allocated, then fill the table; without the library the numpy loop grows it."""
     tables, library = model.tables, _native.library()
     if library is None:
         return _grow_numpy(model, states, depth, min_length, max_sigma, remedy)
     a, b = model.interval
     states = np.ascontiguousarray(states, np.uint64)  # the walks read states.size of them
-    head = (*model.table_addresses, tables[-1].size, depth, min_length, max_sigma,
-            states.size, states.ctypes.data, b - a, MAX_NODES)
+    head = (*model.table_addresses, tables[-1].size, min(depth, sys.maxsize), min_length,
+            max_sigma, states.size, states.ctypes.data, b - a, MAX_NODES)
     sizes = (ctypes.c_int64 * 64)()
     gens = library.grow_count(*head, len(sizes), sizes)
     if gens > len(sizes):  # deeper than the buffer: count again into one that fits
         sizes = (ctypes.c_int64 * gens)()
         gens = library.grow_count(*head, gens, sizes)
     _refuse(gens, remedy)
-    n = sum(sizes[:gens])
+    levels = np.cumsum([0, *sizes[:gens]])
+    n = int(levels[-1])
     # one array per field, as the numpy loop has: one block of them all fragments the heap
     ratio, offset, mass, sigma = (np.empty(n) for _ in range(4))
-    letter, first, expanded = np.empty(n, np.int64), np.empty(n + gens, np.int64), np.empty(n, bool)
+    letter, first, expanded = np.empty(n, np.int64), np.empty(n + 1, np.int64), np.empty(n, bool)
     arrays = (ratio, offset, mass, sigma, letter, first, expanded)
     _refuse(library.grow_fill(*head, gens, sizes, *(array.ctypes.data for array in arrays)),
             remedy)
-    for array in arrays:
-        array.flags.writeable = False
-    generations, lo = [], 0
-    for k, size in enumerate(sizes[:gens]):
-        hi = lo + size
-        generations.append(Generation(letter[lo:hi], ratio[lo:hi], offset[lo:hi], mass[lo:hi],
-                                      sigma[lo:hi], expanded[lo:hi], first[lo + k:hi + k + 1]))
-        lo = hi
-    return generations
+    return NodeTable(letter, ratio, offset, mass, sigma, expanded, first, levels)
 
 
 def _refuse(code: int, remedy: str) -> None:
@@ -122,26 +120,24 @@ def _refuse(code: int, remedy: str) -> None:
 
 
 def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: float,
-                max_sigma: float, remedy: str) -> List[Generation]:
+                max_sigma: float, remedy: str) -> NodeTable:
     """_grow one generation at a time in numpy: the no-compiler path and the test oracle."""
     n_maps, start, r_i, c_i, w_i, tau, cum = model.tables
     n = nodes = states.size
     ratio, offset, mass, sigma = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
     length = np.full(n, model.interval[1] - model.interval[0])
-    out: List[Generation] = []
+    rows: List[tuple] = []  # per generation: letter, ratio, offset, mass, sigma, expanded, counts
     while True:
         letters = letter_draw(cum, states)
-        expanded = (len(out) < depth) & (length >= min_length) & (sigma <= max_sigma)
+        expanded = (len(rows) < depth) & (length >= min_length) & (sigma <= max_sigma)
         counts = np.where(expanded, n_maps[letters], 0)
         first = np.zeros(counts.size + 1, counts.dtype)
         counts.cumsum(out=first[1:])
         if (nodes := nodes + first[-1]) > MAX_NODES:
             raise ValueError(f"tree would exceed {MAX_NODES} nodes; {remedy}")
-        out.append(Generation(letters, ratio, offset, mass, sigma, expanded, first))
-        for array in vars(out[-1]).values():
-            array.flags.writeable = False
+        rows.append((letters, ratio, offset, mass, sigma, expanded, counts))
         if first[-1] == 0:
-            return out
+            break
         parent = np.arange(letters.size).repeat(counts)
         slot = np.arange(first[-1]) - first[parent]
         row, up = start[letters[parent]] + slot, ratio[parent]
@@ -149,45 +145,54 @@ def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: flo
         ratio, offset = up * r_i[row], up * c_i[row] + offset[parent]
         mass, length = mass[parent] * w_i[row], length[parent] * r_i[row]
         sigma = sigma[parent] + tau[row]
+    *fields, counts = map(np.concatenate, zip(*rows))
+    first = np.concatenate(([n], counts)).cumsum()  # the children follow the roots
+    levels = np.cumsum([0, *(gen[0].size for gen in rows)])
+    return NodeTable(*fields, first, levels)
 
 
-def root_bounds(generations: Sequence[Generation]) -> np.ndarray:
-    """Row k: forest root r owns nodes bounds[k, r]:bounds[k, r + 1] of generation k."""
-    bounds = [np.arange(generations[0].letter.size + 1)]
-    for gen in generations[:-1]:
-        bounds.append(gen.first[bounds[-1]])
+def root_bounds(nodes: NodeTable) -> np.ndarray:
+    """Row k: forest root r owns nodes bounds[k, r]:bounds[k, r + 1], of generation k."""
+    bounds = [np.arange(nodes.first[0] + 1)]
+    for _ in range(nodes.levels.size - 2):
+        bounds.append(nodes.first[bounds[-1]])
     return np.array(bounds)
 
 
-def node_ranks(generations: Sequence[Generation]) -> List[np.ndarray]:
-    """Per generation, each node's preorder rank: its place among all addresses in
-    lexicographic order, forest roots in turn, from the sizes of the subtrees to its left."""
-    size, befores = np.ones(0, np.intp), []  # subtree sizes of the generation below
-    for gen in reversed(generations):
-        before = np.zeros(size.size + 1, np.intp)  # nodes under the subtrees left of each
-        size.cumsum(out=before[1:])
-        size = 1 + before[gen.first[1:]] - before[gen.first[:-1]]
-        befores.insert(0, before)
-    rank, ranks = size.cumsum() - size, []
-    for gen, before in zip(generations, befores):
-        ranks.append(rank)
-        lo = gen.first[:-1]
-        rank = before[:-1] + (rank + 1 - before[lo]).repeat(gen.first[1:] - lo)
-    return ranks
+def node_ranks(nodes: NodeTable) -> np.ndarray:
+    """Each node's preorder rank: its place among all addresses in lexicographic order,
+    forest roots in turn, from the sizes of the subtrees to its left."""
+    first, levels = nodes.first, nodes.levels.tolist()
+    size = np.ones(first.size - 1, np.intp)  # subtree sizes
+    before = np.zeros(first.size, np.intp)  # before[j]: sizes of the nodes left of j
+    for k in range(len(levels) - 3, -1, -1):  # bottom up, within generation k + 1
+        lo, mid, hi = levels[k:k + 3]  # before[mid] is 0 until generation k is summed
+        np.cumsum(size[mid:hi], out=before[mid + 1:hi + 1])
+        size[lo:mid] += before[first[lo + 1:mid + 1]] - before[first[lo:mid]]
+    np.cumsum(size, out=before[1:])  # across all nodes: each sibling group is contiguous
+    rank = size  # written over top down, a generation at a time (no new array to fault in)
+    rank[:levels[1]] = before[:levels[1]]
+    for k in range(len(levels) - 2):  # a child follows its parent and its older siblings'
+        lo, mid, hi = levels[k:k + 3]  # subtrees
+        starts = first[lo:mid + 1]
+        np.add((rank[lo:mid] + 1 - before[starts[:-1]]).repeat(starts[1:] - starts[:-1]),
+               before[mid:hi], out=rank[mid:hi])
+    return rank
 
 
-def node_addresses(generations: Sequence[Generation]) -> List[List[Address]]:
-    """Each generation's addresses, in lexicographic order per root; every root is ()."""
-    levels: List[List[Address]] = [[()] * generations[0].letter.size]
-    for gen in generations[:-1]:
-        counts = np.diff(gen.first).tolist()
-        levels.append([a + (i,) for a, c in zip(levels[-1], counts) for i in range(1, c + 1)])
-    return levels
+def node_addresses(nodes: NodeTable) -> List[Address]:
+    """Every node's address, in node order; every root is ()."""
+    levels, counts = nodes.levels.tolist(), np.diff(nodes.first).tolist()
+    addresses: List[Address] = [()] * levels[1]
+    for lo, hi in zip(levels[:-2], levels[1:-1]):  # each generation's children, in turn
+        addresses += [a + (i,) for a, c in zip(addresses[lo:hi], counts[lo:hi])
+                      for i in range(1, c + 1)]
+    return addresses
 
 
 @dataclass(eq=False, repr=False)
 class RandomTree:
-    """A sampled finite labelled tree: one `Generation` per depth.
+    """A sampled finite labelled tree: one `NodeTable` of its nodes.
 
     Complete generations: a node's children are either all present or all
     absent. Instances are immutable and safe to share across threads; the
@@ -197,23 +202,22 @@ class RandomTree:
     model: IfsModel
     seed: int
     stop: StopRule
-    generations: List[Generation]
+    nodes: NodeTable
     memo: Dict[str, dict] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return sum(gen.letter.size for gen in self.generations)
+        return self.nodes.letter.size
 
     def addresses(self) -> Iterator[Address]:
-        return chain.from_iterable(node_addresses(self.generations))
+        return iter(node_addresses(self.nodes))
 
     def label_index(self, address: Address) -> int:
-        j = 0
-        for k, i in enumerate(address):
-            first = self.generations[k].first
+        first, j = self.nodes.first, 0
+        for i in address:
             if not 1 <= i <= first[j + 1] - first[j]:
                 raise KeyError(f"address {tuple(address)} not in tree")
             j = int(first[j]) + i - 1
-        return int(self.generations[len(address)].letter[j])
+        return int(self.nodes.letter[j])
 
     def letter_at(self, address: Address) -> Letter:
         return self.model.letters[self.label_index(address)]
@@ -246,6 +250,5 @@ def dump_tree(tree: RandomTree, path: str | Path, version: str = "0") -> None:
     """One "address,letter id" line per node, generation by generation."""
     header = (f"# model={model_digest(tree.model)} seed={tree.seed} "
               f"version={version} stop={tree.stop.describe()}")
-    letters = np.concatenate([gen.letter for gen in tree.generations]).tolist()
     write_table(path, header, (), ((format_address(a), tree.model.letters[j].id)
-                                   for a, j in zip(tree.addresses(), letters)))
+                                   for a, j in zip(tree.addresses(), tree.nodes.letter.tolist())))

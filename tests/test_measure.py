@@ -235,9 +235,11 @@ class TestSelfSimilarity:
 
     def test_piece_depth_checked(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.resolution(0.05), 3)
-        complete = next(k for k, gen in enumerate(tree.generations) if not gen.expanded.all())
+        levels, expanded = tree.nodes.levels, tree.nodes.expanded
+        complete = next(k for k in range(levels.size - 1)
+                        if not expanded[levels[k]:levels[k + 1]].all())
         assert len(measure.piece_cells(tree, complete)) == tree.letter_at(()).n_maps
-        for n in (0, complete + 1, len(tree.generations)):
+        for n in (0, complete + 1, levels.size - 1):
             with pytest.raises(ValueError):
                 measure.piece_cells(tree, n)
 
@@ -247,7 +249,7 @@ class TestSelfSimilarity:
         pieces of the same seed sampled to depth n."""
         real, depths = measure._grow, []
         monkeypatch.setattr(measure, "_grow", lambda *args, **limits:
-                            depths.append(len(out := real(*args, **limits))) or out)
+                            depths.append((out := real(*args, **limits)).levels.size - 1) or out)
         deep = sample_tree(third_fifth, StopRule.depth(10), seed)
         for n in range(1, 10):
             shallow = sample_tree(third_fifth, StopRule.depth(n), seed)

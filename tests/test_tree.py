@@ -1,4 +1,4 @@
-"""Random tree sampling: determinism, generations, forests, text dump.
+"""Random tree sampling: determinism, generations, forests, the node table, text dump.
 
 Core claims:
     - depth(0) yields only the labelled root; single-letter models give
@@ -9,6 +9,9 @@ Core claims:
     - |I_{n+1}| equals the sum of child counts over generation n
     - a forest of roots grows each root's rows as growing it alone would,
       and label lookups of absent addresses raise KeyError
+    - the node table's global `first` runs from the root count to the node
+      count without decreasing, its `levels` are the outer root bounds, and a
+      population reads sigma and first from the table without copying them
     - every address view (generations, root-child pieces, leaves, forests and
       their birth events) equals its reference definition over a preorder walk
     - resolution stop expands exactly the cells no shorter than epsilon
@@ -17,9 +20,10 @@ Core claims:
     - the hash round on uint64 arrays equals the masked round on ints, and
       models grown in turn each keep their own rows (tables per model object)
     - the text dump lists every node's address and letter id
-    - the compiled growth gives every generation array byte for byte as the
-      numpy loop does, refuses the same trees, never draws a letter of
-      probability 0, and refuses a tree before it allocates its arrays
+    - the compiled growth gives every table array byte for byte as the
+      numpy loop does, refuses the same trees (a depth past int64 included),
+      never draws a letter of probability 0, and refuses a tree before it
+      allocates its arrays
 """
 import functools
 import math
@@ -37,21 +41,26 @@ from cantorstring._rng import child_state, root_states, splitmix64
 from cantorstring.branching import simulate_populations
 from cantorstring.ifs import model_from_dict, model_to_dict
 from cantorstring.measure import piece_cells
-from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses
+from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses, root_bounds
 from conftest import tie_model
 
-ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "first")
+ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "first", "levels")
 
 
-def generation_bytes(tree):
-    """Every array of every generation, as bytes: equal exactly when the trees are."""
-    return [getattr(gen, name).tobytes() for gen in tree.generations for name in ARRAYS]
+def table_bytes(tree):
+    """Every array of the node table, as bytes: equal exactly when the trees are."""
+    return [getattr(tree.nodes, name).tobytes() for name in ARRAYS]
+
+
+def generation(nodes, n):
+    """The node numbers of generation n."""
+    return range(*nodes.levels[n:n + 2].tolist())
 
 
 class TestStopRules:
     def test_depth_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(0), 5)
-        assert len(tree) == 1 and node_addresses(tree.generations) == [[()]]
+        assert len(tree) == 1 and node_addresses(tree.nodes) == [()]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -77,31 +86,31 @@ class TestStopRules:
                 value *= letter.maps[addr[k] - 1].ratio
             return value
 
-        levels = node_addresses(tree.generations) + [[]]
-        for n in range(len(tree.generations)):
-            parents = {addr[:-1] for addr in levels[n + 1]}
-            for addr in levels[n]:
-                if addr in parents:
-                    assert length(addr) >= eps
-                else:
-                    assert length(addr) < eps
+        addresses = node_addresses(tree.nodes)
+        parents = {addr[:-1] for addr in addresses if addr}
+        for addr in addresses:
+            if addr in parents:
+                assert length(addr) >= eps
+            else:
+                assert length(addr) < eps
 
 
 class TestSampling:
     def test_single_letter_complete_tree(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(2), 9)
-        assert [len(level) for level in node_addresses(tree.generations)] == [1, 2, 4]
+        assert [len(a) for a in node_addresses(tree.nodes)] == [0, 1, 1, 2, 2, 2, 2]
+        assert tree.nodes.levels.tolist() == [0, 1, 3, 7]
         assert all(tree.letter_at(a).id == "third" for a in tree.addresses())
 
     def test_replay_determinism(self, third_fifth):
         t1 = sample_tree(third_fifth, StopRule.depth(6), 123)
         t2 = sample_tree(third_fifth, StopRule.depth(6), 123)
-        assert generation_bytes(t1) == generation_bytes(t2)
+        assert table_bytes(t1) == table_bytes(t2)
 
     def test_seeds_differ(self, third_fifth):
         t1 = sample_tree(third_fifth, StopRule.depth(10), 1)
         t2 = sample_tree(third_fifth, StopRule.depth(10), 2)
-        assert generation_bytes(t1) != generation_bytes(t2)
+        assert table_bytes(t1) != table_bytes(t2)
 
     def test_root_label_frequency(self, third_fifth):
         n = 10_000
@@ -161,28 +170,32 @@ class TestSampling:
 class TestGenerations:
     def test_generation_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 4)
-        assert node_addresses(tree.generations)[0] == [()]
+        assert [node_addresses(tree.nodes)[f] for f in generation(tree.nodes, 0)] == [()]
 
     def test_single_letter_counts(self, middle_third):
         tree = sample_tree(middle_third, StopRule.depth(3), 0)
-        assert len(node_addresses(tree.generations)[3]) == 8
+        addresses = node_addresses(tree.nodes)
+        assert [len(addresses[f]) for f in generation(tree.nodes, 3)] == [3] * 8
 
     def test_growth_identity(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(5), 11)
-        levels = node_addresses(tree.generations)
+        addresses = node_addresses(tree.nodes)
         for n in range(5):
-            expected = sum(tree.letter_at(a).n_maps for a in levels[n])
-            assert len(levels[n + 1]) == expected
+            expected = sum(tree.letter_at(addresses[f]).n_maps for f in generation(tree.nodes, n))
+            assert len(generation(tree.nodes, n + 1)) == expected
 
     def test_beyond_depth_is_empty(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 4)
-        assert len(node_addresses(tree.generations)) == 3
+        assert tree.nodes.levels.size == 4
         assert max(len(a) for a in tree.addresses()) == 2
 
     def test_lexicographic_order(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(3), 4)
-        for gen, level in zip(tree.generations, node_addresses(tree.generations)):
-            assert level == sorted(level) and len(level) == gen.letter.size
+        addresses = node_addresses(tree.nodes)
+        assert len(addresses) == tree.nodes.letter.size
+        for n in range(tree.nodes.levels.size - 1):
+            level = [addresses[f] for f in generation(tree.nodes, n)]
+            assert level == sorted(level) and {len(a) for a in level} == {n}
 
 
 class TestForest:
@@ -192,13 +205,18 @@ class TestForest:
             return tree_module._grow(third_fifth, states, min_length=0.01)
         states = root_states([3, 4, 5])
         forest = grow(states)
+        first = forest.first
         for k in range(states.size):
-            lo, hi = k, k + 1
-            for gen, alone in zip(forest, grow(states[k:k + 1])):
-                for name in ARRAYS[:-1]:
-                    assert getattr(gen, name)[lo:hi].tobytes() == getattr(alone, name).tobytes()
-                assert (gen.first[lo:hi + 1] - gen.first[lo]).tolist() == alone.first.tolist()
-                lo, hi = gen.first[lo], gen.first[hi]
+            alone, lo, hi = grow(states[k:k + 1]), k, k + 1
+            for n in range(alone.levels.size - 1):
+                a, b = alone.levels[n:n + 2]
+                for name in ARRAYS[:-2]:
+                    assert (getattr(forest, name)[lo:hi].tobytes()
+                            == getattr(alone, name)[a:b].tobytes())
+                assert (first[lo:hi + 1] - first[lo]).tolist() == (
+                    alone.first[a:b + 1] - alone.first[a]).tolist()
+                lo, hi = first[lo], first[hi]
+            assert lo == hi  # no generation below the root's last
 
     def test_absent_address(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(1), 8)
@@ -206,13 +224,34 @@ class TestForest:
             tree.label_index((9, 9))
 
 
-def preorder(generations, k=0, j=0, prefix=()):
-    """(address, expanded) of node j of generation k and every node below it, in
-    preorder (lexicographic order), by recursion over `first` alone."""
-    gen = generations[k]
-    yield prefix, bool(gen.expanded[j])
-    for i, child in enumerate(range(gen.first[j], gen.first[j + 1]), start=1):
-        yield from preorder(generations, k + 1, child, prefix + (i,))
+class TestNodeTable:
+    @pytest.mark.parametrize("name", ["third-fifth", "middle-third", "random-6"])
+    def test_invariants(self, name, both_paths):
+        model = VIEW_MODELS[name]()
+        for _ in both_paths():
+            grown = [sample_tree(model, StopRule.depth(5), 1).nodes,
+                     sample_tree(model, StopRule.resolution(2e-3), 2).nodes,
+                     tree_module._grow(model, root_states(range(4)), depth=3)]
+            for seeds in ([7], [3, 4, 5]):
+                run = simulate_populations(model, 6.0, seeds)
+                assert run.sigma is run.nodes.sigma and run.first is run.nodes.first
+                grown.append(run.nodes)
+            for nodes in grown:
+                first, n, roots = nodes.first, nodes.letter.size, nodes.levels[1]
+                assert first.size == n + 1 and np.all(np.diff(first) >= 0)
+                assert first[0] == roots and first[-1] == n
+                bounds = root_bounds(nodes)
+                assert bounds.shape == (nodes.levels.size - 1, roots + 1)
+                assert nodes.levels[:-1].tolist() == bounds[:, 0].tolist()
+                assert nodes.levels[1:].tolist() == bounds[:, -1].tolist()
+
+
+def preorder(nodes, j=0, prefix=()):
+    """(address, expanded) of node j and every node below it, in preorder
+    (lexicographic order), by recursion over `first` alone."""
+    yield prefix, bool(nodes.expanded[j])
+    for i, child in enumerate(range(nodes.first[j], nodes.first[j + 1]), start=1):
+        yield from preorder(nodes, child, prefix + (i,))
 
 
 VIEW_MODELS = {"third-fifth": third_fifth_model,
@@ -226,21 +265,22 @@ VIEW_STOPS = [StopRule.depth(3), StopRule.depth(5), StopRule.resolution(0.02),
 @pytest.mark.parametrize("stop", VIEW_STOPS, ids=StopRule.describe)
 @pytest.mark.parametrize("name", VIEW_MODELS)
 def test_address_views_match_reference(name, stop, seed):
-    """Every address view is a slice, permutation or chain of `node_addresses`, and
-    equals its reference definition over a preorder walk of the tree: a generation is
-    the walk filtered by length, root child i's piece the walk filtered by length and
+    """Every address view is a slice or permutation of `node_addresses`, and equals
+    its reference definition over a preorder walk of the tree: a generation is the
+    walk filtered by length, root child i's piece the walk filtered by length and
     first index with that index stripped, the leaves the sorted unexpanded nodes."""
     tree = sample_tree(VIEW_MODELS[name](), stop, seed)
-    gens, walk = tree.generations, list(preorder(tree.generations))
+    nodes, walk = tree.nodes, list(preorder(tree.nodes))
     everything = [a for a, _ in walk]
-    levels = node_addresses(gens)
-    assert [len(level) for level in levels] == [gen.letter.size for gen in gens]
-    for n, level in enumerate(levels):
-        assert level == [a for a in everything if len(a) == n]
-    assert list(tree.addresses()) == [a for level in levels for a in level]
-    complete = [n for n in range(len(gens)) if all(gen.expanded.all() for gen in gens[:n])]
+    addresses, levels = node_addresses(nodes), nodes.levels.tolist()
+    assert len(addresses) == nodes.letter.size == levels[-1]
+    for n, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        assert addresses[lo:hi] == [a for a in everything if len(a) == n]
+    assert list(tree.addresses()) == addresses
+    complete = [n for n in range(len(levels) - 1) if nodes.expanded[:levels[n]].all()]
     for n in complete:
-        assert [c.address for c in build_cells(tree, n).cells] == levels[n]
+        assert [c.address for c in build_cells(tree, n).cells] == addresses[
+            levels[n]:levels[n + 1]]
     for n in complete[1:]:
         pieces = piece_cells(tree, n)
         assert [[c.address for c in piece.cells] for piece in pieces] == [
@@ -255,12 +295,11 @@ def test_forest_addresses_match_reference(name, seeds):
     """A forest's generations are its roots' generations side by side, each root (), and
     its birth events carry the walk's address of each born node."""
     run = simulate_populations(VIEW_MODELS[name](), 6.0, seeds)
-    walks = [list(preorder(run.generations, 0, root)) for root in range(len(seeds))]
-    levels = node_addresses(run.generations)
-    for n, level in enumerate(levels):
-        assert level == [a for walk in walks for a, _ in walk if len(a) == n]
-    flat = [a for level in levels for a in level]  # node numbering: generation by generation
-    assert [e.address for e in run.events] == [flat[f] for f in run.order.tolist()]
+    walks = [list(preorder(run.nodes, root)) for root in range(len(seeds))]
+    addresses, levels = node_addresses(run.nodes), run.nodes.levels.tolist()
+    for n, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        assert addresses[lo:hi] == [a for walk in walks for a, _ in walk if len(a) == n]
+    assert [e.address for e in run.events] == [addresses[f] for f in run.order.tolist()]
 
 
 def masked_round(z: int) -> int:
@@ -296,7 +335,7 @@ class TestHashAndTables:
         for seed, trees in enumerate(grown):
             for model, tree in zip(models, trees):
                 alone = sample_tree(model_from_dict(model_to_dict(model)), stop, seed)
-                assert generation_bytes(tree) == generation_bytes(alone)
+                assert table_bytes(tree) == table_bytes(alone)
 
     def test_tables_read_only(self, third_fifth):
         for array in third_fifth.tables:
@@ -311,7 +350,7 @@ GROWTH_MODELS = {"third-fifth": third_fifth_model,
 
 
 def both_growths(both_paths, model, states, **limits):
-    """[compiled, numpy] generations, or the ValueError message of a refusal, per path."""
+    """[compiled, numpy] node tables, or the ValueError message of a refusal, per path."""
     out = []
     for _ in both_paths():
         try:
@@ -321,14 +360,12 @@ def both_growths(both_paths, model, states, **limits):
     return out
 
 
-def assert_same_generations(compiled, reference):
-    assert len(compiled) == len(reference)
-    for gen, ref in zip(compiled, reference):
-        for name in ARRAYS:
-            got, want = getattr(gen, name), getattr(ref, name)
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-            assert got.tobytes() == want.tobytes(), name
-            assert not got.flags.writeable and not want.flags.writeable
+def assert_same_tables(compiled, reference):
+    for name in ARRAYS:
+        got, want = getattr(compiled, name), getattr(reference, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable and not want.flags.writeable
 
 
 class TestCompiledGrowth:
@@ -344,12 +381,12 @@ class TestCompiledGrowth:
         for limits in ({"depth": 5}, {"min_length": 0.01}, {"max_sigma": t_max},
                        {"depth": 4, "min_length": 0.02, "max_sigma": t_max}):
             compiled, reference = both_growths(both_paths, model, states, **limits)
-            assert_same_generations(compiled, reference)
-            size = sum(gen.letter.size for gen in compiled)
+            assert_same_tables(compiled, reference)
+            size = compiled.letter.size
             monkeypatch.setattr(tree_module, "MAX_NODES", size)
             grown = both_growths(both_paths, model, states, **limits)
-            for generations in grown:
-                assert_same_generations(generations, reference)
+            for nodes in grown:
+                assert_same_tables(nodes, reference)
             monkeypatch.setattr(tree_module, "MAX_NODES", size - 1)
             refused = both_growths(both_paths, model, states, remedy="grow less", **limits)
             assert refused == [f"tree would exceed {size - 1} nodes; grow less"] * 2
@@ -362,8 +399,8 @@ class TestCompiledGrowth:
         model = IfsModel((0.0, 1.0), (letter,), (1.0,))
         for limits in ({"min_length": 0.1}, {"max_sigma": 3.0}):
             compiled, reference = both_growths(both_paths, model, root_states([1, 2]), **limits)
-            assert 64 < len(compiled) < 200
-            assert_same_generations(compiled, reference)
+            assert 64 < compiled.levels.size - 1 < 200
+            assert_same_tables(compiled, reference)
 
     @pytest.mark.parametrize("probs", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)])
     def test_zero_probability_letter_never_drawn(self, probs, both_paths):
@@ -373,10 +410,18 @@ class TestCompiledGrowth:
         model = IfsModel((0.0, 1.0), letters, probs)
         never = probs.index(0.0)
         compiled, reference = both_growths(both_paths, model, root_states(range(40)), depth=7)
-        assert_same_generations(compiled, reference)
-        drawn = np.concatenate([gen.letter for gen in compiled])
+        assert_same_tables(compiled, reference)
+        drawn = compiled.letter
         assert drawn.size > 10_000 and never not in drawn
         assert set(drawn.tolist()) == {0, 1, 2} - {never}
+
+    @pytest.mark.parametrize("depth", [2**63, 2**64 + 2])
+    def test_depth_past_int64_refused(self, third_fifth, depth, both_paths, monkeypatch):
+        # ctypes would wrap a depth past int64 mod 2^64; both paths take it as no limit
+        monkeypatch.setattr(tree_module, "MAX_NODES", 200_000)
+        refused = both_growths(both_paths, third_fifth, root_states([0]), depth=depth)
+        assert refused == ["tree would exceed 200000 nodes; "
+                           "use a larger epsilon or a smaller depth"] * 2
 
     def test_refusal_allocates_no_arrays(self, third_fifth, monkeypatch):
         # the count walk refuses before any generation array is allocated; the numpy
