@@ -30,7 +30,7 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _GROW = (_P,) * 7 + (_I, _I, _D, _D, _I, _P, _D, _I)
 _SIGNATURES = {"sturm_counts": (_I, _I, _D) + (_P,) * 6,
                "grow_count": _GROW + (_I, _P),
-               "grow_fill": _GROW + (_I,) + (_P,) * 8}
+               "grow_fill": _GROW + (_I,) + (_P,) * 9}
 
 
 @functools.cache

@@ -35,8 +35,7 @@ import numpy as np
 from ._rng import Address, root_states
 from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
-from .tree import (NodeTable, _grow, format_address, node_addresses, node_ranks, root_bounds,
-                   write_table)
+from .tree import NodeTable, _grow, format_address, node_addresses, root_bounds, write_table
 
 FOREST_BIRTHS = 16_384  # seeds grow as forests of about this many expected births
 
@@ -66,9 +65,9 @@ class PopulationRun:
     @cached_property
     def order(self) -> np.ndarray:
         born = np.flatnonzero(self.sigma <= self.t_max)
-        rank = node_ranks(self.nodes)  # roots: nodes 0, 1, ...
-        root = rank[:len(self.seeds)].searchsorted(rank[born], "right") - 1  # preorder
-        return born[np.lexsort((rank[born], self.sigma[born], root))]
+        rank, roots = self.nodes.rank[born], self.nodes.rank[:len(self.seeds)]  # roots: 0, 1, ...
+        root = roots.searchsorted(rank, "right") - 1  # each root's nodes follow it in preorder
+        return born[np.lexsort((rank, self.sigma[born], root))]
 
     @cached_property
     def starts(self) -> np.ndarray:  # a root is born first, at sigma 0

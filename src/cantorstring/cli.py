@@ -146,13 +146,13 @@ def cmd_exponent(args) -> int:
 def cmd_curve(args) -> int:
     model = _load_model_or_exit(args.model)
     stop = _stop_rule(args)
-    if args.check_bracketing and (stop.kind != "depth" or int(stop.value) < 1):
+    if args.check_bracketing and (stop.kind != "depth" or stop.value < 1):
         _fail("--check-bracketing requires --depth >= 1")
     grid = _parse_grid(args.grid)
     try:  # a tree past MAX_NODES, collapsed cells, or a link too short to count on
         tree = sample_tree(model, stop, args.seed)
         if stop.kind == "depth":
-            string = depth_string(tree, int(stop.value))
+            string = depth_string(tree, stop.value)
         else:
             string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
     except CollapsedCells as err:
@@ -164,7 +164,7 @@ def cmd_curve(args) -> int:
                      boundary=args.boundary)
     if args.check_bracketing:
         for x in grid:
-            ok = check_bracketing(tree, int(stop.value), float(x))
+            ok = check_bracketing(tree, stop.value, float(x))
             print(f"x={float(x)!r} bracketing={'true' if ok else 'false'}")
     return 0
 

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._rng import Address, child_state, root_states
-from .tree import RandomTree, _grow, node_addresses, node_ranks, root_bounds
+from .tree import RandomTree, _grow, node_addresses, root_bounds
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def leaf_cells(tree: RandomTree) -> MeasureApprox:
     """Cells of all leaves, in preorder; the natural measure of a resolution-stopped tree."""
     nodes = tree.nodes
     leaves = np.flatnonzero(~nodes.expanded)
-    leaves = leaves[np.argsort(node_ranks(nodes)[leaves])]
+    leaves = leaves[np.argsort(nodes.rank[leaves], kind="stable")]  # merges generations' runs
     def addresses() -> List[Address]:
         every = node_addresses(nodes)
         return [every[f] for f in leaves.tolist()]

@@ -5,15 +5,15 @@ children the node has and how its cell subdivides. Trees are materialized
 eagerly up to a stop rule (fixed depth, or geometric cell resolution) and
 are immutable afterwards. A tree is one `NodeTable`, one flat array per field:
 generation after generation, each in lexicographic address order, roots first, node f's
-children at first[f]:first[f + 1]. Child i gets hash state child_state(state, i), the
-letter that state draws, the composed map R' = R r_i, C' = R c_i + C, mass M' = M w_i and
-birth time sigma' = sigma - log(r_i w_i), all read from model.tables. `_grow` also grows
-forests of roots side by side, each root's rows bit for bit those of growing it alone: the
-compiled walks of _native.c count the generations depth first, refusing a tree past
-MAX_NODES before any array is allocated, then fill exact-size arrays; `_grow_numpy`, a
-generation at a time, is the no-compiler path and the test oracle. The uint64 states live
-only while a tree grows. `root_bounds` gives each root's nodes per generation,
-`node_ranks` preorder ranks, and `node_addresses` the addresses every view reads.
+children at first[f]:first[f + 1] and its preorder rank at rank[f]. Child i gets hash
+state child_state(state, i), the letter that state draws, the composed map R' = R r_i,
+C' = R c_i + C, mass M' = M w_i and birth time sigma' = sigma - log(r_i w_i), all read
+from model.tables. `_grow` also grows forests of roots side by side, each root's rows bit
+for bit those of growing it alone: the compiled walks of _native.c count the generations
+depth first, refusing a tree past MAX_NODES before any array is allocated, then fill
+exact-size arrays; `_grow_numpy`, a generation at a time, is the no-compiler path and the
+test oracle. The uint64 states live only while a tree grows. `root_bounds` gives each
+root's nodes per generation, and `node_addresses` the addresses every view reads.
 """
 from __future__ import annotations
 
@@ -36,13 +36,13 @@ MAX_NODES = 10_000_000  # larger trees are refused before their arrays are alloc
 @dataclass(frozen=True)
 class StopRule:
     kind: str  # "depth" | "resolution"
-    value: float
+    value: int | float  # the depth, an int (exact past 2^53), or the epsilon
 
     @staticmethod
     def depth(n: int) -> "StopRule":
         if n < 0:
             raise ValueError(f"depth must be >= 0, got {n}")
-        return StopRule("depth", float(n))
+        return StopRule("depth", int(n))
 
     @staticmethod
     def resolution(epsilon: float) -> "StopRule":
@@ -51,16 +51,14 @@ class StopRule:
         return StopRule("resolution", float(epsilon))
 
     def describe(self) -> str:
-        if self.kind == "depth":
-            return f"depth:{int(self.value)}"
-        return f"resolution:{self.value!r}"
+        return f"{self.kind}:{self.value!r}"  # the int depth, or the float's round-trip repr
 
 
 @dataclass(frozen=True, eq=False)
 class NodeTable:
     """A forest's nodes, one read-only array per field: generation k is nodes
-    levels[k]:levels[k + 1], in lexicographic address order, and the roots are nodes
-    0..R-1."""
+    levels[k]:levels[k + 1], in lexicographic address order, the roots are nodes 0..R-1,
+    and rank numbers the nodes in preorder, root after root (leaf order, birth ties)."""
 
     letter: np.ndarray    # letter index
     ratio: np.ndarray     # composed ratio R of the path's maps
@@ -68,6 +66,7 @@ class NodeTable:
     mass: np.ndarray      # product M of the path's weights
     sigma: np.ndarray     # birth time: sum of -log(r_i w_i) along the path
     expanded: np.ndarray  # bool: the node has children
+    rank: np.ndarray      # int64 preorder rank: the place among all addresses, roots in turn
     first: np.ndarray     # n + 1 entries: the children of node f are first[f]:first[f + 1]
     levels: np.ndarray    # generation k is nodes levels[k]:levels[k + 1]
 
@@ -102,11 +101,11 @@ def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
     n = int(levels[-1])
     # one array per field, as the numpy loop has: one block of them all fragments the heap
     ratio, offset, mass, sigma = (np.empty(n) for _ in range(4))
-    letter, first, expanded = np.empty(n, np.int64), np.empty(n + 1, np.int64), np.empty(n, bool)
-    arrays = (ratio, offset, mass, sigma, letter, first, expanded)
+    letter, rank, first = (np.empty(size, np.int64) for size in (n, n, n + 1))
+    arrays = (letter, ratio, offset, mass, sigma, np.empty(n, bool), rank, first)  # as NodeTable
     _refuse(library.grow_fill(*head, gens, sizes, *(array.ctypes.data for array in arrays)),
             remedy)
-    return NodeTable(letter, ratio, offset, mass, sigma, expanded, first, levels)
+    return NodeTable(*arrays, levels)
 
 
 def _refuse(code: int, remedy: str) -> None:
@@ -148,7 +147,7 @@ def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: flo
     *fields, counts = map(np.concatenate, zip(*rows))
     first = np.concatenate(([n], counts)).cumsum()  # the children follow the roots
     levels = np.cumsum([0, *(gen[0].size for gen in rows)])
-    return NodeTable(*fields, first, levels)
+    return NodeTable(*fields, _node_ranks(first, levels.tolist()), first, levels)
 
 
 def root_bounds(nodes: NodeTable) -> np.ndarray:
@@ -159,12 +158,11 @@ def root_bounds(nodes: NodeTable) -> np.ndarray:
     return np.array(bounds)
 
 
-def node_ranks(nodes: NodeTable) -> np.ndarray:
-    """Each node's preorder rank: its place among all addresses in lexicographic order,
-    forest roots in turn, from the sizes of the subtrees to its left."""
-    first, levels = nodes.first, nodes.levels.tolist()
-    size = np.ones(first.size - 1, np.intp)  # subtree sizes
-    before = np.zeros(first.size, np.intp)  # before[j]: sizes of the nodes left of j
+def _node_ranks(first: np.ndarray, levels: List[int]) -> np.ndarray:
+    """_grow_numpy's preorder ranks: each node's place among all addresses in
+    lexicographic order, forest roots in turn, from the sizes of the subtrees to its left."""
+    size = np.ones(first.size - 1, np.int64)  # subtree sizes
+    before = np.zeros(first.size, np.int64)  # before[j]: sizes of the nodes left of j
     for k in range(len(levels) - 3, -1, -1):  # bottom up, within generation k + 1
         lo, mid, hi = levels[k:k + 3]  # before[mid] is 0 until generation k is summed
         np.cumsum(size[mid:hi], out=before[mid + 1:hi + 1])
@@ -226,7 +224,7 @@ class RandomTree:
 def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic.
     Raises ValueError when the tree would have more than MAX_NODES nodes."""
-    limit = {"depth": int(stop.value)} if stop.kind == "depth" else {"min_length": stop.value}
+    limit = {"depth": stop.value} if stop.kind == "depth" else {"min_length": stop.value}
     return RandomTree(model, seed, stop, _grow(model, root_states([seed]), **limit))
 
 

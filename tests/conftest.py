@@ -1,3 +1,6 @@
+import ctypes
+import functools
+import os
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,16 @@ def tie_model():
     quarter = make_letter("quarter", [(0.5, 0.0), (0.125, 0.875)], (0.5, 0.5))
     eighth = make_letter("eighth", [(0.25, 0.0), (0.25, 0.75)], (0.5, 0.5))
     return IfsModel((0.0, 1.0), (quarter, eighth), (0.5, 0.5))
+
+
+def pytest_configure(config):
+    """With CANTORSTRING_TEST_LIBRARY naming a build of _native.c (one built under
+    sanitizers, say), the compiled paths load that build instead of the cached one; the
+    tests that rebuild the cache (`_native.library.cache_clear()`) do not apply to it."""
+    path = os.environ.get("CANTORSTRING_TEST_LIBRARY")
+    if path:
+        loaded = _native._typed(ctypes.CDLL(path))
+        _native.library = functools.cache(lambda: loaded)
 
 
 @pytest.fixture

@@ -10,8 +10,10 @@ Core claims:
     - a forest of roots grows each root's rows as growing it alone would,
       and label lookups of absent addresses raise KeyError
     - the node table's global `first` runs from the root count to the node
-      count without decreasing, its `levels` are the outer root bounds, and a
-      population reads sigma and first from the table without copying them
+      count without decreasing, its `levels` are the outer root bounds, its
+      read-only `rank` is each node's place in a preorder walk, root after
+      root, and a population reads sigma and first from the table without
+      copying them
     - every address view (generations, root-child pieces, leaves, forests and
       their birth events) equals its reference definition over a preorder walk
     - resolution stop expands exactly the cells no shorter than epsilon
@@ -44,7 +46,7 @@ from cantorstring.measure import piece_cells
 from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses, root_bounds
 from conftest import tie_model
 
-ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "first", "levels")
+ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "rank", "first", "levels")
 
 
 def table_bytes(tree):
@@ -61,6 +63,12 @@ class TestStopRules:
     def test_depth_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(0), 5)
         assert len(tree) == 1 and node_addresses(tree.nodes) == [()]
+
+    def test_depth_described_exactly(self):
+        # the depth is kept as an int: past 2^53 a float would round it in every header
+        for n in (0, 8, 2**53 + 1, 2**63 + 5):
+            stop = StopRule.depth(n)
+            assert type(stop.value) is int and stop.describe() == f"depth:{n}"
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -206,17 +214,20 @@ class TestForest:
         states = root_states([3, 4, 5])
         forest = grow(states)
         first = forest.first
+        left = 0  # the nodes of the roots before root k, which precede its own in preorder
         for k in range(states.size):
             alone, lo, hi = grow(states[k:k + 1]), k, k + 1
             for n in range(alone.levels.size - 1):
                 a, b = alone.levels[n:n + 2]
-                for name in ARRAYS[:-2]:
+                for name in ARRAYS[:-3]:
                     assert (getattr(forest, name)[lo:hi].tobytes()
                             == getattr(alone, name)[a:b].tobytes())
+                assert (forest.rank[lo:hi] - left).tolist() == alone.rank[a:b].tolist()
                 assert (first[lo:hi + 1] - first[lo]).tolist() == (
                     alone.first[a:b + 1] - alone.first[a]).tolist()
                 lo, hi = first[lo], first[hi]
             assert lo == hi  # no generation below the root's last
+            left += alone.letter.size
 
     def test_absent_address(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(1), 8)
@@ -229,9 +240,12 @@ class TestNodeTable:
     def test_invariants(self, name, both_paths):
         model = VIEW_MODELS[name]()
         for _ in both_paths():
-            grown = [sample_tree(model, StopRule.depth(5), 1).nodes,
-                     sample_tree(model, StopRule.resolution(2e-3), 2).nodes,
-                     tree_module._grow(model, root_states(range(4)), depth=3)]
+            tree = sample_tree(model, StopRule.depth(5), 1)
+            kids = child_state(root_states([1]),
+                               np.arange(1, tree.nodes.first[1], dtype=np.uint64))
+            grown = [tree.nodes, sample_tree(model, StopRule.resolution(2e-3), 2).nodes,
+                     tree_module._grow(model, root_states(range(4)), depth=3),
+                     tree_module._grow(model, kids, depth=4)]  # piece_cells' forest
             for seeds in ([7], [3, 4, 5]):
                 run = simulate_populations(model, 6.0, seeds)
                 assert run.sigma is run.nodes.sigma and run.first is run.nodes.first
@@ -244,12 +258,17 @@ class TestNodeTable:
                 assert bounds.shape == (nodes.levels.size - 1, roots + 1)
                 assert nodes.levels[:-1].tolist() == bounds[:, 0].tolist()
                 assert nodes.levels[1:].tolist() == bounds[:, -1].tolist()
+                walk = [j for root in range(roots) for j, _ in preorder(nodes, root)]
+                assert nodes.rank.dtype == np.int64
+                assert nodes.rank[walk].tolist() == list(range(n))
+                with pytest.raises(ValueError, match="read-only"):
+                    nodes.rank[0] = 0
 
 
 def preorder(nodes, j=0, prefix=()):
-    """(address, expanded) of node j and every node below it, in preorder
+    """(node, address) of node j and every node below it, in preorder
     (lexicographic order), by recursion over `first` alone."""
-    yield prefix, bool(nodes.expanded[j])
+    yield j, prefix
     for i, child in enumerate(range(nodes.first[j], nodes.first[j + 1]), start=1):
         yield from preorder(nodes, child, prefix + (i,))
 
@@ -271,7 +290,7 @@ def test_address_views_match_reference(name, stop, seed):
     first index with that index stripped, the leaves the sorted unexpanded nodes."""
     tree = sample_tree(VIEW_MODELS[name](), stop, seed)
     nodes, walk = tree.nodes, list(preorder(tree.nodes))
-    everything = [a for a, _ in walk]
+    everything = [a for _, a in walk]
     addresses, levels = node_addresses(nodes), nodes.levels.tolist()
     assert len(addresses) == nodes.letter.size == levels[-1]
     for n, (lo, hi) in enumerate(zip(levels, levels[1:])):
@@ -286,7 +305,8 @@ def test_address_views_match_reference(name, stop, seed):
         assert [[c.address for c in piece.cells] for piece in pieces] == [
             [a[1:] for a in everything if len(a) == n and a[0] == i]
             for i in range(1, len(pieces) + 1)]
-    assert [c.address for c in leaf_cells(tree).cells] == sorted(a for a, e in walk if not e)
+    assert [c.address for c in leaf_cells(tree).cells] == sorted(
+        a for j, a in walk if not nodes.expanded[j])
 
 
 @pytest.mark.parametrize("seeds", [[3, 4, 5], [0, 1, 2, 3, 4, 5, 6, 7]])
@@ -298,7 +318,7 @@ def test_forest_addresses_match_reference(name, seeds):
     walks = [list(preorder(run.nodes, root)) for root in range(len(seeds))]
     addresses, levels = node_addresses(run.nodes), run.nodes.levels.tolist()
     for n, (lo, hi) in enumerate(zip(levels, levels[1:])):
-        assert addresses[lo:hi] == [a for walk in walks for a, _ in walk if len(a) == n]
+        assert addresses[lo:hi] == [a for walk in walks for _, a in walk if len(a) == n]
     assert [e.address for e in run.events] == [addresses[f] for f in run.order.tolist()]
 
 
