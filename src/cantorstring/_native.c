@@ -16,33 +16,59 @@
    never fused into the subtract, and never with -ffast-math or -Ofast (they
    reorder) or -march=native (the library is cached per platform, not per
    CPU). A target that evaluates doubles in wider precision (x87) would
-   round differently, so it refuses to build and the numpy sweep counts. */
+   round differently, so it refuses to build and the numpy sweep counts.
+
+   Merging. On a row whose two diagonals have the same bits, a lane whose
+   two stored pivots have the same bits (and are not NaN) gets the same
+   pivot, count step and clamp on both boundaries, so its chains stay one
+   until a row whose diagonals differ: for a string only the first and the
+   last. A sweep of at least MERGE_MIN shifts merges such lanes from the top
+   of the tile down, two at a time, so that the live lanes keep the tile's
+   parity (a lone scalar lane compiles its clamp to a data-dependent branch).
+   A merged lane keeps off = cn - cd, runs the Dirichlet step alone, and
+   gets dn = dd and cn = cd + off back before a row whose diagonals differ
+   and at the end: its counts and last pivots keep their bits. Narrower
+   sweeps save too few divides to pay for this; one shift keeps both chains
+   in registers and guards with the branch. */
 #include <float.h>
 #include <stdint.h>
+#include <string.h>
 
 #if FLT_EVAL_METHOD != 0
 #error "double arithmetic must round to double at every step"
 #endif
 
 #define TILE 256
+#define MERGE_MIN 32
 
-void sturm_counts(int64_t n, int64_t ns, double pivmin, const double *restrict diags,
-                  const double *restrict mass, const double *restrict b2,
-                  const double *restrict shifts, double *restrict pivots,
-                  int64_t *restrict counts)
+#define SAME(a, b) ((a) == (b) && memcmp(&(a), &(b), sizeof(double)) == 0)  /* bits, not NaN */
+
+#define SWEEP_ARGS int64_t n, int64_t ns, double pivmin, const double *restrict diags, \
+    const double *restrict mass, const double *restrict b2, const double *restrict shifts, \
+    double *restrict pivots, int64_t *restrict counts
+
+static inline __attribute__((always_inline)) void sweep(SWEEP_ARGS, int merge)
 {
     for (int64_t start = 0; start < ns; start += TILE) {
         const int64_t w = ns - start < TILE ? ns - start : TILE;
         const double *restrict x = shifts + start;
         double *restrict dd = pivots + start, *restrict dn = pivots + ns + start;
-        double cd[TILE], cn[TILE];
+        double cd[TILE], cn[TILE], off[TILE];
+        int64_t live = w;  /* lanes live..w-1 are merged: dn stale, cn = cd + off */
         for (int64_t j = 0; j < w; j++) {
             dd[j] = dn[j] = 1.0;
             cd[j] = cn[j] = 0.0;
         }
-        for (int64_t k = 0; k < n; k++) {
+        for (int64_t k = 0; k <= n; k++) {
+            if (live < w && (k == n || !SAME(diags[k], diags[n + k])))  /* unmerge all */
+                for (; live < w; live++) {
+                    dn[live] = dd[live];
+                    cn[live] = cd[live] + off[live];
+                }
+            if (k == n)
+                break;
             const double diag_d = diags[k], diag_n = diags[n + k], m = mass[k], b = b2[k];
-            for (int64_t j = 0; j < w; j++) {
+            for (int64_t j = 0; j < live; j++) {
                 const double xm = m * x[j];
                 const double pd = (diag_d - xm) - b / dd[j];
                 const double pn = (diag_n - xm) - b / dn[j];
@@ -51,11 +77,50 @@ void sturm_counts(int64_t n, int64_t ns, double pivmin, const double *restrict d
                 dd[j] = (pd < pivmin) & (pd > -pivmin) ? -pivmin : pd;
                 dn[j] = (pn < pivmin) & (pn > -pivmin) ? -pivmin : pn;
             }
+            for (int64_t j = live; j < w; j++) {
+                const double pd = (diag_d - m * x[j]) - b / dd[j];
+                cd[j] += pd < pivmin;
+                dd[j] = (pd < pivmin) & (pd > -pivmin) ? -pivmin : pd;
+            }
+            while (merge && live >= 2 && SAME(dd[live - 2], dn[live - 2])
+                   && SAME(dd[live - 1], dn[live - 1])) {
+                live -= 2;
+                off[live] = cn[live] - cd[live];
+                off[live + 1] = cn[live + 1] - cd[live + 1];
+            }
         }
         for (int64_t j = 0; j < w; j++) {
             counts[start + j] = (int64_t)cd[j];
             counts[ns + start + j] = (int64_t)cn[j];
         }
+    }
+}
+
+/* each sweep in a function of its own, so that its loops get registers of their own */
+#define SWEEP(name, merge) __attribute__((noinline)) static void name(SWEEP_ARGS) \
+    { sweep(n, ns, pivmin, diags, mass, b2, shifts, pivots, counts, merge); }
+SWEEP(plain_sweep, 0)
+SWEEP(merging_sweep, 1)
+
+void sturm_counts(SWEEP_ARGS)
+{
+    if (ns >= MERGE_MIN) {
+        merging_sweep(n, ns, pivmin, diags, mass, b2, shifts, pivots, counts);
+    } else if (ns > 1) {
+        plain_sweep(n, ns, pivmin, diags, mass, b2, shifts, pivots, counts);
+    } else if (ns == 1) {
+        double d[2] = {1.0, 1.0};
+        int64_t c[2] = {0, 0};
+        for (int64_t k = 0; k < n; k++)
+            for (int g = 0; g < 2; g++) {
+                d[g] = (diags[g * n + k] - mass[k] * shifts[0]) - b2[k] / d[g];
+                if (d[g] < pivmin) {
+                    c[g]++;
+                    if (d[g] > -pivmin)
+                        d[g] = -pivmin;
+                }
+            }
+        pivots[0] = d[0], pivots[1] = d[1], counts[0] = c[0], counts[1] = c[1];
     }
 }
 

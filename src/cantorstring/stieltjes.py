@@ -30,16 +30,14 @@ set of shifts.
 
 The two pencils share M and the off-diagonal, so a count sweeps both
 boundaries at once in the C loop of _native.c (built and loaded by
-_native.library), 256 shifts a tile, rows outer and shifts inner:
-d = (K[k, k] - x' m_k) - b_{k-1}^2 / d, then the branchless
-count += d < pivmin; d = (d < pivmin) & (d > -pivmin) ? -pivmin : d, which
-counts and clamps for every float (+-0, +-inf, and NaN, which fails both
-tests) as `if |d| < pivmin: d = -pivmin; count d <= 0` would; counts run in
-double lanes, exact below 2^53, and leave as int64. -O3 packs two shifts
-into each divide (SSE2); -ffp-contract=off keeps x' m_k out of the subtract,
-so every count keeps its bits. One-shift counts pass the string's pointers,
-taken once, and no numpy array. With no compiler, a failed build or an
-unusable cache, counts come from _block_sweep, the numpy reference:
+_native.library; its header gives the step, the branchless guard and why
+every count keeps its bits), 256 shifts a tile, rows outer and shifts inner.
+K_N differs from K_D only in the first and last diagonal entries, so once a
+shift's two pivots have the same bits its Neumann chain is the Dirichlet one
+until the last row: sweeps of 32 shifts or more stop sweeping it there. One
+shift runs in registers, passing the string's pointers, taken once, and no
+numpy array. With no compiler, a failed build or an unusable cache, counts
+come from _block_sweep, the numpy reference:
 _CHUNK_ROWS rows at a time, one column per (boundary, shift). Its safeguard
 is tested once per chunk: before the first pivot below it the unguarded
 recurrence is the guarded one, so the chunk is redone from that row on.
@@ -84,8 +82,8 @@ class StieltjesString:
     def __init__(self, interval: Tuple[float, float],
                  positions: Sequence[float], masses: Sequence[float]):
         a, b = float(interval[0]), float(interval[1])
-        pos = np.asarray(positions, dtype=float)
-        mas = np.asarray(masses, dtype=float)
+        pos = np.array(positions, dtype=float)  # copies: the string makes them read-only
+        mas = np.array(masses, dtype=float)
         if pos.size == 0:
             raise ValueError("string needs at least one atom")
         if not (np.isfinite([a, b]).all() and np.isfinite(pos).all()
@@ -93,18 +91,19 @@ class StieltjesString:
             raise ValueError("interval, positions and masses must be finite")
         if np.any(mas <= 0):
             raise ValueError("masses must be positive")
-        order = np.argsort(pos, kind="stable")
-        pos, mas = pos[order], mas[order]
-        keep = np.concatenate(([True], np.diff(pos) > 0))
-        if not np.all(keep):
-            merged = np.add.reduceat(mas, np.flatnonzero(keep))
-            pos, mas = pos[keep], merged
+        gaps = np.diff(pos)
+        if not (gaps > 0).all():  # unsorted or repeated positions: sort, then merge repeats
+            order = np.argsort(pos, kind="stable")
+            pos, mas = pos[order], mas[order]
+            keep = np.concatenate(([True], np.diff(pos) > 0))
+            pos, mas = pos[keep], np.add.reduceat(mas, np.flatnonzero(keep))
+            gaps = np.diff(pos)
         if pos[0] <= a or pos[-1] >= b:
             raise ValueError("atoms must lie strictly inside the interval")
         self.interval = (a, b)
         self.positions = pos
         self.masses = mas
-        self.links = np.diff(np.concatenate(([a], pos, [b])))
+        self.links = np.concatenate(([pos[0] - a], gaps, [b - pos[-1]]))
         with np.errstate(divide="ignore", over="ignore"):
             inv = 1.0 / self.links
             # pivot row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0 and d = 1

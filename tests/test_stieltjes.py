@@ -15,6 +15,12 @@ Core claims:
       shifts and across the C loop's 256-shift tile (257 and 600), ties,
       vanishing pivots and x in {0, 5e-324, 1e300, 1.7e308, inf}
       included, whatever the chunk size, and both equal the dense oracle
+    - sweeps of 32 shifts or more stop sweeping a Neumann chain once its
+      pivot has the Dirichlet pivot's bits, and still give every count and
+      last pivot of the plain two-chain recurrence: on long third-fifth
+      strings (the numpy replay of the merge rule shows which lanes merge)
+      and on crafted pencils whose diagonals differ in an interior row but
+      not in the last, with a NaN lane and +0/-0 pivots, which never merge
     - without a compiler, after a failed build or with an unusable cache,
       counts silently come from the numpy reference; with a compiler the
       C loop always loads, a corrupt cached library is built again, and
@@ -69,6 +75,7 @@ from cantorstring import (
 from cantorstring import _native, measure, stieltjes
 from cantorstring.stieltjes import (
     TIE_SHIFT,
+    _SAFMIN,
     _block_sweep,
     _compiled_sweep,
     _counts,
@@ -104,6 +111,55 @@ def reference_counts(s, xs):
     counts = _block_sweep(s, np.asarray(xs, dtype=float) * TIE_SHIFT)
     np.maximum(counts[1], 1, out=counts[1])
     return counts.tolist()
+
+
+MERGE_MIN = 32  # _native.c: sweeps of fewer shifts never merge lanes
+TILE = 256
+
+
+def bits_equal(a, b):
+    """Elementwise: the same float64 bits, and not NaN (the C loop's merge test)."""
+    return (a == b) & (np.asarray(a).view(np.uint64) == np.asarray(b).view(np.uint64))
+
+
+def pivot_replay(diags, masses, b2, pivmin, shifts):
+    """The C loop's recurrence in numpy, every lane in float64 and in its order of operations:
+    (last pivots (2, w), counts (2, w), merged (n, w): lane j sweeps row k merged).
+
+    merged replays the C loop's merge rule tile by tile: after each row the top two live
+    lanes merge while both have the same pivot bits on both boundaries; a row whose two
+    diagonals differ unmerges every lane before it runs. Merging changes no value, so the
+    pivots and counts are the plain two-chain recurrence's."""
+    d = np.ones((2, shifts.size))
+    counts = np.zeros((2, shifts.size), dtype=np.int64)
+    merged = np.zeros((masses.size, shifts.size), dtype=bool)
+    tiles = [[start, min(start + TILE, shifts.size)] for start in range(0, shifts.size, TILE)]
+    with np.errstate(all="ignore"):
+        for k in range(masses.size):
+            if not bits_equal(diags[0, k], diags[1, k]):
+                for tile in tiles:
+                    tile[1] = min(tile[0] + TILE, shifts.size)
+            for start, live in tiles:
+                merged[k, live:start + TILE] = True
+            p = (diags[:, k, None] - masses[k] * shifts) - b2[k] / d
+            counts += p < pivmin
+            d = np.where((p < pivmin) & (p > -pivmin), -pivmin, p)
+            for tile in tiles:
+                while (shifts.size >= MERGE_MIN and tile[1] - tile[0] >= 2
+                       and bits_equal(d[0, tile[1] - 2:tile[1]], d[1, tile[1] - 2:tile[1]]).all()):
+                    tile[1] -= 2
+    return d, counts, merged
+
+
+def kernel_sweep(kernel, diags, masses, b2, pivmin, shifts):
+    """(last pivots (2, w), counts (2, w)) of one direct sturm_counts call."""
+    pivots = np.empty((2, shifts.size))
+    counts = np.empty((2, shifts.size), dtype=np.int64)
+    diags, masses, b2 = (np.ascontiguousarray(a, dtype=float) for a in (diags, masses, b2))
+    kernel.sturm_counts(masses.size, shifts.size, pivmin, diags.ctypes.data, masses.ctypes.data,
+                        b2.ctypes.data, shifts.ctypes.data, pivots.ctypes.data,
+                        counts.ctypes.data)
+    return pivots, counts
 
 
 def find_compiler():
@@ -386,6 +442,66 @@ class TestSweepPaths:
                 shifts = np.array(xs) * TIE_SHIFT
                 compiled = _compiled_sweep(kernel, s, shifts).tolist()
                 assert compiled == _block_sweep(s, shifts).tolist(), (s.n, width)
+
+    def test_merged_lanes(self, kernel):
+        # long third-fifth strings at shifts up to 1e9: within the first half of the
+        # string the top lanes' Dirichlet and Neumann pivots get the same bits and the C
+        # loop sweeps them once; the lowest lanes never merge. The last row's diagonals differ, so
+        # every merged lane is restored before it. Widths 1, 3 and 17 sweep both chains
+        # throughout, 257 crosses the tile with a merging 256-lane tile and a lone lane
+        rng = random.Random(59)
+        for seed, epsilon in ((0, 1e-5), (1, 3e-5)):
+            tree = sample_tree(third_fifth_model(), StopRule.resolution(epsilon), seed)
+            s = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+            for width in (1, 3, 17, 120, 257):
+                xs = sorted(10 ** rng.uniform(0, 9) for _ in range(width))
+                shifts = np.array(xs) * TIE_SHIFT
+                pivots, counts = kernel_sweep(kernel, s._diags, s.masses, s._b2, s._pivmin,
+                                              shifts)
+                expected, expected_counts, merged = pivot_replay(
+                    s._diags, s.masses, s._b2, s._pivmin, shifts)
+                assert pivots.tobytes() == expected.tobytes(), (s.n, width)
+                assert counts.tolist() == expected_counts.tolist()
+                assert counts.tolist() == _block_sweep(s, shifts).tolist()
+                if width >= MERGE_MIN:  # the top lane of the first tile merges, the lowest do not
+                    assert merged[s.n // 2, min(width, TILE) - 1], (s.n, width)
+                    assert not merged[:, 0].any() and not merged[-1].any()
+
+    def test_merge_restored_where_diagonals_differ(self, kernel):
+        # crafted pencils: the diagonals differ in row 0 and in interior row 150 (after
+        # the high lanes have merged), not in the last row. So merged lanes are split
+        # before row 150, merge again and are restored only at the end. Lane 41 has a NaN
+        # shift: NaN pivots never merge, so neither it nor the lanes below it do (lanes
+        # merge in pairs from the top down). Then pivmin = 0, diagonals +0 and -0 in row
+        # 0 and zero shifts on top: pivots +0 and -0 are equal numbers but not equal
+        # bits, and must not merge
+        n = 300
+        rng = np.random.default_rng(61)
+        masses = rng.uniform(0.5, 2.0, n)
+        b2 = np.concatenate(([0.0], rng.uniform(0.5, 2.0, n - 1)))
+        diags = np.tile(rng.uniform(2.0, 6.0, n), (2, 1))
+        diags[1, 0] -= 1.0
+        diags[1, 150] += 3.0
+        shifts = np.sort(10 ** rng.uniform(-1, 9, 64)) * TIE_SHIFT
+        shifts[41] = math.nan
+        pivmin = _SAFMIN * 2.0
+        pivots, counts = kernel_sweep(kernel, diags, masses, b2, pivmin, shifts)
+        expected, expected_counts, merged = pivot_replay(diags, masses, b2, pivmin, shifts)
+        assert pivots.tobytes() == expected.tobytes()
+        assert counts.tolist() == expected_counts.tolist()
+        assert merged[[149, 160, n - 1], 42:].all() and not merged[150].any()
+        assert not merged[:, :42].any()
+        string = StieltjesString.uniform(n)  # _block_sweep reads the crafted pencil from it
+        string._diags, string.masses, string._b2, string._pivmin = diags, masses, b2, pivmin
+        assert counts.tolist() == _block_sweep(string, shifts).tolist()
+        diags[0, 0], diags[1, 0] = 0.0, -0.0
+        shifts = np.concatenate((shifts[:41], [0.0, 0.0, 0.0]))
+        pivots, counts = kernel_sweep(kernel, diags, masses, b2, 0.0, shifts)
+        expected, expected_counts, merged = pivot_replay(diags, masses, b2, 0.0, shifts)
+        # row 1 divides by +0 and -0: -inf counts on one boundary, +inf not on the other
+        assert not merged[1].any() and (expected_counts[0, -2:] == expected_counts[1, -2:] + 1).all()
+        assert pivots.tobytes() == expected.tobytes()
+        assert counts.tolist() == expected_counts.tolist()
 
     def test_curve_spanning_chunks(self):
         # 600 to 1200 atoms: three to five chunks of the numpy block
