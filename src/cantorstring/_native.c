@@ -143,14 +143,15 @@ void sturm_counts(SWEEP_ARGS)
    address order, so seen[k] is the index, within generation k, of the next
    node met there: grow_fill writes node (k, seen[k]) to its breadth-first
    place base[k] + seen[k], base[k] being the nodes above generation k, its
-   children start at base[k + 1] + seen[k + 1], and its preorder rank is the
-   count of nodes met before it. grow_count only counts: it writes the first
-   cap generation sizes and returns how many generations there are (a caller
-   with too small a buffer asks again), and returns -1 as soon as the forest
-   passes max_nodes, before anything is allocated but the frames. grow_fill
-   takes those sizes and fills one array per field, the generations in turn
-   (Out). Both return -2 if the frames cannot be allocated; grow_fill returns
-   -3 if the walk does not meet the sizes. */
+   children start at base[k + 1] + seen[k + 1] (a leaf's range is empty: no
+   flag is stored), and its preorder rank is the count of nodes met before
+   it. grow_count only counts: it writes the first cap generation sizes and
+   returns how many generations there are (a caller with too small a buffer
+   asks again), and returns -1 as soon as the forest passes max_nodes, before
+   anything is allocated but the frames. grow_fill takes those sizes and
+   fills one array per field, the generations in turn (Out). Both return -2
+   if the frames cannot be allocated; grow_fill returns -3 if the walk does
+   not meet the sizes. */
 #include <stdlib.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
@@ -184,7 +185,6 @@ typedef struct {
 typedef struct {  /* grow_fill's arrays, one per field, the generations in turn */
     double *ratio, *offset, *mass, *sigma;
     int64_t *letter, *rank, *first;  /* first: n + 1 entries, f's children first[f]:first[f + 1] */
-    uint8_t *expanded;
 } Out;
 
 static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, double length0,
@@ -230,7 +230,6 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
                 out->letter[at] = j;
                 out->rank[at] = total - 1;
                 out->first[at] = base[d + 1] + seen[d + 1];
-                out->expanded[at] = (uint8_t)grows;
             }
             seen[d]++;
             while (node->next == node->end) {  /* up to the deepest node with children left */
@@ -298,10 +297,9 @@ int64_t grow_count(MODEL_ARGS, int64_t cap, int64_t *sizes)
 }
 
 int64_t grow_fill(MODEL_ARGS, int64_t gens, const int64_t *sizes, int64_t *letter, double *ratio,
-                  double *offset, double *mass, double *sigma, uint8_t *expanded, int64_t *rank,
-                  int64_t *first)
+                  double *offset, double *mass, double *sigma, int64_t *rank, int64_t *first)
 {
     const Model m = MODEL;
-    const Out out = {ratio, offset, mass, sigma, letter, rank, first, expanded};
+    const Out out = {ratio, offset, mass, sigma, letter, rank, first};
     return walk(&m, roots, root_states, length0, max_nodes, gens, sizes, &out, NULL, 0);
 }

@@ -12,14 +12,14 @@ evaluated at the Malthusian tilt alpha = gamma_r, has mean one for every n
 and converges to the random limit W. The z process counts individuals
 born after time t to mothers born at or before t.
 
-The population up to t_max is the labelled tree of the same (model, seed), grown by the
-tree sampler with each node born by t_max expanded; its `tree.NodeTable` numbers the
-nodes generation by generation, roots first. `forests` grows many seeds as forests
-of about FOREST_BIRTHS births, read per root by `martingale_R_by_root`, `martingale_traces`
-and `z_by_root`, which sums hits between `tree.root_bounds`; `martingale_trace` and
-`z_process` are their one-root cases and refuse forests, and `z_counts` gives one root's
-z at many times from one sort. Births are ordered by (sigma, preorder rank), so lattice
-ties fall in address order, and `events` is built when read.
+The population up to t_max is the labelled tree of its (model, seed), grown with each node
+born by t_max expanded; its `tree.NodeTable` numbers the nodes generation by generation,
+roots first, and ranks them in preorder, root r's nodes at ranks rank[r]:rank[r + 1].
+`forests` grows many seeds as forests of about FOREST_BIRTHS births, read per root by
+`martingale_R_by_root`, `martingale_traces` and `z_by_root`, which sums hits over those
+ranges; `martingale_trace` and `z_process` are their one-root cases and refuse forests, and
+`z_counts` gives one root's z at many times from one sort. Births are ordered by (sigma,
+preorder rank), so lattice ties fall in address order, and `events` is built when read.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ import numpy as np
 from ._rng import Address, root_states
 from .ifs import IfsModel
 from .exponent import solve_recursive_exponent
-from .tree import NodeTable, _grow, format_address, node_addresses, root_bounds, write_table
+from .tree import NodeTable, _grow, format_address, node_addresses, write_table
 
 FOREST_BIRTHS = 16_384  # seeds grow as forests of about this many expected births
 
@@ -84,6 +84,8 @@ def simulate_populations(model: IfsModel, t_max: float, seeds: Sequence[int]) ->
     """The seeds' populations as one forest, each root's nodes bit for bit its seed's alone."""
     if not t_max >= 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if len(seeds) == 0:
+        raise ValueError("needs at least one seed")
     nodes = _grow(model, root_states(seeds), max_sigma=t_max, remedy="use a smaller --tmax")
     return PopulationRun(model, seeds, t_max, nodes)
 
@@ -151,10 +153,11 @@ def z_by_root(run: PopulationRun, t: float) -> List[int]:
     """Individuals born after t to mothers born at or before t, per root in seed order."""
     if not 0 <= t <= run.t_max:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
+    roots, rank = run.first[0], run.nodes.rank
     parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of the non-roots
-    hits = np.flatnonzero((parent <= t) & (run.sigma[run.first[0]:] > t)) + run.first[0]
-    before = hits.searchsorted(root_bounds(run.nodes))  # hits below each bound
-    return np.diff(before).sum(axis=0).tolist()
+    hit = np.zeros(rank.size, bool)  # in preorder: each root's nodes are one range
+    hit[rank[roots:]] = (parent <= t) & (run.sigma[roots:] > t)
+    return np.add.reduceat(hit, rank[:roots], dtype=np.int64).tolist()
 
 
 def z_process(run: PopulationRun, t: float) -> int:

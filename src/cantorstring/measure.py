@@ -5,21 +5,22 @@ under the composed maps along its path, and its mass M is the product of
 the path's weights. The tree's node table holds R, C and M, so a measure
 is a slice of it: one generation, or every leaf in lexicographic
 (preorder) address order, or the root children's pieces, grown as one
-forest. Addresses and `Cell` tuples are built only when read, each view by
-slicing or permuting the flat list of `tree.node_addresses`.
+forest and split at the roots' preorder ranges. A measure keeps its node
+table and its index into it (a slice, or the leaf array), so addresses and
+`Cell` tuples are built only when read, from `tree.node_addresses`.
 Atomization collapses every cell to a point mass at its midpoint; that
 discrete surrogate is what the string solver consumes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable, List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ._rng import Address, child_state, root_states
-from .tree import RandomTree, _grow, node_addresses, root_bounds
+from .tree import NodeTable, RandomTree, _grow, node_addresses
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class MeasureApprox:
     """Ordered, non-overlapping cells with masses summing to one.
 
     generation is None for leaf-based measures of resolution-stopped trees,
-    where cells of different depths coexist.
+    where cells of different depths coexist. The cells are nodes[index].
     """
 
     interval: Tuple[float, float]
@@ -43,12 +44,13 @@ class MeasureApprox:
     left: np.ndarray
     right: np.ndarray
     mass: np.ndarray
-    addresses: Callable[[], List[Address]] = field(repr=False)
+    nodes: NodeTable = field(repr=False)
+    index: slice | np.ndarray = field(repr=False)  # a slice, or the leaf array
 
     @cached_property
     def cells(self) -> Tuple[Cell, ...]:
-        return tuple(map(Cell, self.addresses(), self.left.tolist(), self.right.tolist(),
-                         self.mass.tolist()))
+        picked = np.fromiter(node_addresses(self.nodes), object)[self.index].tolist()
+        return tuple(map(Cell, picked, self.left.tolist(), self.right.tolist(), self.mass.tolist()))
 
 
 @dataclass(frozen=True)
@@ -58,55 +60,48 @@ class AtomizedMeasure:
     masses: np.ndarray
 
 
-def _cells(tree: RandomTree, n: Optional[int], ratio: np.ndarray, offset: np.ndarray,
-           mass: np.ndarray, addresses: Callable[[], List[Address]]) -> MeasureApprox:
+def _cells(tree: RandomTree, n: Optional[int], nodes: NodeTable,
+           index: slice | np.ndarray) -> MeasureApprox:
     a, b = tree.model.interval
-    return MeasureApprox(tree.model.interval, n, ratio * a + offset, ratio * b + offset, mass,
-                         addresses)
+    ratio, offset = nodes.ratio[index], nodes.offset[index]
+    return MeasureApprox(tree.model.interval, n, ratio * a + offset, ratio * b + offset,
+                         nodes.mass[index], nodes, index)
 
 
 def _require_depth(tree: RandomTree, n: int, least: int = 0) -> None:
     if n < least:
         raise ValueError(f"generation must be >= {least}, got {n}")
     levels = tree.nodes.levels
-    if n >= levels.size - 1 or not tree.nodes.expanded[:levels[n]].all():
-        raise ValueError(f"depth {n} exceeds the sampled tree")
+    if n >= levels.size - 1 or not np.diff(tree.nodes.first[:levels[n] + 1]).all():
+        raise ValueError(f"depth {n} exceeds the sampled tree")  # a leaf above generation n
 
 
 def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
     """Cells of generation n: geometry S_ii([a, b]), mass = weight product."""
     _require_depth(tree, n)
-    nodes = tree.nodes
-    lo, hi = nodes.levels[n:n + 2].tolist()
-    return _cells(tree, n, nodes.ratio[lo:hi], nodes.offset[lo:hi], nodes.mass[lo:hi],
-                  lambda: node_addresses(nodes)[lo:hi])
+    return _cells(tree, n, tree.nodes, slice(*tree.nodes.levels[n:n + 2].tolist()))
 
 
 def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
     """Per root child i, generation n - 1 of the subtree at i, addresses relative to i:
     one forest of the root children, grown n - 1 generations deep (tree generations
-    1..n - 1 are complete), split at the root bounds (each slice bit for bit the child
-    alone)."""
+    1..n - 1 are complete), split where its ranks pass each root's (ranks increase along
+    a generation; each slice bit for bit the child alone)."""
     _require_depth(tree, n, least=1)
     root = root_states([tree.seed])  # every tree is sampled from its seed
     kids = child_state(root, np.arange(1, tree.nodes.first[1], dtype=np.uint64))  # 1..n_maps
     forest = _grow(tree.model, kids, depth=n - 1)
-    bounds, addresses = root_bounds(forest)[n - 1].tolist(), cache(lambda: node_addresses(forest))
-    return [_cells(tree, n - 1, forest.ratio[lo:hi], forest.offset[lo:hi], forest.mass[lo:hi],
-                   lambda lo=lo, hi=hi: addresses()[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    lo, hi = forest.levels[n - 1:n + 1].tolist()
+    bounds = [*(lo + forest.rank[lo:hi].searchsorted(forest.rank[:kids.size])).tolist(), hi]
+    return [_cells(tree, n - 1, forest, slice(*ends)) for ends in zip(bounds, bounds[1:])]
 
 
 def leaf_cells(tree: RandomTree) -> MeasureApprox:
     """Cells of all leaves, in preorder; the natural measure of a resolution-stopped tree."""
     nodes = tree.nodes
-    leaves = np.flatnonzero(~nodes.expanded)
+    leaves = np.flatnonzero(nodes.first[1:] == nodes.first[:-1])  # no children
     leaves = leaves[np.argsort(nodes.rank[leaves], kind="stable")]  # merges generations' runs
-    def addresses() -> List[Address]:
-        every = node_addresses(nodes)
-        return [every[f] for f in leaves.tolist()]
-    return _cells(tree, None, nodes.ratio[leaves], nodes.offset[leaves], nodes.mass[leaves],
-                  addresses)
+    return _cells(tree, None, nodes, leaves)
 
 
 class CollapsedCells(ValueError):

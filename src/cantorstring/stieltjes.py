@@ -135,7 +135,7 @@ class StieltjesString:
         """n equal masses at the midpoints of n equal subintervals."""
         a, b = interval
         pos = a + (b - a) * (2 * np.arange(1, n + 1) - 1) / (2 * n)
-        return cls(interval, pos, np.full(n, total_mass / n))
+        return cls(interval, pos, np.full(n, total_mass) / n)  # n = 0: the constructor refuses
 
 
 @dataclass(frozen=True)

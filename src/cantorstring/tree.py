@@ -5,15 +5,15 @@ children the node has and how its cell subdivides. Trees are materialized
 eagerly up to a stop rule (fixed depth, or geometric cell resolution) and
 are immutable afterwards. A tree is one `NodeTable`, one flat array per field:
 generation after generation, each in lexicographic address order, roots first, node f's
-children at first[f]:first[f + 1] and its preorder rank at rank[f]. Child i gets hash
+children at first[f]:first[f + 1] (empty for a leaf) and its preorder rank at rank[f], so
+root r's nodes have the ranks rank[r]:rank[r + 1], n closing the last. Child i gets hash
 state child_state(state, i), the letter that state draws, the composed map R' = R r_i,
 C' = R c_i + C, mass M' = M w_i and birth time sigma' = sigma - log(r_i w_i), all read
 from model.tables. `_grow` also grows forests of roots side by side, each root's rows bit
 for bit those of growing it alone: the compiled walks of _native.c count the generations
 depth first, refusing a tree past MAX_NODES before any array is allocated, then fill
 exact-size arrays; `_grow_numpy`, a generation at a time, is the no-compiler path and the
-test oracle. The uint64 states live only while a tree grows. `root_bounds` gives each
-root's nodes per generation, and `node_addresses` the addresses every view reads.
+test oracle. The uint64 states live only while a tree grows.
 """
 from __future__ import annotations
 
@@ -65,7 +65,6 @@ class NodeTable:
     offset: np.ndarray    # composed offset C: the cell is R [a, b] + C
     mass: np.ndarray      # product M of the path's weights
     sigma: np.ndarray     # birth time: sum of -log(r_i w_i) along the path
-    expanded: np.ndarray  # bool: the node has children
     rank: np.ndarray      # int64 preorder rank: the place among all addresses, roots in turn
     first: np.ndarray     # n + 1 entries: the children of node f are first[f]:first[f + 1]
     levels: np.ndarray    # generation k is nodes levels[k]:levels[k + 1]
@@ -102,7 +101,7 @@ def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
     # one array per field, as the numpy loop has: one block of them all fragments the heap
     ratio, offset, mass, sigma = (np.empty(n) for _ in range(4))
     letter, rank, first = (np.empty(size, np.int64) for size in (n, n, n + 1))
-    arrays = (letter, ratio, offset, mass, sigma, np.empty(n, bool), rank, first)  # as NodeTable
+    arrays = (letter, ratio, offset, mass, sigma, rank, first)  # in NodeTable's order
     _refuse(library.grow_fill(*head, gens, sizes, *(array.ctypes.data for array in arrays)),
             remedy)
     return NodeTable(*arrays, levels)
@@ -125,7 +124,7 @@ def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: flo
     n = nodes = states.size
     ratio, offset, mass, sigma = np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)
     length = np.full(n, model.interval[1] - model.interval[0])
-    rows: List[tuple] = []  # per generation: letter, ratio, offset, mass, sigma, expanded, counts
+    rows: List[tuple] = []  # per generation: letter, ratio, offset, mass, sigma, counts
     while True:
         letters = letter_draw(cum, states)
         expanded = (len(rows) < depth) & (length >= min_length) & (sigma <= max_sigma)
@@ -134,7 +133,7 @@ def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: flo
         counts.cumsum(out=first[1:])
         if (nodes := nodes + first[-1]) > MAX_NODES:
             raise ValueError(f"tree would exceed {MAX_NODES} nodes; {remedy}")
-        rows.append((letters, ratio, offset, mass, sigma, expanded, counts))
+        rows.append((letters, ratio, offset, mass, sigma, counts))
         if first[-1] == 0:
             break
         parent = np.arange(letters.size).repeat(counts)
@@ -148,14 +147,6 @@ def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: flo
     first = np.concatenate(([n], counts)).cumsum()  # the children follow the roots
     levels = np.cumsum([0, *(gen[0].size for gen in rows)])
     return NodeTable(*fields, _node_ranks(first, levels.tolist()), first, levels)
-
-
-def root_bounds(nodes: NodeTable) -> np.ndarray:
-    """Row k: forest root r owns nodes bounds[k, r]:bounds[k, r + 1], of generation k."""
-    bounds = [np.arange(nodes.first[0] + 1)]
-    for _ in range(nodes.levels.size - 2):
-        bounds.append(nodes.first[bounds[-1]])
-    return np.array(bounds)
 
 
 def _node_ranks(first: np.ndarray, levels: List[int]) -> np.ndarray:

@@ -17,7 +17,8 @@ Core claims:
       the array forms of R_n and z_t equal loops over the events
     - seeds grown as forests, or regrown seed by seed when a forest is refused,
       keep each seed's R_n, trace and z_t, lattice ties included; the one-seed
-      statistics (the trace, z_t) refuse a forest, and z_by_root gives z_t per seed
+      statistics (the trace, z_t) refuse a forest, z_by_root gives z_t per seed, and
+      an empty seed list is refused
     - z_counts gives z_process at many times from one sort, tied births included,
       and the z CSV rows follow it
 """
@@ -370,6 +371,13 @@ def test_population_bits_pinned(name, seed, both_paths):
         assert (len(run), ties, h.hexdigest()) == POPULATION_DIGESTS[name][seed], path
         if name == "ties":
             assert ties > 0  # the address tiebreak across generations is exercised
+
+
+def test_empty_seed_list_refused(third_fifth):
+    # an empty run made martingale_traces and martingale_R_by_root raise IndexError
+    with pytest.raises(ValueError, match="at least one seed"):
+        branching.simulate_populations(third_fifth, 4.0, [])
+    assert list(forests(third_fifth, 4.0, [], 0.4)) == []
 
 
 def test_forest_events_are_the_one_seed_events(third_fifth):

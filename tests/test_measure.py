@@ -235,9 +235,9 @@ class TestSelfSimilarity:
 
     def test_piece_depth_checked(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.resolution(0.05), 3)
-        levels, expanded = tree.nodes.levels, tree.nodes.expanded
-        complete = next(k for k in range(levels.size - 1)
-                        if not expanded[levels[k]:levels[k + 1]].all())
+        levels, first = tree.nodes.levels, tree.nodes.first
+        leaf = first[1:] == first[:-1]  # an empty child range
+        complete = next(k for k in range(levels.size - 1) if leaf[levels[k]:levels[k + 1]].any())
         assert len(measure.piece_cells(tree, complete)) == tree.letter_at(()).n_maps
         for n in (0, complete + 1, levels.size - 1):
             with pytest.raises(ValueError):

@@ -271,6 +271,16 @@ class TestUniformString:
         assert lam == pytest.approx(math.pi ** 2, rel=5e-3)
         assert lam == pytest.approx(dense_eigenvalues(u, "dirichlet")[0], rel=1e-8)
 
+    def test_no_atoms_refused(self):
+        # the constructor's refusal, not a ZeroDivisionError from the mass total / n
+        with pytest.raises(ValueError, match="string needs at least one atom"):
+            StieltjesString.uniform(0)
+
+    def test_masses_equal_total_over_n(self):
+        for n, total in ((1, 1.0), (3, 1.0), (7, 0.3), (200, 7.1)):
+            masses = StieltjesString.uniform(n, total_mass=total).masses
+            assert masses.tolist() == [total / n] * n
+
 
 class TestDenseOracle:
     def test_small_strings(self):

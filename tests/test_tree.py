@@ -10,10 +10,10 @@ Core claims:
     - a forest of roots grows each root's rows as growing it alone would,
       and label lookups of absent addresses raise KeyError
     - the node table's global `first` runs from the root count to the node
-      count without decreasing, its `levels` are the outer root bounds, its
-      read-only `rank` is each node's place in a preorder walk, root after
-      root, and a population reads sigma and first from the table without
-      copying them
+      count without decreasing, its read-only `rank` is each node's place in a
+      preorder walk, root after root, so root r's nodes are the ranks
+      rank[r]:rank[r + 1] and ranks increase along a generation, and a
+      population reads sigma and first from the table without copying them
     - every address view (generations, root-child pieces, leaves, forests and
       their birth events) equals its reference definition over a preorder walk
     - resolution stop expands exactly the cells no shorter than epsilon
@@ -26,13 +26,19 @@ Core claims:
       numpy loop does, refuses the same trees (a depth past int64 included),
       never draws a letter of probability 0, and refuses a tree before it
       allocates its arrays
+    - on drawn models, limits and seed lists (hypothesis, derandomized) both
+      paths grow the same table or refuse with the same message, and the
+      preorder root ranges, the pieces and per-root z equal the old walk
+      down `first`
 """
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cantorstring import (IfsModel, build_cells, leaf_cells, make_letter, middle_third_letter,
@@ -40,13 +46,13 @@ from cantorstring import (IfsModel, build_cells, leaf_cells, make_letter, middle
                           solve_recursive_exponent, third_fifth_model, tree as tree_module)
 from cantorstring import _native
 from cantorstring._rng import child_state, root_states, splitmix64
-from cantorstring.branching import simulate_populations
+from cantorstring.branching import PopulationRun, simulate_populations, z_by_root
 from cantorstring.ifs import model_from_dict, model_to_dict
 from cantorstring.measure import piece_cells
-from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses, root_bounds
+from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses
 from conftest import tie_model
 
-ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "expanded", "rank", "first", "levels")
+ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "rank", "first", "levels")
 
 
 def table_bytes(tree):
@@ -254,13 +260,17 @@ class TestNodeTable:
                 first, n, roots = nodes.first, nodes.letter.size, nodes.levels[1]
                 assert first.size == n + 1 and np.all(np.diff(first) >= 0)
                 assert first[0] == roots and first[-1] == n
-                bounds = root_bounds(nodes)
-                assert bounds.shape == (nodes.levels.size - 1, roots + 1)
-                assert nodes.levels[:-1].tolist() == bounds[:, 0].tolist()
-                assert nodes.levels[1:].tolist() == bounds[:, -1].tolist()
+                levels = nodes.levels.tolist()
+                assert levels[0] == 0 and levels[-1] == n and np.all(np.diff(levels) > 0)
                 walk = [j for root in range(roots) for j, _ in preorder(nodes, root)]
                 assert nodes.rank.dtype == np.int64
                 assert nodes.rank[walk].tolist() == list(range(n))
+                ends = [*nodes.rank[:roots].tolist(), n]  # root r's preorder range
+                for root in range(roots):
+                    mine = [j for j, _ in preorder(nodes, root)]
+                    assert sorted(nodes.rank[mine].tolist()) == list(range(*ends[root:root + 2]))
+                for lo, hi in zip(levels, levels[1:]):  # ranks increase along a generation
+                    assert np.all(np.diff(nodes.rank[lo:hi]) > 0)
                 with pytest.raises(ValueError, match="read-only"):
                     nodes.rank[0] = 0
 
@@ -296,7 +306,8 @@ def test_address_views_match_reference(name, stop, seed):
     for n, (lo, hi) in enumerate(zip(levels, levels[1:])):
         assert addresses[lo:hi] == [a for a in everything if len(a) == n]
     assert list(tree.addresses()) == addresses
-    complete = [n for n in range(len(levels) - 1) if nodes.expanded[:levels[n]].all()]
+    leaf = [nodes.first[j] == nodes.first[j + 1] for j in range(len(addresses))]
+    complete = [n for n in range(len(levels) - 1) if not any(leaf[:levels[n]])]
     for n in complete:
         assert [c.address for c in build_cells(tree, n).cells] == addresses[
             levels[n]:levels[n + 1]]
@@ -306,7 +317,7 @@ def test_address_views_match_reference(name, stop, seed):
             [a[1:] for a in everything if len(a) == n and a[0] == i]
             for i in range(1, len(pieces) + 1)]
     assert [c.address for c in leaf_cells(tree).cells] == sorted(
-        a for j, a in walk if not nodes.expanded[j])
+        a for j, a in walk if leaf[j])
 
 
 @pytest.mark.parametrize("seeds", [[3, 4, 5], [0, 1, 2, 3, 4, 5, 6, 7]])
@@ -461,6 +472,134 @@ class TestCompiledGrowth:
                 tracemalloc.stop()
         assert peaks[0] < 1 << 20 < peaks[1]
 
+
+
+def root_bounds(nodes):
+    """The former tree.root_bounds, the oracle of the preorder root ranges: a walk down
+    `first` from the roots, where row k holds each root's nodes of generation k (root r
+    owns bounds[k, r]:bounds[k, r + 1])."""
+    bounds = [np.arange(nodes.first[0] + 1)]
+    for _ in range(nodes.levels.size - 2):
+        bounds.append(nodes.first[bounds[-1]])
+    return np.array(bounds)
+
+
+def z_oracle(nodes, t):
+    """z_by_root as it summed hits between root_bounds: non-roots born after t to mothers
+    born by t, counted below each bound of each generation."""
+    first, sigma = nodes.first, nodes.sigma
+    parent = np.repeat(sigma, first[1:] - first[:-1])
+    hits = np.flatnonzero((parent <= t) & (sigma[first[0]:] > t)) + first[0]
+    return np.diff(hits.searchsorted(root_bounds(nodes))).sum(axis=0).tolist()
+
+
+@st.composite
+def drawn_models(draw):
+    """1-4 letters of 2-6 maps, ratios down to ~1e-12, letters of probability 0 (one at
+    least drawable); the images tile [0, 1] in order with gaps, the ends pinned."""
+    letters = []
+    for j in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(2, 6))
+        raw = [10.0 ** draw(st.floats(-12.0, 0.0)) for _ in range(k)]
+        fill = draw(st.sampled_from([0.9, 0.99, 0.999]) | st.floats(0.05, 0.999))
+        ratios = [fill * r / math.fsum(raw) for r in raw]
+        gaps = [draw(st.floats(0.0, 1.0)) + 1e-9 for _ in range(k - 1)]
+        spare = (1.0 - math.fsum(ratios)) / math.fsum(gaps)
+        offsets = [0.0]
+        for r, gap in zip(ratios, gaps[:-1]):
+            offsets.append(offsets[-1] + r + gap * spare)
+        offsets.append(1.0 - ratios[-1])
+        weights = [draw(st.floats(0.01, 1.0)) for _ in range(k)]
+        letters.append(make_letter(f"L{j}", list(zip(ratios, offsets)),
+                                   [w / math.fsum(weights) for w in weights]))
+    probs = [draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in letters]
+    probs[draw(st.integers(0, len(letters) - 1))] = 1.0
+    model = IfsModel((0.0, 1.0), letters, [p / math.fsum(probs) for p in probs])
+    assert model.tables  # valid: validation raises otherwise
+    return model
+
+
+LIMITS = {"depth": st.integers(0, 6) | st.integers(60, 90),
+          "min_length": st.floats(-6.0, -0.3).map(lambda e: 10.0 ** e),
+          "max_sigma": st.floats(0.0, 12.0)}
+DRAWN_LIMITS = st.sets(st.sampled_from(sorted(LIMITS)), min_size=1).flatmap(  # one at least
+    lambda names: st.fixed_dictionaries({name: LIMITS[name] for name in names}))
+# a chain of ~110 generations (r w near 1): the walks reallocate their frames past 64
+CHAIN = IfsModel((0.0, 1.0), (make_letter("long", [(0.98, 0.0), (0.01, 0.99)], (0.99, 0.01)),),
+                 (1.0,))
+
+
+class TestGrowthDifferential:
+    """Drawn models, limits and seed lists: the compiled walks against _grow_numpy, and the
+    preorder root ranges that pieces and z read against the old walk down `first`."""
+
+    CAP = 3000  # node budget of the first growth: examples stay small
+
+    @staticmethod
+    def grown(model, states, limits):
+        """[compiled, numpy] node tables, or the ValueError message of a refusal, per path."""
+        out = []
+        for library in (_native.library(), None):
+            with mock.patch.object(_native, "library", lambda: library):
+                try:
+                    out.append(tree_module._grow(model, states, **limits))
+                except ValueError as err:
+                    out.append(str(err))
+        return out
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(drawn_models(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+           DRAWN_LIMITS, st.booleans())
+    @example(CHAIN, [1, 2], {"min_length": 0.1}, False)
+    @example(CHAIN, [3], {"max_sigma": 3.0, "depth": 90}, True)
+    def test_paths_agree_and_root_ranges(self, model, seeds, limits, below):
+        states = root_states(seeds)
+        with mock.patch.object(tree_module, "MAX_NODES", self.CAP):
+            compiled, reference = self.grown(model, states, limits)
+        if isinstance(reference, str):
+            assert compiled == reference
+            return
+        assert_same_tables(compiled, reference)
+        size = reference.letter.size
+        with mock.patch.object(tree_module, "MAX_NODES", size - below):  # below, or at
+            again = self.grown(model, states, limits)
+        if below:
+            assert again == [f"tree would exceed {size - 1} nodes; "
+                             "use a larger epsilon or a smaller depth"] * 2
+        else:
+            for nodes in again:
+                assert_same_tables(nodes, reference)
+        rank, levels, bounds = reference.rank, reference.levels.tolist(), root_bounds(reference)
+        for k, (lo, hi) in enumerate(zip(levels, levels[1:])):  # per generation
+            split = lo + rank[lo:hi].searchsorted(rank[:len(seeds)])
+            assert [*split.tolist(), hi] == bounds[k].tolist()
+        ends = [*rank[:len(seeds)].tolist(), size]  # root r's ranks: ends[r]:ends[r + 1]
+        for r in range(len(seeds)):
+            mine = np.concatenate([np.arange(row[r], row[r + 1]) for row in bounds])
+            assert np.sort(rank[mine]).tolist() == list(range(ends[r], ends[r + 1]))
+        sigma = np.unique(reference.sigma)
+        run = PopulationRun(model, seeds, float(sigma[-1]), reference)
+        for t in {0.0, *sigma[::max(1, sigma.size // 4)].tolist(), float(sigma[-1])}:
+            assert z_by_root(run, t) == z_oracle(reference, t)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(drawn_models(), st.integers(0, 2**64 - 1), st.integers(1, 6))
+    def test_pieces_split_at_root_ranges(self, model, seed, depth):
+        with mock.patch.object(tree_module, "MAX_NODES", self.CAP):
+            try:
+                tree = sample_tree(model, StopRule.depth(depth), seed)
+            except ValueError:
+                return
+            kids = child_state(root_states([seed]),
+                               np.arange(1, tree.nodes.first[1], dtype=np.uint64))
+            for n in range(1, depth + 1):
+                forest = tree_module._grow(model, kids, depth=n - 1)
+                ends = root_bounds(forest)[n - 1].tolist()
+                pieces = piece_cells(tree, n)
+                assert len(pieces) == kids.size
+                for piece, lo, hi in zip(pieces, ends, ends[1:]):
+                    assert piece.mass.tobytes() == forest.mass[lo:hi].tobytes()
+                    assert piece.left.tobytes() == forest.offset[lo:hi].tobytes()
 
 class TestDumpLoad:
     def test_round_trip(self, tmp_path, third_fifth):
