@@ -12,19 +12,31 @@
    { count++; if (p > -pivmin) p = -pivmin; }` for every p, NaN included
    (both tests are false). Counts run in double lanes, exact below 2^53, and
    are stored as int64. So the shift loop vectorises at -O3 into packed
-   divides (divpd on x86-64). Build with -ffp-contract=off, so that m_k x' is
-   never fused into the subtract, and never with -ffast-math or -Ofast (they
-   reorder) or -march=native (the library is cached per platform, not per
-   CPU). A target that evaluates doubles in wider precision (x87) would
-   round differently, so it refuses to build and the numpy sweep counts.
+   divides: divpd, two shifts a divide, in the baseline x86-64 build. On
+   x86-64 with glibc each multi-shift sweep is also built for AVX2 (CLONES),
+   four shifts a vdivpd, and glibc's loader picks that clone when the CPU
+   has AVX2; other platforms and compilers build the baseline alone. The
+   clones run the same IEEE multiply, subtract, divide and compare, lane by
+   lane and in the same order, and target("avx2") enables no FMA, so every
+   count and last pivot has the same bits in either. Build with
+   -ffp-contract=off, so that m_k x' is never fused into the subtract, and
+   never with -ffast-math or -Ofast (they reorder) or a whole-file
+   -march=native: the library is cached per platform, not per CPU, and on a
+   CPU with AVX512-FP16 gcc 12 sets FLT_EVAL_METHOD to 16 under it, which
+   the guard below refuses. A target that evaluates doubles in wider
+   precision (x87) would round differently, so it refuses to build and the
+   numpy sweep counts. A tile of odd width sweeps one more lane, a copy of
+   its last shift, and drops its results: lanes are independent, and a lone
+   scalar lane compiles its clamp to a data-dependent branch that costs
+   more than the pad lane.
 
    Merging. On a row whose two diagonals have the same bits, a lane whose
    two stored pivots have the same bits (and are not NaN) gets the same
    pivot, count step and clamp on both boundaries, so its chains stay one
    until a row whose diagonals differ: for a string only the first and the
    last. A sweep of at least MERGE_MIN shifts merges such lanes from the top
-   of the tile down, two at a time, so that the live lanes keep the tile's
-   parity (a lone scalar lane compiles its clamp to a data-dependent branch).
+   of the tile down, two at a time, so that the live lanes stay even, like
+   the padded tile.
    A merged lane keeps off = cn - cd, runs the Dirichlet step alone, and
    gets dn = dd and cn = cd + off back before a row whose diagonals differ
    and at the end: its counts and last pivots keep their bits. Narrower
@@ -41,6 +53,16 @@
 #define TILE 256
 #define MERGE_MIN 32
 
+/* glibc's ifunc resolver picks a sweep's clone by the CPU once, at load time */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
+
 #define SAME(a, b) ((a) == (b) && memcmp(&(a), &(b), sizeof(double)) == 0)  /* bits, not NaN */
 
 #define SWEEP_ARGS int64_t n, int64_t ns, double pivmin, const double *restrict diags, \
@@ -50,12 +72,12 @@
 static inline __attribute__((always_inline)) void sweep(SWEEP_ARGS, int merge)
 {
     for (int64_t start = 0; start < ns; start += TILE) {
-        const int64_t w = ns - start < TILE ? ns - start : TILE;
-        const double *restrict x = shifts + start;
-        double *restrict dd = pivots + start, *restrict dn = pivots + ns + start;
-        double cd[TILE], cn[TILE], off[TILE];
+        const int64_t used = ns - start < TILE ? ns - start : TILE;
+        const int64_t w = used + used % 2;  /* an odd tile pads a lane: see the header */
+        double x[TILE], dd[TILE], dn[TILE], cd[TILE], cn[TILE], off[TILE];
         int64_t live = w;  /* lanes live..w-1 are merged: dn stale, cn = cd + off */
         for (int64_t j = 0; j < w; j++) {
+            x[j] = shifts[start + (j < used ? j : used - 1)];
             dd[j] = dn[j] = 1.0;
             cd[j] = cn[j] = 0.0;
         }
@@ -89,15 +111,15 @@ static inline __attribute__((always_inline)) void sweep(SWEEP_ARGS, int merge)
                 off[live + 1] = cn[live + 1] - cd[live + 1];
             }
         }
-        for (int64_t j = 0; j < w; j++) {
-            counts[start + j] = (int64_t)cd[j];
-            counts[ns + start + j] = (int64_t)cn[j];
+        for (int64_t j = 0; j < used; j++) {
+            pivots[start + j] = dd[j], pivots[ns + start + j] = dn[j];
+            counts[start + j] = (int64_t)cd[j], counts[ns + start + j] = (int64_t)cn[j];
         }
     }
 }
 
 /* each sweep in a function of its own, so that its loops get registers of their own */
-#define SWEEP(name, merge) __attribute__((noinline)) static void name(SWEEP_ARGS) \
+#define SWEEP(name, merge) __attribute__((noinline)) CLONES static void name(SWEEP_ARGS) \
     { sweep(n, ns, pivmin, diags, mass, b2, shifts, pivots, counts, merge); }
 SWEEP(plain_sweep, 0)
 SWEEP(merging_sweep, 1)

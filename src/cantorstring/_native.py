@@ -5,11 +5,16 @@ else cc, and `-O3 -shared -fPIC -ffp-contract=off` into $XDG_CACHE_HOME/cantorst
 or ~/.cache/cantorstring (mode 0700), named by the sha256 of the source, the flags
 and the platform, rebuilds a library there that fails to load, and loads it with
 ctypes. `-ffp-contract=off` forbids fusing a multiply into an add, which would round
-once where numpy rounds twice; -ffast-math and -Ofast reorder, and the cache is keyed
-by platform, not by the CPU -march=native targets, so none is used: each step is
-numpy's IEEE operation and every count and node keeps its bits. With no compiler, a
-failed build or an unusable cache, `library()` is None and the callers run their
-numpy references (stieltjes._block_sweep, tree._grow_numpy).
+once where numpy rounds twice; -ffast-math and -Ofast reorder, so neither is used. On
+x86-64 with glibc the library holds an AVX2 and a baseline clone of each multi-shift
+count sweep, and glibc's loader picks one by the CPU; elsewhere it holds the baseline
+alone. Both clones run the same IEEE operations in the same order, without FMA, so
+either gives every count the same bits. A whole-file -march=native stays out: the cache
+is keyed by platform, not by CPU, and with gcc 12 on a CPU with AVX512-FP16 it sets
+FLT_EVAL_METHOD to 16, which _native.c refuses. So each step is numpy's IEEE operation
+and every count and node keeps its bits. With no compiler, a failed build or an
+unusable cache, `library()` is None and the callers run their numpy references
+(stieltjes._block_sweep, tree._grow_numpy).
 """
 from __future__ import annotations
 

@@ -133,6 +133,8 @@ class StieltjesString:
     def uniform(cls, n: int, interval: Tuple[float, float] = (0.0, 1.0),
                 total_mass: float = 1.0) -> "StieltjesString":
         """n equal masses at the midpoints of n equal subintervals."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"atom count must be a non-negative integer, got {n!r}")
         a, b = interval
         pos = a + (b - a) * (2 * np.arange(1, n + 1) - 1) / (2 * n)
         return cls(interval, pos, np.full(n, total_mass) / n)  # n = 0: the constructor refuses

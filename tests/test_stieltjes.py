@@ -21,6 +21,14 @@ Core claims:
       strings (the numpy replay of the merge rule shows which lanes merge)
       and on crafted pencils whose diagonals differ in an interior row but
       not in the last, with a NaN lane and +0/-0 pivots, which never merge
+    - on drawn strings (hypothesis, derandomized: masses 1e-300..1e300,
+      equal masses, uniform strings, zero-pivot shapes) and drawn shifts
+      (0, 5e-324, 1e300, inf, repeats; widths 1-300, every remainder mod 4)
+      the C loop gives the numpy block's counts
+    - the sweeps' baseline build, compiled from a copy of _native.c without
+      the AVX2 clones, gives the loaded library's last pivots and counts
+      byte for byte on every case above
+    - StieltjesString.uniform names a negative or non-integer atom count
     - without a compiler, after a failed build or with an unusable cache,
       counts silently come from the numpy reference; with a compiler the
       C loop always loads, a corrupt cached library is built again, and
@@ -40,6 +48,7 @@ Core claims:
       one-subtree-at-a-time builder)
     - a CSV export to an unknown boundary is refused
 """
+import ctypes
 import hashlib
 import math
 import os
@@ -126,10 +135,13 @@ def pivot_replay(diags, masses, b2, pivmin, shifts):
     """The C loop's recurrence in numpy, every lane in float64 and in its order of operations:
     (last pivots (2, w), counts (2, w), merged (n, w): lane j sweeps row k merged).
 
-    merged replays the C loop's merge rule tile by tile: after each row the top two live
-    lanes merge while both have the same pivot bits on both boundaries; a row whose two
-    diagonals differ unmerges every lane before it runs. Merging changes no value, so the
-    pivots and counts are the plain two-chain recurrence's."""
+    merged replays the C loop's merge rule tile by tile, an odd tile padded with a copy of
+    its last shift: after each row the top two live lanes merge while both have the same
+    pivot bits on both boundaries; a row whose two diagonals differ unmerges every lane
+    before it runs. Merging changes no value, so the pivots and counts are the plain
+    two-chain recurrence's."""
+    width = shifts.size  # TILE is even, so only the last tile can be odd
+    shifts = np.append(shifts, shifts[-1:] if width % 2 else [])
     d = np.ones((2, shifts.size))
     counts = np.zeros((2, shifts.size), dtype=np.int64)
     merged = np.zeros((masses.size, shifts.size), dtype=bool)
@@ -148,7 +160,7 @@ def pivot_replay(diags, masses, b2, pivmin, shifts):
                 while (shifts.size >= MERGE_MIN and tile[1] - tile[0] >= 2
                        and bits_equal(d[0, tile[1] - 2:tile[1]], d[1, tile[1] - 2:tile[1]]).all()):
                     tile[1] -= 2
-    return d, counts, merged
+    return d[:, :width], counts[:, :width], merged[:, :width]
 
 
 def kernel_sweep(kernel, diags, masses, b2, pivmin, shifts):
@@ -160,6 +172,75 @@ def kernel_sweep(kernel, diags, masses, b2, pivmin, shifts):
                         b2.ctypes.data, shifts.ctypes.data, pivots.ctypes.data,
                         counts.ctypes.data)
     return pivots, counts
+
+
+def lane_cases():
+    """(string, shifts) of TestSweepPaths.test_lanes_and_tiles: uniform(2) and a 3-atom string
+    with their ties and zero pivots, and random strings, at 3, 17, 257 and 600 shifts with the
+    special and extreme shifts every 7th."""
+    u = StieltjesString.uniform(2)
+    three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
+    strings = [(u, [8.0, 16.0, 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT]),
+               (three, [8.0 / TIE_SHIFT, 4.0 / TIE_SHIFT])]
+    strings += [(random_string(seed, max_atoms=300), []) for seed in range(6)]
+    rng = random.Random(57)
+    cases = []
+    for s, picks in strings:
+        marks = picks + EXTREME_SHIFTS
+        for width in (3, 17, 257, 600):
+            xs = [10 ** rng.uniform(-2, 9) for _ in range(width)]
+            for i, j in enumerate(range(0, width, 7)):
+                xs[j] = marks[i % len(marks)]
+            cases.append((s, np.array(xs) * TIE_SHIFT))
+    return cases
+
+
+def merging_cases():
+    """(string, shifts) of TestSweepPaths.test_merged_lanes: third-fifth strings of ~2 000 and
+    ~700 atoms at 1, 3, 17, 120 and 257 sorted shifts up to 1e9."""
+    rng = random.Random(59)
+    cases = []
+    for seed, epsilon in ((0, 1e-5), (1, 3e-5)):
+        tree = sample_tree(third_fifth_model(), StopRule.resolution(epsilon), seed)
+        s = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+        for width in (1, 3, 17, 120, 257):
+            cases.append((s, np.array(sorted(10 ** rng.uniform(0, 9) for _ in range(width)))
+                          * TIE_SHIFT))
+    return cases
+
+
+def crafted_pencils():
+    """The two (diags, masses, b2, pivmin, shifts) pencils of
+    TestSweepPaths.test_merge_restored_where_diagonals_differ."""
+    n = 300
+    rng = np.random.default_rng(61)
+    masses = rng.uniform(0.5, 2.0, n)
+    b2 = np.concatenate(([0.0], rng.uniform(0.5, 2.0, n - 1)))
+    diags = np.tile(rng.uniform(2.0, 6.0, n), (2, 1))
+    diags[1, 0] -= 1.0
+    diags[1, 150] += 3.0
+    shifts = np.sort(10 ** rng.uniform(-1, 9, 64)) * TIE_SHIFT
+    shifts[41] = math.nan
+    zeros = diags.copy()
+    zeros[0, 0], zeros[1, 0] = 0.0, -0.0
+    return ((diags, masses, b2, _SAFMIN * 2.0, shifts),
+            (zeros, masses, b2, 0.0, np.concatenate((shifts[:41], [0.0, 0.0, 0.0]))))
+
+
+def sweep_case_matrix():
+    """(diags, masses, b2, pivmin, shifts) of TestSweepPaths' sweeps: random strings at 1, 2,
+    8, 9 and 40 shifts with the extreme shifts among them, then lane_cases, merging_cases and
+    crafted_pencils."""
+    rng = random.Random(17)
+    cases = []
+    for seed in range(10):
+        s = random_string(seed + 10, max_atoms=300)
+        xs = [10 ** rng.uniform(-2, 9) for _ in range(35)] + EXTREME_SHIFTS
+        rng.shuffle(xs)
+        cases += [(s, np.array(xs[:width]) * TIE_SHIFT) for width in (1, 2, 8, 9, 40)]
+    cases += lane_cases() + merging_cases()
+    return ([(s._diags, s.masses, s._b2, s._pivmin, shifts) for s, shifts in cases]
+            + list(crafted_pencils()))
 
 
 def find_compiler():
@@ -275,6 +356,12 @@ class TestUniformString:
         # the constructor's refusal, not a ZeroDivisionError from the mass total / n
         with pytest.raises(ValueError, match="string needs at least one atom"):
             StieltjesString.uniform(0)
+
+    def test_bad_atom_count_named(self):
+        # not numpy's "negative dimensions" ValueError or np.arange's TypeError
+        for n in (-1, 2.5):
+            with pytest.raises(ValueError, match=f"non-negative integer, got {n}"):
+                StieltjesString.uniform(n)
 
     def test_masses_equal_total_over_n(self):
         for n, total in ((1, 1.0), (3, 1.0), (7, 0.3), (200, 7.1)):
@@ -407,7 +494,7 @@ class TestSweepPaths:
     def test_final_pivots_bit_identical(self, kernel):
         # the C loop's last pivots equal a plain-float recurrence in the documented
         # order, bit for bit: a reassociated or fused (FMA) step would show here
-        # widths 9 and 3 end in a scalar tail after the packed lanes, 257 (with the
+        # widths 9 and 3 are odd, so the C loop pads a lane, 257 (with the
         # extreme shifts) crosses the loop's 256-shift tile
         rng = random.Random(41)
         for seed, width in zip(range(12), [9] * 10 + [3, 257]):
@@ -434,24 +521,12 @@ class TestSweepPaths:
             assert counts.tolist() == _block_sweep(s, shifts).tolist()
 
     def test_lanes_and_tiles(self, kernel):
-        # odd widths leave a scalar tail after the packed lanes, 257 and 600
-        # shifts cross the C loop's 256-shift tile; ties, zero pivots and the
-        # extreme shifts sit every 7th shift, so in both lanes and every tile
-        u = StieltjesString.uniform(2)
-        three = StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
-        cases = [(u, [8.0, 16.0, 12.0 / TIE_SHIFT, 16.0 / TIE_SHIFT]),
-                 (three, [8.0 / TIE_SHIFT, 4.0 / TIE_SHIFT])]
-        cases += [(random_string(seed, max_atoms=300), []) for seed in range(6)]
-        rng = random.Random(57)
-        for s, picks in cases:
-            marks = picks + EXTREME_SHIFTS
-            for width in (3, 17, 257, 600):
-                xs = [10 ** rng.uniform(-2, 9) for _ in range(width)]
-                for i, j in enumerate(range(0, width, 7)):
-                    xs[j] = marks[i % len(marks)]
-                shifts = np.array(xs) * TIE_SHIFT
-                compiled = _compiled_sweep(kernel, s, shifts).tolist()
-                assert compiled == _block_sweep(s, shifts).tolist(), (s.n, width)
+        # odd widths pad a lane, 257 and 600 shifts cross the C loop's 256-shift
+        # tile; ties, zero pivots and the extreme shifts sit every 7th shift, so in
+        # every vector lane and every tile
+        for s, shifts in lane_cases():
+            compiled = _compiled_sweep(kernel, s, shifts).tolist()
+            assert compiled == _block_sweep(s, shifts).tolist(), (s.n, shifts.size)
 
     def test_merged_lanes(self, kernel):
         # long third-fifth strings at shifts up to 1e9: within the first half of the
@@ -459,23 +534,18 @@ class TestSweepPaths:
         # loop sweeps them once; the lowest lanes never merge. The last row's diagonals differ, so
         # every merged lane is restored before it. Widths 1, 3 and 17 sweep both chains
         # throughout, 257 crosses the tile with a merging 256-lane tile and a lone lane
-        rng = random.Random(59)
-        for seed, epsilon in ((0, 1e-5), (1, 3e-5)):
-            tree = sample_tree(third_fifth_model(), StopRule.resolution(epsilon), seed)
-            s = StieltjesString.from_measure(atomize(leaf_cells(tree)))
-            for width in (1, 3, 17, 120, 257):
-                xs = sorted(10 ** rng.uniform(0, 9) for _ in range(width))
-                shifts = np.array(xs) * TIE_SHIFT
-                pivots, counts = kernel_sweep(kernel, s._diags, s.masses, s._b2, s._pivmin,
-                                              shifts)
-                expected, expected_counts, merged = pivot_replay(
-                    s._diags, s.masses, s._b2, s._pivmin, shifts)
-                assert pivots.tobytes() == expected.tobytes(), (s.n, width)
-                assert counts.tolist() == expected_counts.tolist()
-                assert counts.tolist() == _block_sweep(s, shifts).tolist()
-                if width >= MERGE_MIN:  # the top lane of the first tile merges, the lowest do not
-                    assert merged[s.n // 2, min(width, TILE) - 1], (s.n, width)
-                    assert not merged[:, 0].any() and not merged[-1].any()
+        # and its pad lane
+        for s, shifts in merging_cases():
+            width = shifts.size
+            pivots, counts = kernel_sweep(kernel, s._diags, s.masses, s._b2, s._pivmin, shifts)
+            expected, expected_counts, merged = pivot_replay(
+                s._diags, s.masses, s._b2, s._pivmin, shifts)
+            assert pivots.tobytes() == expected.tobytes(), (s.n, width)
+            assert counts.tolist() == expected_counts.tolist()
+            assert counts.tolist() == _block_sweep(s, shifts).tolist()
+            if width >= MERGE_MIN:  # the top lane of the first tile merges, the lowest do not
+                assert merged[s.n // 2, min(width, TILE) - 1], (s.n, width)
+                assert not merged[:, 0].any() and not merged[-1].any()
 
     def test_merge_restored_where_diagonals_differ(self, kernel):
         # crafted pencils: the diagonals differ in row 0 and in interior row 150 (after
@@ -485,16 +555,8 @@ class TestSweepPaths:
         # merge in pairs from the top down). Then pivmin = 0, diagonals +0 and -0 in row
         # 0 and zero shifts on top: pivots +0 and -0 are equal numbers but not equal
         # bits, and must not merge
-        n = 300
-        rng = np.random.default_rng(61)
-        masses = rng.uniform(0.5, 2.0, n)
-        b2 = np.concatenate(([0.0], rng.uniform(0.5, 2.0, n - 1)))
-        diags = np.tile(rng.uniform(2.0, 6.0, n), (2, 1))
-        diags[1, 0] -= 1.0
-        diags[1, 150] += 3.0
-        shifts = np.sort(10 ** rng.uniform(-1, 9, 64)) * TIE_SHIFT
-        shifts[41] = math.nan
-        pivmin = _SAFMIN * 2.0
+        (diags, masses, b2, pivmin, shifts), signed_zeros = crafted_pencils()
+        n = masses.size
         pivots, counts = kernel_sweep(kernel, diags, masses, b2, pivmin, shifts)
         expected, expected_counts, merged = pivot_replay(diags, masses, b2, pivmin, shifts)
         assert pivots.tobytes() == expected.tobytes()
@@ -504,10 +566,9 @@ class TestSweepPaths:
         string = StieltjesString.uniform(n)  # _block_sweep reads the crafted pencil from it
         string._diags, string.masses, string._b2, string._pivmin = diags, masses, b2, pivmin
         assert counts.tolist() == _block_sweep(string, shifts).tolist()
-        diags[0, 0], diags[1, 0] = 0.0, -0.0
-        shifts = np.concatenate((shifts[:41], [0.0, 0.0, 0.0]))
-        pivots, counts = kernel_sweep(kernel, diags, masses, b2, 0.0, shifts)
-        expected, expected_counts, merged = pivot_replay(diags, masses, b2, 0.0, shifts)
+        diags, masses, b2, pivmin, shifts = signed_zeros
+        pivots, counts = kernel_sweep(kernel, diags, masses, b2, pivmin, shifts)
+        expected, expected_counts, merged = pivot_replay(diags, masses, b2, pivmin, shifts)
         # row 1 divides by +0 and -0: -inf counts on one boundary, +inf not on the other
         assert not merged[1].any() and (expected_counts[0, -2:] == expected_counts[1, -2:] + 1).all()
         assert pivots.tobytes() == expected.tobytes()
@@ -563,6 +624,85 @@ class TestSweepPaths:
             assert len(lines) == 230
             text = "\n".join(lines)
             assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_SHIFT_DIGEST, path
+
+
+ZERO_PIVOT_SHAPES = [  # uniform(2): eigenvalues 8, 16, zero pivots at x' = 12, 16; three: 8, 4
+    (StieltjesString.uniform(2), [8.0, 16.0, 12.0]),
+    (StieltjesString((0.0, 1.0), [0.25, 0.5, 0.75], [1.0, 1.0, 1.0]), [8.0, 4.0]),
+]
+
+
+@st.composite
+def drawn_sweeps(draw):
+    """(string, shifts x'): drawn strings with masses 1e-300..1e300 (equal masses included),
+    uniform strings and the zero-pivot shapes; widths 1-300 with every remainder mod 4, the
+    shifts spread about the string's diagonal over mass, with 0, 5e-324, 1e300, inf, the zero
+    pivots of row 0 and repeats of one shift mixed in, sorted, reversed or shuffled."""
+    kind = draw(st.sampled_from(["drawn", "uniform", "zero pivot"]))
+    exponent = st.integers(-300, 300)
+    if kind == "drawn":
+        n = draw(st.integers(1, 40))
+        slots = sorted(draw(st.lists(st.integers(1, 999), min_size=n, max_size=n, unique=True)))
+        exponents = draw(st.one_of(st.lists(exponent, min_size=n, max_size=n),
+                                   exponent.map(lambda e: [e] * n)))
+        s = StieltjesString((0.0, 1.0), [k / 1000 for k in slots], [10.0 ** e for e in exponents])
+        picks = []
+    elif kind == "uniform":
+        s = StieltjesString.uniform(draw(st.integers(1, 40)), total_mass=10.0 ** draw(exponent))
+        picks = []
+    else:
+        s, picks = draw(st.sampled_from(ZERO_PIVOT_SHAPES))
+    width = 4 * draw(st.integers(0, 74)) + draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):
+        scale = float(np.median(s._diags[0] / s.masses))
+        shifts = scale * 10 ** rng.uniform(-6, 6, width)
+        pool = [0.0, 5e-324, 1e300, math.inf, shifts[0], *picks, *(s._diags[:, 0] / s.masses[0])]
+    marked = rng.random(width) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    shifts[marked] = rng.choice(pool, marked.sum())
+    order = draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    if order != "shuffled":
+        shifts.sort()
+    return s, shifts[::-1].copy() if order == "reversed" else shifts
+
+
+class TestCountsDifferential:
+    """Drawn strings and shifts: the C sweep, whichever build of it the CPU runs, against the
+    numpy block, count for count."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(drawn_sweeps())
+    def test_compiled_equals_block(self, sweep):
+        kernel = _native.library()
+        if kernel is None:
+            pytest.skip("no C compiler: the compiled count loop cannot be built")
+        s, shifts = sweep
+        assert _compiled_sweep(kernel, s, shifts).tolist() == _block_sweep(s, shifts).tolist()
+
+
+class TestBaselineBuild:
+    """On x86-64 with glibc an AVX2 CPU runs the sweeps' AVX2 clones and never their baseline
+    build. A copy of _native.c without the clones builds the baseline alone: its last pivots
+    and counts equal the loaded library's byte for byte over TestSweepPaths' cases."""
+
+    CLONES = '#define CLONES __attribute__((target_clones("avx2", "default")))'
+
+    def test_matches_loaded_library(self, kernel, tmp_path, monkeypatch):
+        text = _native._SOURCE.read_text()
+        assert text.count(self.CLONES) == 1
+        copy = tmp_path / "_native.c"
+        copy.write_text(text.replace(self.CLONES, "#define CLONES"))
+        monkeypatch.setattr(_native, "_SOURCE", copy)
+        built = tmp_path / "build" / "_native-baseline.so"
+        _native._build(built)
+        baseline = _native._typed(ctypes.CDLL(str(built)))
+        cases = sweep_case_matrix()
+        assert len(cases) == 94
+        for diags, masses, b2, pivmin, shifts in cases:
+            pivots, counts = kernel_sweep(kernel, diags, masses, b2, pivmin, shifts)
+            expected, expected_counts = kernel_sweep(baseline, diags, masses, b2, pivmin, shifts)
+            assert pivots.tobytes() == expected.tobytes(), (masses.size, shifts.size)
+            assert counts.tobytes() == expected_counts.tobytes()
 
 
 class TestKernelLoader:
