@@ -171,7 +171,9 @@ void sturm_counts(SWEEP_ARGS)
    returns how many generations there are (a caller with too small a buffer
    asks again), and returns -1 as soon as the forest passes max_nodes, before
    anything is allocated but the frames. grow_fill takes those sizes and
-   fills one array per field, the generations in turn (Out). Both return -2
+   fills one array per field, the generations in turn (Out): letter, rank
+   and first are int32, exact since max_nodes < 2^31, and sigma is stored
+   only where its pointer is not NULL (populations). Both return -2
    if the frames cannot be allocated; grow_fill returns -3 if the walk does
    not meet the sizes. */
 #include <stdlib.h>
@@ -205,8 +207,8 @@ typedef struct {
 } Frame;
 
 typedef struct {  /* grow_fill's arrays, one per field, the generations in turn */
-    double *ratio, *offset, *mass, *sigma;
-    int64_t *letter, *rank, *first;  /* first: n + 1 entries, f's children first[f]:first[f + 1] */
+    double *ratio, *offset, *mass, *sigma;  /* sigma NULL: not stored */
+    int32_t *letter, *rank, *first;  /* first: n + 1 entries, f's children first[f]:first[f + 1] */
 } Out;
 
 static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, double length0,
@@ -215,8 +217,8 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
 {
     const int fill = out != NULL;
     int64_t room = fill ? gens + 1 : 64, levels = 1, total = 0, result = -2;
-    Frame *path = malloc(room * sizeof *path);
-    int64_t *seen = calloc(room, sizeof *seen), *base = calloc(room, sizeof *base);
+    Frame *path = malloc((size_t)room * sizeof *path);
+    int64_t *seen = calloc((size_t)room, sizeof *seen), *base = calloc((size_t)room, sizeof *base);
     if (!path || !seen || !base)
         goto done;
     for (int64_t k = 1; fill && k <= gens; k++)  /* base[gens] = n, below the last row */
@@ -248,10 +250,11 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
                 out->ratio[at] = node->ratio;
                 out->offset[at] = node->offset;
                 out->mass[at] = node->mass;
-                out->sigma[at] = node->sigma;
-                out->letter[at] = j;
-                out->rank[at] = total - 1;
-                out->first[at] = base[d + 1] + seen[d + 1];
+                if (out->sigma)
+                    out->sigma[at] = node->sigma;
+                out->letter[at] = (int32_t)j;
+                out->rank[at] = (int32_t)(total - 1);
+                out->first[at] = (int32_t)(base[d + 1] + seen[d + 1]);
             }
             seen[d]++;
             while (node->next == node->end) {  /* up to the deepest node with children left */
@@ -261,8 +264,8 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
                 node--;
             }
             if (d + 1 == room) {  /* the child needs a frame and a seen[] slot (counting) */
-                Frame *more_path = realloc(path, 2 * room * sizeof *path);
-                int64_t *more_seen = realloc(seen, 2 * room * sizeof *seen);
+                Frame *more_path = realloc(path, (size_t)(2 * room) * sizeof *path);
+                int64_t *more_seen = realloc(seen, (size_t)(2 * room) * sizeof *seen);
                 if (more_path)
                     path = more_path;
                 if (more_seen)
@@ -293,7 +296,7 @@ static int64_t walk(const Model *m, int64_t roots, const uint64_t *root_states, 
             result = -3;
             goto done;
         }
-        out->first[total] = total;  /* first[n] = n closes the last node's range */
+        out->first[total] = (int32_t)total;  /* first[n] = n closes the last node's range */
     } else {
         for (int64_t k = 0; k < levels && k < cap; k++)
             seen_out[k] = seen[k];
@@ -318,8 +321,8 @@ int64_t grow_count(MODEL_ARGS, int64_t cap, int64_t *sizes)
     return walk(&m, roots, root_states, length0, max_nodes, 0, NULL, NULL, sizes, cap);
 }
 
-int64_t grow_fill(MODEL_ARGS, int64_t gens, const int64_t *sizes, int64_t *letter, double *ratio,
-                  double *offset, double *mass, double *sigma, int64_t *rank, int64_t *first)
+int64_t grow_fill(MODEL_ARGS, int64_t gens, const int64_t *sizes, int32_t *letter, double *ratio,
+                  double *offset, double *mass, double *sigma, int32_t *rank, int32_t *first)
 {
     const Model m = MODEL;
     const Out out = {ratio, offset, mass, sigma, letter, rank, first};

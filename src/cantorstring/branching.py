@@ -155,9 +155,9 @@ def z_by_root(run: PopulationRun, t: float) -> List[int]:
         raise ValueError(f"t must be in [0, {run.t_max}], got {t}")
     roots, rank = run.first[0], run.nodes.rank
     parent = np.repeat(run.sigma, run.first[1:] - run.first[:-1])  # of the non-roots
-    hit = np.zeros(rank.size, bool)  # in preorder: each root's nodes are one range
-    hit[rank[roots:]] = (parent <= t) & (run.sigma[roots:] > t)
-    return np.add.reduceat(hit, rank[:roots], dtype=np.int64).tolist()
+    hits = rank[roots:][(parent <= t) & (run.sigma[roots:] > t)]
+    root = rank[:roots].searchsorted(hits, "right")  # 1 + the root whose rank range holds it
+    return np.bincount(root, minlength=roots + 1)[1:].tolist()
 
 
 def z_process(run: PopulationRun, t: float) -> int:

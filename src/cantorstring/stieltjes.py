@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
@@ -336,6 +337,6 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
 def export_curve_csv(samples: Iterable[CountingSample], path: str | Path,
                      header: str = "", boundary: str = "both") -> None:
     keep = ((0, 1, 2), (0, 1), (0, 2))[_boundary_index(boundary, ("both",) + _BOUNDARIES)]
+    fields = ("x", "count_dirichlet", "count_neumann")
     write_table(path, header, [("x", "N_D", "N_N")[k] for k in keep],
-                ([(s.x, s.count_dirichlet, s.count_neumann)[k] for k in keep]
-                 for s in samples))
+                map(attrgetter(*(fields[k] for k in keep)), samples))

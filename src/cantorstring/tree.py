@@ -9,7 +9,9 @@ children at first[f]:first[f + 1] (empty for a leaf) and its preorder rank at ra
 root r's nodes have the ranks rank[r]:rank[r + 1], n closing the last. Child i gets hash
 state child_state(state, i), the letter that state draws, the composed map R' = R r_i,
 C' = R c_i + C, mass M' = M w_i and birth time sigma' = sigma - log(r_i w_i), all read
-from model.tables. `_grow` also grows forests of roots side by side, each root's rows bit
+from model.tables. Letter, rank and first are int32 (MAX_NODES < 2^31), levels int64, and
+sigma is stored only where growth is bounded by a finite max_sigma (populations): a tree's
+node takes 36 B. `_grow` also grows forests of roots side by side, each root's rows bit
 for bit those of growing it alone: the compiled walks of _native.c count the generations
 depth first, refusing a tree past MAX_NODES before any array is allocated, then fill
 exact-size arrays; `_grow_numpy`, a generation at a time, is the no-compiler path and the
@@ -22,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from . import _native
 from ._rng import Address, child_state, letter_draw, root_states
 from .ifs import IfsModel, Letter, model_digest
 
-MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated
+MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated; < 2^31
 
 
 @dataclass(frozen=True)
@@ -60,18 +62,19 @@ class NodeTable:
     levels[k]:levels[k + 1], in lexicographic address order, the roots are nodes 0..R-1,
     and rank numbers the nodes in preorder, root after root (leaf order, birth ties)."""
 
-    letter: np.ndarray    # letter index
+    letter: np.ndarray    # int32 letter index
     ratio: np.ndarray     # composed ratio R of the path's maps
     offset: np.ndarray    # composed offset C: the cell is R [a, b] + C
     mass: np.ndarray      # product M of the path's weights
-    sigma: np.ndarray     # birth time: sum of -log(r_i w_i) along the path
-    rank: np.ndarray      # int64 preorder rank: the place among all addresses, roots in turn
-    first: np.ndarray     # n + 1 entries: the children of node f are first[f]:first[f + 1]
-    levels: np.ndarray    # generation k is nodes levels[k]:levels[k + 1]
+    sigma: Optional[np.ndarray]  # birth time, sum of -log(r_i w_i); None unless max_sigma set
+    rank: np.ndarray      # int32 preorder rank: the place among all addresses, roots in turn
+    first: np.ndarray     # int32, n + 1 entries: node f's children are first[f]:first[f + 1]
+    levels: np.ndarray    # int64: generation k is nodes levels[k]:levels[k + 1]
 
     def __post_init__(self) -> None:
         for array in vars(self).values():
-            array.flags.writeable = False
+            if array is not None:
+                array.flags.writeable = False
 
 
 def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
@@ -99,11 +102,12 @@ def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
     levels = np.cumsum([0, *sizes[:gens]])
     n = int(levels[-1])
     # one array per field, as the numpy loop has: one block of them all fragments the heap
-    ratio, offset, mass, sigma = (np.empty(n) for _ in range(4))
-    letter, rank, first = (np.empty(size, np.int64) for size in (n, n, n + 1))
+    ratio, offset, mass = (np.empty(n) for _ in range(3))
+    sigma = np.empty(n) if max_sigma < math.inf else None  # only populations read it
+    letter, rank, first = (np.empty(size, np.int32) for size in (n, n, n + 1))
     arrays = (letter, ratio, offset, mass, sigma, rank, first)  # in NodeTable's order
-    _refuse(library.grow_fill(*head, gens, sizes, *(array.ctypes.data for array in arrays)),
-            remedy)
+    _refuse(library.grow_fill(*head, gens, sizes, *(None if array is None else array.ctypes.data
+                                                    for array in arrays)), remedy)
     return NodeTable(*arrays, levels)
 
 
@@ -143,10 +147,13 @@ def _grow_numpy(model: IfsModel, states: np.ndarray, depth: int, min_length: flo
         ratio, offset = up * r_i[row], up * c_i[row] + offset[parent]
         mass, length = mass[parent] * w_i[row], length[parent] * r_i[row]
         sigma = sigma[parent] + tau[row]
-    *fields, counts = map(np.concatenate, zip(*rows))
+    letter, ratio, offset, mass, sigma, counts = map(np.concatenate, zip(*rows))
     first = np.concatenate(([n], counts)).cumsum()  # the children follow the roots
     levels = np.cumsum([0, *(gen[0].size for gen in rows)])
-    return NodeTable(*fields, _node_ranks(first, levels.tolist()), first, levels)
+    rank = _node_ranks(first, levels.tolist())
+    return NodeTable(letter.astype(np.int32), ratio, offset, mass,
+                     sigma if max_sigma < math.inf else None, rank.astype(np.int32),
+                     first.astype(np.int32), levels)
 
 
 def _node_ranks(first: np.ndarray, levels: List[int]) -> np.ndarray:

@@ -14,6 +14,8 @@ Core claims:
       preorder walk, root after root, so root r's nodes are the ranks
       rank[r]:rank[r + 1] and ranks increase along a generation, and a
       population reads sigma and first from the table without copying them
+    - letter, rank and first are int32 (MAX_NODES < 2^31), only populations
+      store sigma, and a tree's table takes at most 36 B a node
     - every address view (generations, root-child pieces, leaves, forests and
       their birth events) equals its reference definition over a preorder walk
     - resolution stop expands exactly the cells no shorter than epsilon
@@ -33,6 +35,7 @@ Core claims:
 """
 import functools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -53,11 +56,14 @@ from cantorstring.tree import StopRule, dump_tree, format_address, node_addresse
 from conftest import tie_model
 
 ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "rank", "first", "levels")
+DTYPES = dict(zip(ARRAYS, (np.int32, *[np.float64] * 4, np.int32, np.int32, np.int64)))
 
 
 def table_bytes(tree):
-    """Every array of the node table, as bytes: equal exactly when the trees are."""
-    return [getattr(tree.nodes, name).tobytes() for name in ARRAYS]
+    """Every array of the node table, as bytes (None for a tree's absent sigma): equal
+    exactly when the trees are."""
+    arrays = (getattr(tree.nodes, name) for name in ARRAYS)
+    return [None if array is None else array.tobytes() for array in arrays]
 
 
 def generation(nodes, n):
@@ -214,9 +220,11 @@ class TestGenerations:
 
 class TestForest:
     def test_roots_side_by_side(self, third_fifth):
-        # each root's slice of every generation equals its own one-root growth
+        # each root's slice of every generation equals its own one-root growth; a sigma
+        # bound that never binds stores sigma, so it is compared too
         def grow(states):
-            return tree_module._grow(third_fifth, states, min_length=0.01)
+            return tree_module._grow(third_fifth, states, min_length=0.01,
+                                     max_sigma=sys.float_info.max)
         states = root_states([3, 4, 5])
         forest = grow(states)
         first = forest.first
@@ -263,7 +271,7 @@ class TestNodeTable:
                 levels = nodes.levels.tolist()
                 assert levels[0] == 0 and levels[-1] == n and np.all(np.diff(levels) > 0)
                 walk = [j for root in range(roots) for j, _ in preorder(nodes, root)]
-                assert nodes.rank.dtype == np.int64
+                assert nodes.rank.dtype == np.int32
                 assert nodes.rank[walk].tolist() == list(range(n))
                 ends = [*nodes.rank[:roots].tolist(), n]  # root r's preorder range
                 for root in range(roots):
@@ -273,6 +281,25 @@ class TestNodeTable:
                     assert np.all(np.diff(nodes.rank[lo:hi]) > 0)
                 with pytest.raises(ValueError, match="read-only"):
                     nodes.rank[0] = 0
+
+    def test_layout(self, third_fifth, both_paths):
+        # int32 letter, rank and first hold every node number while the budget is below
+        # 2^31; only a growth bounded by max_sigma (a population) stores sigma
+        assert tree_module.MAX_NODES < 2**31
+        for _ in both_paths():
+            tree = sample_tree(third_fifth, StopRule.resolution(1e-4), 0)
+            piece = piece_cells(sample_tree(third_fifth, StopRule.depth(5), 0), 5)[0]
+            run = simulate_population(third_fifth, 8.0, 0)
+            for nodes in (tree.nodes, piece.nodes, run.nodes):
+                for name, dtype in DTYPES.items():
+                    if name != "sigma":
+                        assert getattr(nodes, name).dtype == dtype, name
+            assert tree.nodes.sigma is None and piece.nodes.sigma is None
+            assert run.nodes.sigma.dtype == np.float64
+            # per node: the arrays but levels (one entry a generation) and first's closing one
+            arrays = [a for a in vars(tree.nodes).values() if a is not None]
+            table = sum(a.nbytes for a in arrays) - tree.nodes.levels.nbytes - 4
+            assert table / len(tree) <= 36
 
 
 def preorder(nodes, j=0, prefix=()):
@@ -394,7 +421,11 @@ def both_growths(both_paths, model, states, **limits):
 def assert_same_tables(compiled, reference):
     for name in ARRAYS:
         got, want = getattr(compiled, name), getattr(reference, name)
+        if want is None:  # the sigma of a growth not bounded by max_sigma
+            assert got is None, name
+            continue
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.dtype == DTYPES[name], name
         assert got.tobytes() == want.tobytes(), name
         assert not got.flags.writeable and not want.flags.writeable
 
@@ -577,10 +608,16 @@ class TestGrowthDifferential:
         for r in range(len(seeds)):
             mine = np.concatenate([np.arange(row[r], row[r + 1]) for row in bounds])
             assert np.sort(rank[mine]).tolist() == list(range(ends[r], ends[r + 1]))
-        sigma = np.unique(reference.sigma)
-        run = PopulationRun(model, seeds, float(sigma[-1]), reference)
+        population = reference  # z reads birth times, which only populations store
+        if reference.sigma is None:  # the same nodes, grown with a bound that never binds
+            population = tree_module._grow(model, states, **limits, max_sigma=sys.float_info.max)
+            assert population.sigma is not None
+            assert all(getattr(population, name).tobytes() == getattr(reference, name).tobytes()
+                       for name in ARRAYS if name != "sigma")
+        sigma = np.unique(population.sigma)
+        run = PopulationRun(model, seeds, float(sigma[-1]), population)
         for t in {0.0, *sigma[::max(1, sigma.size // 4)].tolist(), float(sigma[-1])}:
-            assert z_by_root(run, t) == z_oracle(reference, t)
+            assert z_by_root(run, t) == z_oracle(population, t)
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(drawn_models(), st.integers(0, 2**64 - 1), st.integers(1, 6))
