@@ -43,7 +43,6 @@ from .stieltjes import (
     counting_curve,
     dense_count,
     dense_eigenvalues,
-    eigenvalue,
 )
 from .exponent import (
     EQUAL,

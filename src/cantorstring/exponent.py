@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .ifs import IfsModel, Letter, contraction_products
+from .ifs import IfsModel, Letter
 
 EQUAL = "equal"
 STRICTLY_LESS = "strictly-less"
@@ -31,12 +31,11 @@ LATTICE_TOL, MAX_MULTIPLE = 1e-9, 10 ** 6  # classify_lattice: integer closeness
 # validates the model once per object and raises ValueError("invalid model: ...").
 
 
-def _bisect(fn: Callable[[float], float], *, rel_tol: float,
-            floor: float) -> Tuple[float, float]:
+def _bisect(fn: Callable[[float], float], *, rel_tol: float) -> Tuple[float, float]:
     """Bracket (lo, hi) of the root of fn, where fn(x) > 0 means x lies below it.
 
     hi doubles from 1.0 until fn(hi) <= 0, then the bracket halves until
-    hi - lo <= rel_tol * max(floor, hi). It also stops once the midpoint is
+    hi - lo <= rel_tol * max(1.0, hi). It also stops once the midpoint is
     no longer strictly inside: the bracket cannot move after that, and the
     stop bounds the loop even where rel_tol is below the float spacing.
     """
@@ -45,7 +44,7 @@ def _bisect(fn: Callable[[float], float], *, rel_tol: float,
         lo, hi = hi, hi * 2.0
         if hi > 1e300:
             raise RuntimeError("no root found while expanding the bracket")
-    while hi - lo > rel_tol * max(floor, hi):
+    while hi - lo > rel_tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -58,7 +57,7 @@ def _bisect(fn: Callable[[float], float], *, rel_tol: float,
 
 def _root(fn: Callable[[float], float]) -> float:
     """Root of a strictly decreasing fn with fn(0) > 0, resolved to the last bit."""
-    lo, hi = _bisect(fn, rel_tol=1e-16, floor=1.0)
+    lo, hi = _bisect(fn, rel_tol=1e-16)
     return 0.5 * (lo + hi)
 
 
@@ -83,11 +82,6 @@ def _alpha(products: Sequence[float]) -> float:
     return _root(lambda s: math.fsum(q ** s for q in products) - 1.0)
 
 
-def letter_alpha(letter: Letter) -> float:
-    """Per-letter root alpha of sum_i (r_i m_i)^alpha = 1."""
-    return _alpha(contraction_products(letter))
-
-
 def hausdorff_dimension(letter: Letter) -> float:
     """Dimension d in [0, 1] solving sum_i ratio_i^d = 1."""
     ratios = [s.ratio for s in letter.maps]
@@ -96,8 +90,7 @@ def hausdorff_dimension(letter: Letter) -> float:
         return 1.0
     # hi <= 1 keeps the 1e-17 stop absolute: below dimension 1/32 it fires
     # before the bracket converges
-    lo, hi = _bisect(lambda d: math.fsum(r ** d for r in ratios) - 1.0,
-                     rel_tol=1e-17, floor=1.0)
+    lo, hi = _bisect(lambda d: math.fsum(r ** d for r in ratios) - 1.0, rel_tol=1e-17)
     return 0.5 * (lo + hi)
 
 

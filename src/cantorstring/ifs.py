@@ -132,6 +132,8 @@ def validate_letter(letter: Letter, interval: Tuple[float, float], tol: float = 
             out.append(f"letter {lid!r} map {i + 1}: ratio {s.ratio} not in (0, 1)")
         elif 0.0 < w and s.ratio * w == 0.0:
             out.append(f"letter {lid!r} map {i + 1}: product {s.ratio!r} * {w!r} underflows to 0")
+        if not math.isfinite(s.offset):  # a NaN offset would pass every comparison below
+            out.append(f"letter {lid!r} map {i + 1}: offset {s.offset!r} is not finite")
         if s(a) < a - tol or s(b) > b + tol:
             out.append(f"letter {lid!r} map {i + 1}: image [{s(a)!r}, {s(b)!r}] leaves the interval")
     first, last = letter.maps[0], letter.maps[-1]
@@ -162,6 +164,8 @@ def validate_model(model: IfsModel) -> List[str]:
     a, b = model.interval
     if not a < b:
         return [f"interval: a = {a!r} must be < b = {b!r}"]
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return [f"interval: endpoints {a!r}, {b!r} must be finite"]
     if not model.letters:
         return ["letters: model has no letters"]
     if len(model.probs) != len(model.letters):

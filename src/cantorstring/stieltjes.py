@@ -53,7 +53,6 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import _native
-from .exponent import _bisect
 from .measure import AtomizedMeasure, atomize, build_cells, piece_cells
 from .tree import RandomTree, write_table
 
@@ -72,7 +71,7 @@ def _boundary_index(boundary: str, choices: Tuple[str, ...] = _BOUNDARIES) -> in
 
 
 class StieltjesString:
-    """Point masses on an interval, with cached link lengths.
+    """Point masses on an interval, with the pencils' diagonals cached.
 
     Atoms must lie strictly inside (a, b); coincident positions are merged
     at construction (masses summed), so interior links are strictly
@@ -104,9 +103,9 @@ class StieltjesString:
         self.interval = (a, b)
         self.positions = pos
         self.masses = mas
-        self.links = np.concatenate(([pos[0] - a], gaps, [b - pos[-1]]))
+        links = np.concatenate(([pos[0] - a], gaps, [b - pos[-1]]))
         with np.errstate(divide="ignore", over="ignore"):
-            inv = 1.0 / self.links
+            inv = 1.0 / links
             # pivot row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0 and d = 1
             self._b2 = np.concatenate(([0.0], np.square(inv[1:-1])))
             if not (np.isfinite(inv).all() and np.isfinite(self._b2).all()):
@@ -245,24 +244,6 @@ def counting_curve(string: StieltjesString, xs: Sequence[float]) -> List[Countin
     return [CountingSample(x, int(d), int(n)) for x, d, n in zip(xs, nd, nn)]
 
 
-def eigenvalue(string: StieltjesString, k: int, boundary: str = "dirichlet") -> float:
-    """k-th eigenvalue by bisection on the counting function.
-
-    Dirichlet eigenvalues are indexed 1..n, Neumann 0..n-1. Relative
-    tolerance 1e-10.
-    """
-    row = _boundary_index(boundary)
-    first = 1 if boundary == "dirichlet" else 0  # the Neumann zero mode is eigenvalue 0
-    last = string.n - 1 + first
-    if not first <= k <= last:
-        raise ValueError(f"{boundary.title()} index must be in {first}..{last}, got {k}")
-    def missing(x: float) -> int:
-        return k + 1 - first - _pair(string, x)[row]
-    if missing(0.0) <= 0:
-        return 0.0
-    return _bisect(missing, rel_tol=1e-10, floor=0.0)[1]
-
-
 # ---------------------------------------------------------------------------
 # Dense oracle (small strings)
 # ---------------------------------------------------------------------------
@@ -276,7 +257,7 @@ def dense_eigenvalues(string: StieltjesString, boundary: str) -> np.ndarray:
     """
     if boundary not in string._dense:
         from scipy.linalg import eigvalsh_tridiagonal
-        diag, off = string._diags[_boundary_index(boundary)], -(1.0 / string.links[1:-1])
+        diag, off = string._diags[_boundary_index(boundary)], -(1.0 / np.diff(string.positions))
         m = string.masses
         s = 1.0 / np.sqrt(m)
         values = eigvalsh_tridiagonal(diag / m, off * s[:-1] * s[1:])  # n = 1: exactly diag / m

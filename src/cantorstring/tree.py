@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _native
 from ._rng import Address, child_state, letter_draw, root_states
-from .ifs import IfsModel, Letter, model_digest
+from .ifs import IfsModel, Letter
 
 MAX_NODES = 10_000_000  # larger trees are refused before their arrays are allocated; < 2^31
 
@@ -51,9 +51,6 @@ class StopRule:
         if not epsilon > 0.0:
             raise ValueError(f"resolution epsilon must be > 0, got {epsilon}")
         return StopRule("resolution", float(epsilon))
-
-    def describe(self) -> str:
-        return f"{self.kind}:{self.value!r}"  # the int depth, or the float's round-trip repr
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +84,11 @@ def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
     The compiled walks of _native.c count the generations, refusing before anything is
     allocated, then fill the table; without the library the numpy loop grows it."""
     tables, library = model.tables, _native.library()
+    # every letter has >= 2 maps, so R roots grown to depth D alone have at least
+    # R (2^(D+1) - 1) nodes: a depth too deep for MAX_NODES is refused without a walk
+    if min_length == -math.inf and max_sigma == math.inf and (
+            states.size * (2 ** (int(min(depth, 64)) + 1) - 1) > MAX_NODES):
+        _refuse(-1, remedy)
     if library is None:
         return _grow_numpy(model, states, depth, min_length, max_sigma, remedy)
     a, b = model.interval
@@ -197,7 +199,6 @@ class RandomTree:
 
     model: IfsModel
     seed: int
-    stop: StopRule
     nodes: NodeTable
     memo: Dict[str, dict] = field(default_factory=dict)
 
@@ -223,7 +224,7 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic.
     Raises ValueError when the tree would have more than MAX_NODES nodes."""
     limit = {"depth": stop.value} if stop.kind == "depth" else {"min_length": stop.value}
-    return RandomTree(model, seed, stop, _grow(model, root_states([seed]), **limit))
+    return RandomTree(model, seed, _grow(model, root_states([seed]), **limit))
 
 
 def format_address(address: Address) -> str:
@@ -240,11 +241,3 @@ def write_table(path: str | Path, header: str, columns: Sequence[str],
         lines.append(",".join(columns))
     lines.extend(",".join(map(str, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def dump_tree(tree: RandomTree, path: str | Path, version: str = "0") -> None:
-    """One "address,letter id" line per node, generation by generation."""
-    header = (f"# model={model_digest(tree.model)} seed={tree.seed} "
-              f"version={version} stop={tree.stop.describe()}")
-    write_table(path, header, (), ((format_address(a), tree.model.letters[j].id)
-                                   for a, j in zip(tree.addresses(), tree.nodes.letter.tolist())))

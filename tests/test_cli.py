@@ -3,14 +3,16 @@
 Core claims:
     - validate accepts shipped models and exits 2 with the violation text
       for corrupted ones (a product r_i w_i that underflows to 0 included, in
-      every command), and exits 2 naming the file for malformed ones
+      every command; an infinite interval end or a NaN map offset in validate,
+      exponent and curve), and exits 2 naming the file for malformed ones
     - exponent reports the literature value for the third-fifth model and
       1/2 for the Lebesgue-like model
     - curve CSVs respect the gap invariant, carry the digest header, and
       are byte-identical across re-runs; a tree past MAX_NODES or a string
       with an overflowing link (interior or boundary) exits 2 before any
       file is written, and so do cells collapsed below the float spacing,
-      naming --depth or --epsilon
+      naming --depth or --epsilon; a depth of 2^64 is refused at the node
+      budget without growing the tree
     - --check-bracketing reports true on every grid point
     - branching writes event/martingale/z files; mean-R over seeds is near 1
       and its meta names the seed that ran;
@@ -25,9 +27,11 @@ Core claims:
       scipy fails, and importing the package imports no scipy
 """
 import json
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -116,6 +120,27 @@ class TestValidate:
             assert "letter 'u' map 1: product" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("corrupt, violation", [
+        (lambda d: d.update(interval=[0, math.inf]),
+         "interval: endpoints 0.0, inf must be finite"),
+        (lambda d: d["letters"][1]["maps"][1].update(c=math.nan),
+         "letter 'fifth' map 2: offset nan is not finite"),
+    ], ids=["infinite-interval", "nan-offset"])
+    def test_non_finite_model_exit_2(self, tmp_path, tf_model, capsys, corrupt, violation):
+        # both passed validate, and curve then blamed --depth for collapsed cells
+        data = json.loads(tf_model.read_text())
+        corrupt(data)
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_text(json.dumps(data))
+        for command in (["validate"], ["exponent", "--out", out],
+                        ["curve", "--depth", 3, "--out", out]):
+            with pytest.raises(SystemExit) as err:
+                run_cli([*command, "--model", bad])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert violation in captured.err and captured.out == ""
+            assert not out.exists()
+
 
 class TestExponent:
     def test_third_fifth_report(self, tf_model, tmp_path):
@@ -197,6 +222,21 @@ class TestCurve:
         assert err.value.code == 2
         assert "100 nodes" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unbounded_depth_refused_without_growing(self, tf_model, tmp_path, monkeypatch,
+                                                     capsys):
+        from cantorstring import _native, tree
+        forbid(monkeypatch, tree, "_grow_numpy")
+        walked = mock.Mock(side_effect=AssertionError("the tree was walked"))
+        out = tmp_path / "c.csv"
+        for library in (mock.Mock(grow_count=walked, grow_fill=walked), None):
+            monkeypatch.setattr(_native, "library", lambda: library)
+            with pytest.raises(SystemExit) as err:
+                run_cli(["curve", "--model", tf_model, "--depth", 2**64, "--out", out])
+            assert err.value.code == 2
+            assert capsys.readouterr().err == ("tree would exceed 10000000 nodes; "
+                                               "use a larger epsilon or a smaller depth\n")
+            assert not out.exists()
 
     def test_overflowing_link_exit_2(self, tmp_path, capsys):
         from cantorstring import make_letter, save_model, single_letter_model

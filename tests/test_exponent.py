@@ -38,7 +38,7 @@ from cantorstring import (
     solve_recursive_exponent,
 )
 from cantorstring import ifs
-from cantorstring.exponent import EQUAL, STRICTLY_LESS, letter_alpha, mean_product_power
+from cantorstring.exponent import EQUAL, STRICTLY_LESS, _alpha, mean_product_power
 from cantorstring.ifs import five_interval_letter
 
 from conftest import GAMMA_H_THIRD_FIFTH, GAMMA_R_THIRD_FIFTH
@@ -194,9 +194,9 @@ class TestEqualityCondition:
 
     def test_third_fifth(self, third_fifth):
         assert check_equality_condition(third_fifth) == STRICTLY_LESS
-        assert letter_alpha(third_fifth.letters[0]) == pytest.approx(
+        assert _alpha(contraction_products(third_fifth.letters[0])) == pytest.approx(
             math.log(2) / LN6, abs=1e-12)
-        assert letter_alpha(third_fifth.letters[1]) == pytest.approx(
+        assert _alpha(contraction_products(third_fifth.letters[1])) == pytest.approx(
             math.log(3) / LN15, abs=1e-12)
 
     def test_constructed_equal_pair(self, balanced_pair):

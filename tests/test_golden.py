@@ -2,37 +2,28 @@
 
 Each sha256 below was recorded once from the toolkit's outputs and is never
 re-recorded: a refactor that changes one byte of a CSV/JSON file, one
-line of bracketing output, one tree label or one bit of an exponent
-fails here.
+line of bracketing output or one bit of an exponent fails here.
 
 Core claims:
     - exponent, curve (depth and epsilon stops, all boundaries, the
       bracketing lines), branching (events, martingale, z, mean-R) and
       compare (one model, a random batch) reproduce their bytes
-    - dump_tree of a fixed seed reproduces its bytes
     - gamma_r, gamma_h, per-letter alpha and Hausdorff dimensions of 1000
       random models, and of two-map letters down to ratio 1e-100, keep
       every bit of their repr
-    - eigenvalue keeps every bit on random strings, both boundaries
 """
 import hashlib
 
-import numpy as np
-
 from cantorstring import (
-    StieltjesString,
-    eigenvalue,
+    contraction_products,
     hausdorff_dimension,
     make_letter,
     random_model,
-    sample_tree,
     solve_homogeneous_exponent,
     solve_recursive_exponent,
-    third_fifth_model,
 )
 from cantorstring.cli import main
-from cantorstring.exponent import letter_alpha
-from cantorstring.tree import StopRule, dump_tree
+from cantorstring.exponent import _alpha
 
 CLI_DIGESTS = {
     "exponent-third-fifth": "fcacf98db7f248398cba8ad03f3e3e79686dceff5291cf794dba362dff60ee6c",
@@ -51,12 +42,9 @@ CLI_DIGESTS = {
     "branching-mean-r": "fed138967da95b4c2d45b0d430dc93010b49eb932415fc8ef963cfbe121103a3",
     "compare-model": "cb7605041ae1a54ac653b613130c54ca8b8a3e2625a6f6d75a7aff496d09f97d",
     "compare-random": "638892677742f84a285802681987539808030b24f47df57bebf7c559c91e6565",
-    "dump-tree": "55451589ca9c4aa12ace9c94d8bc8b54b81a0e4972b80de23c8eab203a9bd9a0",
 }
 
 BISECTION_DIGEST = "6545e8fe7a1313226faee5135e3533ddc097bebe295a6cfba81cff0f76598afa"
-
-EIGENVALUE_DIGEST = "d71141ef39fc6c280a7f8734853db83765a465aedc7933d8c0a962d2c7998f8f"
 
 
 def sha(data: bytes) -> str:
@@ -96,9 +84,6 @@ def cli_outputs(models_dir, tmp_path, capsys):
                  "--stat", "mean-R", "--at-n", 20])
     out["compare-model"] = cli_stdout(capsys, ["compare", "--model", tf])
     out["compare-random"] = cli_stdout(capsys, ["compare", "--random", 20, "--seed", 5])
-    dump_tree(sample_tree(third_fifth_model(), StopRule.depth(5), 11), tmp_path / "tree.txt",
-              version="golden")
-    out["dump-tree"] = (tmp_path / "tree.txt").read_bytes()
     return out
 
 
@@ -110,27 +95,13 @@ def bisection_values() -> str:
         lines.append(repr(solve_recursive_exponent(model)))
         lines.append(repr(solve_homogeneous_exponent(model)))
         for letter in model.letters:
-            lines.append(repr(letter_alpha(letter)))
+            lines.append(repr(_alpha(contraction_products(letter))))
             lines.append(repr(hausdorff_dimension(letter)))
     # below dimension 1/32 the absolute 1e-17 stop fires before the bracket converges
     for ratio in (0.45, 0.3, 0.1, 1e-3, 1e-12, 1e-30, 1e-100):
         letter = make_letter("two", [(ratio, 0.0), (ratio, 1.0 - ratio)], (0.5, 0.5))
-        lines.append(repr(letter_alpha(letter)))
+        lines.append(repr(_alpha(contraction_products(letter))))
         lines.append(repr(hausdorff_dimension(letter)))
-    return "\n".join(lines)
-
-
-def eigenvalue_values() -> str:
-    """repr of low, middle and top eigenvalues of random strings, both boundaries."""
-    lines = []
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
-        string = StieltjesString((0.0, 1.0), np.sort(rng.uniform(0.01, 0.99, n)),
-                                 rng.uniform(0.1, 2.0, n))
-        for k in sorted({1, (string.n + 1) // 2, string.n}):
-            lines.append(repr(eigenvalue(string, k, "dirichlet")))
-            lines.append(repr(eigenvalue(string, k - 1, "neumann")))
     return "\n".join(lines)
 
 
@@ -143,7 +114,3 @@ def test_cli_bytes(models_dir, tmp_path, capsys):
 def test_bisection_bits():
     assert sha(bisection_values().encode()) == BISECTION_DIGEST
 
-
-
-def test_eigenvalue_bits():
-    assert sha(eigenvalue_values().encode()) == EIGENVALUE_DIGEST

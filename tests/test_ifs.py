@@ -5,11 +5,15 @@ Core claims:
     - bad weight sums, endpoint pins, overlaps and products r_i m_i that
       underflow to 0 are all reported with indices
     - a tolerance that is NaN, infinite, negative or above 1e-3 is reported, not used
+    - a non-finite interval endpoint or map offset is reported by name: a NaN
+      offset fails no comparison, and 0 < inf passes the a < b check
     - contraction products are r_i * m_i in map order and stay in (0, 1)
     - validation is pure: identical violation lists on repeated calls
     - JSON round trips preserve the model and its digest
     - random models are always admissible; balanced ones share a letter alpha
 """
+import math
+
 import pytest
 
 from cantorstring import (
@@ -24,8 +28,8 @@ from cantorstring import (
     third_fifth_model,
     validate_model,
 )
-from cantorstring.ifs import five_interval_letter, validate_letter
-from cantorstring.exponent import letter_alpha
+from cantorstring.ifs import five_interval_letter, model_from_dict, model_to_dict, validate_letter
+from cantorstring.exponent import _alpha
 
 
 class TestValidation:
@@ -94,6 +98,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="tolerance"):
             model.support
 
+    @pytest.mark.parametrize("interval, expected", [
+        ([0.0, math.inf], "interval: endpoints 0.0, inf must be finite"),
+        ([-math.inf, 1.0], "interval: endpoints -inf, 1.0 must be finite"),
+    ], ids=["infinite-b", "infinite-a"])
+    def test_non_finite_interval_rejected(self, third_fifth, interval, expected):
+        model = model_from_dict(dict(model_to_dict(third_fifth), interval=interval))
+        assert validate_model(model) == [expected]
+        with pytest.raises(ValueError, match="must be finite"):
+            model.support
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        letter = make_letter("A", [(0.2, 0.0), (0.2, offset), (0.2, 0.8)], (0.3, 0.4, 0.3))
+        problems = validate_model(IfsModel((0.0, 1.0), (letter,), (1.0,)))
+        assert f"letter 'A' map 2: offset {offset!r} is not finite" in problems
+        if math.isnan(offset):  # no other check sees a NaN
+            assert len(problems) == 1
+
     def test_loose_tolerance_accepted(self, third_fifth):
         loose = IfsModel(third_fifth.interval, third_fifth.letters, third_fifth.probs, tol=1e-3)
         assert validate_model(loose) == []
@@ -161,7 +183,7 @@ class TestRandomModels:
     def test_balanced_letters_share_alpha(self):
         for seed in range(30):
             model = random_model(seed, balanced=True)
-            alphas = [letter_alpha(letter) for letter in model.letters]
+            alphas = [_alpha(contraction_products(letter)) for letter in model.letters]
             assert max(alphas) - min(alphas) < 1e-12
 
     def test_deterministic_in_seed(self):

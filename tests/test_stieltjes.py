@@ -41,7 +41,7 @@ Core claims:
     - single-shift counts of the depth-8 bracketing strings, exact ties,
       zero pivots and overflowing shifts keep their values (sha256 digest
       recorded from the one-boundary-per-call plain-float loop)
-    - the pinned digests and eigenvalue floats hold on both count paths
+    - the pinned digests hold on both count paths
     - the per-tree bracketing memo changes neither verdicts nor the tree;
       filling one entry grows the root children as one forest, and every
       piece string keeps its bits (sha256 digest recorded from the
@@ -73,7 +73,6 @@ from cantorstring import (
     counting_curve,
     dense_count,
     dense_eigenvalues,
-    eigenvalue,
     leaf_cells,
     middle_third_letter,
     random_model,
@@ -90,7 +89,7 @@ from cantorstring.stieltjes import (
     _counts,
     export_curve_csv,
 )
-from cantorstring.tree import StopRule, dump_tree
+from cantorstring.tree import StopRule
 
 
 CURVE_COUNTS_DIGEST = "35540df57d7afccccc9311bfbdbeea6f3676ffd128a4e178a285c27945e363cb"
@@ -272,7 +271,6 @@ class TestBasics:
         lam = (2.0 + 2.0) / m
         assert count_dirichlet(s, lam * (1 - 1e-9)) == 0
         assert count_dirichlet(s, lam * (1 + 1e-9)) == 1
-        assert eigenvalue(s, 1, "dirichlet") == pytest.approx(lam, rel=1e-9)
 
     def test_single_atom_neumann(self):
         s = StieltjesString((0.0, 1.0), [0.3], [1.0])
@@ -348,9 +346,10 @@ class TestUniformString:
 
     def test_first_eigenvalue_near_pi_squared(self):
         u = StieltjesString.uniform(200)
-        lam = eigenvalue(u, 1, "dirichlet")
+        lam = dense_eigenvalues(u, "dirichlet")[0]
         assert lam == pytest.approx(math.pi ** 2, rel=5e-3)
-        assert lam == pytest.approx(dense_eigenvalues(u, "dirichlet")[0], rel=1e-8)
+        assert count_dirichlet(u, lam * (1 - 1e-8)) == 0
+        assert count_dirichlet(u, lam * (1 + 1e-8)) == 1
 
     def test_no_atoms_refused(self):
         # the constructor's refusal, not a ZeroDivisionError from the mass total / n
@@ -406,29 +405,6 @@ class TestDenseOracle:
         evd = dense_eigenvalues(s, "dirichlet")
         assert evd == pytest.approx([(4.0 + 4.0 / 3.0) / 2.0])
         assert dense_eigenvalues(s, "neumann") == pytest.approx([0.0])
-
-
-class TestEigenvalue:
-    def test_neumann_zero_mode(self):
-        s = random_string(12)
-        assert eigenvalue(s, 0, "neumann") == 0.0
-
-    def test_matches_dense_spectrum(self):
-        s = random_string(21, max_atoms=40)
-        evd = dense_eigenvalues(s, "dirichlet")
-        for k in (1, s.n // 2 + 1, s.n):
-            assert eigenvalue(s, k, "dirichlet") == pytest.approx(evd[k - 1], rel=1e-8)
-        evn = dense_eigenvalues(s, "neumann")
-        assert eigenvalue(s, s.n - 1, "neumann") == pytest.approx(evn[-1], rel=1e-8)
-
-    def test_index_range(self):
-        s = random_string(3, max_atoms=10)
-        with pytest.raises(ValueError):
-            eigenvalue(s, 0, "dirichlet")
-        with pytest.raises(ValueError):
-            eigenvalue(s, s.n + 1, "dirichlet")
-        with pytest.raises(ValueError):
-            eigenvalue(s, s.n, "neumann")
 
 
 class TestSweepPaths:
@@ -587,18 +563,6 @@ class TestSweepPaths:
             for c in samples[::8]:
                 assert c.count_dirichlet == dense_count(s, c.x, "dirichlet")
                 assert c.count_neumann == dense_count(s, c.x, "neumann")
-
-    def test_eigenvalues_pinned(self, both_paths):
-        # exact floats of the single-shift numpy sweep, on both count paths
-        for path in both_paths():
-            s = random_string(21, max_atoms=40)
-            assert [eigenvalue(s, k, "dirichlet") for k in (1, 6, 11)] == [
-                3.397571695037186, 521.3895064592361, 204323.2441253662]
-            assert [eigenvalue(s, k, "neumann") for k in (1, 10)] == [
-                3.0368057547602803, 204323.2441253662]
-            u = StieltjesString.uniform(200)
-            assert eigenvalue(u, 1, "dirichlet") == 9.869401467964053
-            assert eigenvalue(u, 7, "neumann") == 483.12356358766556
 
     def test_single_shift_counts_pinned(self, third_fifth, both_paths):
         # whole string and every piece of the depth-8 bracketing memo at the
@@ -883,9 +847,12 @@ class TestBracketing:
                 sum_n += count_neumann(piece, s.ratio * w * x)
             assert sum_n - sum_d <= 2 * letter.n_maps
 
-    def test_memo_matches_fresh_trees(self, third_fifth, tmp_path):
+    def test_memo_matches_fresh_trees(self, third_fifth):
+        def table_bytes(t):  # every array of the node table (a tree's sigma is None)
+            return [None if a is None else a.tobytes() for a in vars(t.nodes).values()]
+
         tree = sample_tree(third_fifth, StopRule.depth(6), 11)
-        dump_tree(tree, tmp_path / "before.txt")
+        before = table_bytes(tree)
         for x in (0.0, 30.0, 1e3, 1e5, 3e6):
             for n in (6, 4):
                 fresh = sample_tree(third_fifth, StopRule.depth(6), 11)
@@ -895,11 +862,7 @@ class TestBracketing:
         for n in (4, 6):
             for (_, piece), cells in zip(tree.memo["bracketing"][n], measure.piece_cells(fresh, n)):
                 assert piece.positions.tobytes() == atomize(cells).positions.tobytes()
-        dump_tree(tree, tmp_path / "after.txt")
-        dump_tree(fresh, tmp_path / "fresh.txt")
-        before = (tmp_path / "before.txt").read_bytes()
-        assert (tmp_path / "after.txt").read_bytes() == before
-        assert (tmp_path / "fresh.txt").read_bytes() == before
+        assert table_bytes(tree) == before and table_bytes(fresh) == before
 
     def test_one_forest_per_memo_entry(self, third_fifth, monkeypatch):
         real, calls = measure._grow, []

@@ -1,4 +1,4 @@
-"""Random tree sampling: determinism, generations, forests, the node table, text dump.
+"""Random tree sampling: determinism, generations, forests, the node table, refusals.
 
 Core claims:
     - depth(0) yields only the labelled root; single-letter models give
@@ -23,11 +23,13 @@ Core claims:
       after an equal model with a looser tol was sampled
     - the hash round on uint64 arrays equals the masked round on ints, and
       models grown in turn each keep their own rows (tables per model object)
-    - the text dump lists every node's address and letter id
     - the compiled growth gives every table array byte for byte as the
       numpy loop does, refuses the same trees (a depth past int64 included),
       never draws a letter of probability 0, and refuses a tree before it
       allocates its arrays
+    - a depth-only growth whose 2^(D+1) - 1 nodes a root already pass
+      MAX_NODES is refused, with the walk's message, before either path
+      walks; a tree of exactly that size still grows
     - on drawn models, limits and seed lists (hypothesis, derandomized) both
       paths grow the same table or refuse with the same message, and the
       preorder root ranges, the pieces and per-root z equal the old walk
@@ -52,7 +54,7 @@ from cantorstring._rng import child_state, root_states, splitmix64
 from cantorstring.branching import PopulationRun, simulate_populations, z_by_root
 from cantorstring.ifs import model_from_dict, model_to_dict
 from cantorstring.measure import piece_cells
-from cantorstring.tree import StopRule, dump_tree, format_address, node_addresses
+from cantorstring.tree import StopRule, node_addresses
 from conftest import tie_model
 
 ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "rank", "first", "levels")
@@ -77,10 +79,10 @@ class TestStopRules:
         assert len(tree) == 1 and node_addresses(tree.nodes) == [()]
 
     def test_depth_described_exactly(self):
-        # the depth is kept as an int: past 2^53 a float would round it in every header
+        # the depth is kept as an int: past 2^53 a float would round it
         for n in (0, 8, 2**53 + 1, 2**63 + 5):
             stop = StopRule.depth(n)
-            assert type(stop.value) is int and stop.describe() == f"depth:{n}"
+            assert type(stop.value) is int and stop.value == n
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -318,7 +320,7 @@ VIEW_STOPS = [StopRule.depth(3), StopRule.depth(5), StopRule.resolution(0.02),
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("stop", VIEW_STOPS, ids=StopRule.describe)
+@pytest.mark.parametrize("stop", VIEW_STOPS, ids=lambda stop: f"{stop.kind}:{stop.value!r}")
 @pytest.mark.parametrize("name", VIEW_MODELS)
 def test_address_views_match_reference(name, stop, seed):
     """Every address view is a slice or permutation of `node_addresses`, and equals
@@ -485,6 +487,33 @@ class TestCompiledGrowth:
         assert refused == ["tree would exceed 200000 nodes; "
                            "use a larger epsilon or a smaller depth"] * 2
 
+    @pytest.mark.parametrize("depth", [23, 2**64, sys.maxsize])
+    def test_too_deep_refused_before_walking(self, third_fifth, depth, monkeypatch):
+        # 2^24 - 1 > 10^7 nodes: a root grown to depth 23 alone passes MAX_NODES
+        def walked(*args, **kwargs):
+            raise AssertionError("a depth-only tree past the size bound was walked")
+
+        monkeypatch.setattr(tree_module, "_grow_numpy", walked)
+        for library in (mock.Mock(grow_count=walked, grow_fill=walked), None):
+            monkeypatch.setattr(_native, "library", lambda: library)
+            with pytest.raises(ValueError) as err:
+                sample_tree(third_fifth, StopRule.depth(depth), 0)
+            assert str(err.value) == ("tree would exceed 10000000 nodes; "
+                                      "use a larger epsilon or a smaller depth")
+
+    @pytest.mark.parametrize("roots", [1, 3])
+    def test_size_bound_is_exact_for_two_maps(self, roots, both_paths, monkeypatch):
+        # every middle-third node has 2 children: R (2^(D+1) - 1) nodes exactly
+        model, states = single_letter_model(middle_third_letter()), root_states(range(roots))
+        size = roots * (2 ** 7 - 1)
+        monkeypatch.setattr(tree_module, "MAX_NODES", size)
+        grown = both_growths(both_paths, model, states, depth=6)
+        assert [nodes.letter.size for nodes in grown] == [size] * 2
+        monkeypatch.setattr(tree_module, "MAX_NODES", size - 1)
+        refused = both_growths(both_paths, model, states, depth=6)
+        assert refused == [f"tree would exceed {size - 1} nodes; "
+                           "use a larger epsilon or a smaller depth"] * 2
+
     def test_refusal_allocates_no_arrays(self, third_fifth, monkeypatch):
         # the count walk refuses before any generation array is allocated; the numpy
         # loop, which refuses only after a generation's arrays exist, peaks far higher
@@ -637,13 +666,3 @@ class TestGrowthDifferential:
                 for piece, lo, hi in zip(pieces, ends, ends[1:]):
                     assert piece.mass.tobytes() == forest.mass[lo:hi].tobytes()
                     assert piece.left.tobytes() == forest.offset[lo:hi].tobytes()
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path, third_fifth):
-        tree = sample_tree(third_fifth, StopRule.resolution(0.01), 77)
-        path = tmp_path / "tree.txt"
-        dump_tree(tree, path)
-        header, *lines = path.read_text().splitlines()
-        assert header.split()[2:] == ["seed=77", "version=0", "stop=resolution:0.01"]
-        nodes = sorted(tree.addresses(), key=lambda a: (len(a), a))
-        assert lines == [f"{format_address(a)},{tree.letter_at(a).id}" for a in nodes]
