@@ -166,6 +166,8 @@ def validate_model(model: IfsModel) -> List[str]:
         return [f"interval: a = {a!r} must be < b = {b!r}"]
     if not (math.isfinite(a) and math.isfinite(b)):
         return [f"interval: endpoints {a!r}, {b!r} must be finite"]
+    if not (math.isfinite(b - a) and math.isfinite(a + b)):  # lengths and midpoints overflow
+        return [f"interval: b - a and a + b must be finite, got [{a!r}, {b!r}]"]
     if not model.letters:
         return ["letters: model has no letters"]
     if len(model.probs) != len(model.letters):

@@ -9,7 +9,8 @@ forest and split at the roots' preorder ranges. A measure keeps its node
 table and its index into it (a slice, or the leaf array), so addresses and
 `Cell` tuples are built only when read, from `tree.node_addresses`.
 Atomization collapses every cell to a point mass at its midpoint; that
-discrete surrogate is what the string solver consumes.
+discrete surrogate is what the string solver consumes. Cells and atoms are
+read-only, so a string built from them shares their arrays instead of copying.
 """
 from __future__ import annotations
 
@@ -63,9 +64,15 @@ class AtomizedMeasure:
 def _cells(tree: RandomTree, n: Optional[int], nodes: NodeTable,
            index: slice | np.ndarray) -> MeasureApprox:
     a, b = tree.model.interval
-    ratio, offset = nodes.ratio[index], nodes.offset[index]
-    return MeasureApprox(tree.model.interval, n, ratio * a + offset, ratio * b + offset,
-                         nodes.mass[index], nodes, index)
+    ratio, offset, mass = nodes.ratio[index], nodes.offset[index], nodes.mass[index]
+    left = np.multiply(ratio, a)
+    left += offset
+    # a slice views the read-only table; a gather by the leaf array is a fresh copy
+    right = np.multiply(ratio, b, out=None if isinstance(index, slice) else ratio)
+    right += offset
+    for array in (left, right, mass):
+        array.flags.writeable = False
+    return MeasureApprox(tree.model.interval, n, left, right, mass, nodes, index)
 
 
 def _require_depth(tree: RandomTree, n: int, least: int = 0) -> None:
@@ -111,9 +118,11 @@ class CollapsedCells(ValueError):
 def atomize(measure: MeasureApprox) -> AtomizedMeasure:
     """One atom per cell, at the cell midpoint, carrying the full cell mass.
     Raises CollapsedCells unless the midpoints increase strictly inside the interval."""
-    positions = 0.5 * (measure.left + measure.right)
+    positions = measure.left + measure.right
+    positions *= 0.5
+    positions.flags.writeable = False
     a, b = measure.interval
-    if not (a < positions[0] and positions[-1] < b and np.all(np.diff(positions) > 0)):
+    if not (a < positions[0] and positions[-1] < b and (positions[1:] > positions[:-1]).all()):
         depth = "" if measure.generation is None else f" at depth {measure.generation}"
         raise CollapsedCells(f"cells{depth} collapsed below float spacing: their midpoints "
                              f"are not strictly increasing inside {measure.interval}")

@@ -70,6 +70,18 @@ def _boundary_index(boundary: str, choices: Tuple[str, ...] = _BOUNDARIES) -> in
     return choices.index(boundary)
 
 
+def _frozen(values: Sequence[float]) -> np.ndarray:
+    """values as a C-contiguous float64 array no one can write: values itself when it is
+    one, read-only down its whole .base chain to the array owning the data, else a copy."""
+    owner = values
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if (owner is None and values.dtype == np.float64 and values.flags.c_contiguous
+            and values.flags.aligned):
+        return values
+    return np.array(values, dtype=float)
+
+
 class StieltjesString:
     """Point masses on an interval, with the pencils' diagonals cached.
 
@@ -77,13 +89,15 @@ class StieltjesString:
     at construction (masses summed), so interior links are strictly
     positive. A link whose 1/l overflows is rejected, and so is an interior
     one whose 1/l**2 does: the pivot recurrence squares the off-diagonal.
+    Links and diagonals are built in place. Positions and masses are kept
+    as given if they are C-contiguous float64 arrays no one can write (read-
+    only down the .base chain, as atoms are), else copied; all are read-only.
     """
 
     def __init__(self, interval: Tuple[float, float],
                  positions: Sequence[float], masses: Sequence[float]):
         a, b = float(interval[0]), float(interval[1])
-        pos = np.array(positions, dtype=float)  # copies: the string makes them read-only
-        mas = np.array(masses, dtype=float)
+        pos, mas = _frozen(positions), _frozen(masses)
         if pos.size == 0:
             raise ValueError("string needs at least one atom")
         if not (np.isfinite([a, b]).all() and np.isfinite(pos).all()
@@ -91,33 +105,35 @@ class StieltjesString:
             raise ValueError("interval, positions and masses must be finite")
         if np.any(mas <= 0):
             raise ValueError("masses must be positive")
-        gaps = np.diff(pos)
-        if not (gaps > 0).all():  # unsorted or repeated positions: sort, then merge repeats
+        if not (pos[1:] > pos[:-1]).all():  # unsorted or repeated: sort, then merge repeats
             order = np.argsort(pos, kind="stable")
             pos, mas = pos[order], mas[order]
             keep = np.concatenate(([True], np.diff(pos) > 0))
             pos, mas = pos[keep], np.add.reduceat(mas, np.flatnonzero(keep))
-            gaps = np.diff(pos)
         if pos[0] <= a or pos[-1] >= b:
             raise ValueError("atoms must lie strictly inside the interval")
         self.interval = (a, b)
         self.positions = pos
         self.masses = mas
-        links = np.concatenate(([pos[0] - a], gaps, [b - pos[-1]]))
+        n = pos.size
+        inv = np.empty(n + 1)  # the links x_1 - a, gaps, b - x_n, then their inverses
+        inv[0], inv[n] = pos[0] - a, b - pos[-1]
+        np.subtract(pos[1:], pos[:-1], out=inv[1:n])
+        self._b2 = np.empty(n)
+        self._b2[0] = 0.0  # pivot row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0, d = 1
         with np.errstate(divide="ignore", over="ignore"):
-            inv = 1.0 / links
-            # pivot row k subtracts b_{k-1}^2 / d_{k-1}; row 0 gets b^2 = 0 and d = 1
-            self._b2 = np.concatenate(([0.0], np.square(inv[1:-1])))
+            np.divide(1.0, inv, out=inv)
+            np.square(inv[1:n], out=self._b2[1:])
             if not (np.isfinite(inv).all() and np.isfinite(self._b2).all()):
                 raise ValueError("a link is too short: its 1/l (1/l**2 if interior) overflows")
         self._pivmin = float(_SAFMIN * max(1.0, self._b2.max()))
-        self._diags = np.zeros((2, pos.size))  # K_D and K_N diagonals, in _BOUNDARIES order
-        self._diags[0] = inv[:-1] + inv[1:]
-        self._diags[1, :-1] += inv[1:-1]
-        self._diags[1, 1:] += inv[1:-1]
+        self._diags = np.empty((2, n))  # K_D and K_N diagonals, in _BOUNDARIES order
+        np.add(inv[:n], inv[1:], out=self._diags[0])
+        inv[0] = inv[n] = 0.0  # K_N has no boundary links
+        np.add(inv[:n], inv[1:], out=self._diags[1])
         for array in (self.positions, self.masses, self._b2, self._diags):
             array.flags.writeable = False
-        # the C loop reads the string through these, taken once: it owns the arrays
+        # the C loop reads the string through these, taken once: no one can write the arrays
         self._pointers = tuple(array.ctypes.data for array in (self._diags, mas, self._b2))
         self._dense = {}  # boundary -> eigenvalues, filled by dense_eigenvalues
 

@@ -125,15 +125,22 @@ class TestValidate:
          "interval: endpoints 0.0, inf must be finite"),
         (lambda d: d["letters"][1]["maps"][1].update(c=math.nan),
          "letter 'fifth' map 2: offset nan is not finite"),
-    ], ids=["infinite-interval", "nan-offset"])
+        # maps pinned to the ends pass every letter check; curve --epsilon then walked to
+        # the node budget from an infinite root length
+        (lambda d: d.update(interval=[-1e308, 1e308], letters=[
+            {"id": "A", "prob": 1, "weights": [0.5, 0.5],
+             "maps": [{"r": 0.25, "c": -7.5e307}, {"r": 0.25, "c": 7.5e307}]}]),
+         "interval: b - a and a + b must be finite, got [-1e+308, 1e+308]"),
+    ], ids=["infinite-interval", "nan-offset", "overflowing-interval"])
     def test_non_finite_model_exit_2(self, tmp_path, tf_model, capsys, corrupt, violation):
-        # both passed validate, and curve then blamed --depth for collapsed cells
+        # each passed validate, and curve then blamed --depth for collapsed cells
         data = json.loads(tf_model.read_text())
         corrupt(data)
         bad, out = tmp_path / "bad.json", tmp_path / "out"
         bad.write_text(json.dumps(data))
         for command in (["validate"], ["exponent", "--out", out],
-                        ["curve", "--depth", 3, "--out", out]):
+                        ["curve", "--depth", 3, "--out", out],
+                        ["curve", "--epsilon", 1e300, "--out", out]):
             with pytest.raises(SystemExit) as err:
                 run_cli([*command, "--model", bad])
             assert err.value.code == 2

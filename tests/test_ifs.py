@@ -7,6 +7,7 @@ Core claims:
     - a tolerance that is NaN, infinite, negative or above 1e-3 is reported, not used
     - a non-finite interval endpoint or map offset is reported by name: a NaN
       offset fails no comparison, and 0 < inf passes the a < b check
+    - so is a finite interval whose length b - a or midpoint sum a + b overflows
     - contraction products are r_i * m_i in map order and stay in (0, 1)
     - validation is pure: identical violation lists on repeated calls
     - JSON round trips preserve the model and its digest
@@ -101,7 +102,10 @@ class TestValidation:
     @pytest.mark.parametrize("interval, expected", [
         ([0.0, math.inf], "interval: endpoints 0.0, inf must be finite"),
         ([-math.inf, 1.0], "interval: endpoints -inf, 1.0 must be finite"),
-    ], ids=["infinite-b", "infinite-a"])
+        # finite endpoints whose cell lengths or midpoints overflow
+        ([-1e308, 1e308], "interval: b - a and a + b must be finite, got [-1e+308, 1e+308]"),
+        ([1e308, 1.7e308], "interval: b - a and a + b must be finite, got [1e+308, 1.7e+308]"),
+    ], ids=["infinite-b", "infinite-a", "length-overflows", "midpoint-overflows"])
     def test_non_finite_interval_rejected(self, third_fifth, interval, expected):
         model = model_from_dict(dict(model_to_dict(third_fifth), interval=interval))
         assert validate_model(model) == [expected]

@@ -29,6 +29,14 @@ Core claims:
       the AVX2 clones, gives the loaded library's last pivots and counts
       byte for byte on every case above
     - StieltjesString.uniform names a negative or non-integer atom count
+    - the constructor builds its links, squares and diagonals in place and keeps the
+      bytes of the former np.diff / concatenate expressions: on epsilon = 1e-6 leaf
+      strings, depth strings and pieces, unsorted input with repeats, one atom, and the
+      refusals of links that are too short (same message)
+    - a string copies its inputs unless they are C-contiguous float64 arrays that no
+      one can write (read-only down the whole .base chain): writing to an input or to
+      its writeable base afterwards leaves the string's bytes unchanged; cells and atoms
+      are read-only, so a string from a measure shares the atoms' arrays
     - without a compiler, after a failed build or with an unusable cache,
       counts silently come from the numpy reference; with a compiler the
       C loop always loads, a corrupt cached library is built again, and
@@ -329,6 +337,118 @@ class TestBasics:
         s = StieltjesString((0.0, 1.0), [0.5, 0.5, 0.7], [0.3, 0.2, 0.5])
         assert s.n == 2
         assert s.masses.tolist() == [0.5, 0.5]
+
+
+def former_string_arrays(interval, positions, masses):
+    """positions, masses, _b2, _diags and _pivmin as the constructor once built them, from
+    np.diff gaps, concatenated links and a zeroed diagonal block: the bit-for-bit reference
+    of the in-place build. Raises the same ValueError for a link that is too short."""
+    a, b = float(interval[0]), float(interval[1])
+    pos, mas = np.array(positions, dtype=float), np.array(masses, dtype=float)
+    gaps = np.diff(pos)
+    if not (gaps > 0).all():
+        order = np.argsort(pos, kind="stable")
+        pos, mas = pos[order], mas[order]
+        keep = np.concatenate(([True], np.diff(pos) > 0))
+        pos, mas = pos[keep], np.add.reduceat(mas, np.flatnonzero(keep))
+        gaps = np.diff(pos)
+    links = np.concatenate(([pos[0] - a], gaps, [b - pos[-1]]))
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / links
+        b2 = np.concatenate(([0.0], np.square(inv[1:-1])))
+        if not (np.isfinite(inv).all() and np.isfinite(b2).all()):
+            raise ValueError("a link is too short: its 1/l (1/l**2 if interior) overflows")
+    diags = np.zeros((2, pos.size))
+    diags[0] = inv[:-1] + inv[1:]
+    diags[1, :-1] += inv[1:-1]
+    diags[1, 1:] += inv[1:-1]
+    return pos, mas, b2, diags, float(_SAFMIN * max(1.0, b2.max()))
+
+
+def construction_cases():
+    """(interval, positions, masses) of: epsilon = 1e-6 leaf atoms, depth-6 atoms and their
+    bracketing pieces, unsorted input with repeats, one atom, and links too short."""
+    model = third_fifth_model()
+    for seed in (0, 1):
+        yield atomize(leaf_cells(sample_tree(model, StopRule.resolution(1e-6), seed)))
+    for seed in (2, 3):
+        tree = sample_tree(model, StopRule.depth(6), seed)
+        yield atomize(build_cells(tree, 6))
+        yield from map(atomize, measure.piece_cells(tree, 6))
+    yield (0.0, 1.0), [0.7, 0.2, 0.5, 0.2, 0.9, 0.5, 0.2], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    yield (-2.0, 3.0), np.array([0.25]), np.array([1.5])
+    yield (0.0, 1.0), [1e-200, 2e-200, 0.5], [1.0, 1.0, 1.0]  # interior 1/l**2 overflows
+    yield (0.0, 1.0), [1e-310, 0.5], [1.0, 1.0]  # boundary 1/l overflows
+    yield (-1.0, 0.0), [-0.5, -1e-310], [1.0, 1.0]
+
+
+class TestConstruction:
+    def test_arrays_bits_pinned(self):
+        """The in-place build gives the former expressions' bytes, refusals included."""
+        refused = 0
+        for args in construction_cases():
+            if isinstance(args, stieltjes.AtomizedMeasure):
+                args = (args.interval, args.positions, args.masses)
+            try:
+                expected = former_string_arrays(*args)
+            except ValueError as refusal:
+                with pytest.raises(ValueError) as err:
+                    StieltjesString(*args)
+                assert str(err.value) == str(refusal)
+                refused += 1
+                continue
+            s = StieltjesString(*args)
+            for new, old in zip((s.positions, s.masses, s._b2, s._diags, s._pivmin), expected):
+                new, old = np.asarray(new), np.asarray(old)
+                assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape,
+                                                                 old.tobytes())
+        assert refused == 3
+
+
+class TestOwnership:
+    def test_writeable_input_copied(self):
+        pos, mas = np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.3, 0.4])
+        s = StieltjesString((0.0, 1.0), pos, mas)
+        before = [a.tobytes() for a in (s.positions, s.masses, s._b2, s._diags)]
+        pos[:], mas[:] = 0.6, 9.0
+        assert [a.tobytes() for a in (s.positions, s.masses, s._b2, s._diags)] == before
+
+    def test_read_only_view_of_writeable_base_copied(self):
+        base = np.array([0.1, 0.2, 0.5, 0.8, 0.3, 0.3, 0.4])
+        pos, mas = base[1:4], base[4:]
+        for view in (pos, mas):
+            view.flags.writeable = False
+        s = StieltjesString((0.0, 1.0), pos, mas)
+        assert not np.shares_memory(s.positions, base) and not np.shares_memory(s.masses, base)
+        before = [a.tobytes() for a in (s.positions, s.masses, s._b2, s._diags)]
+        base[:] = 0.6
+        assert [a.tobytes() for a in (s.positions, s.masses, s._b2, s._diags)] == before
+
+    def test_read_only_inputs_shared(self):
+        pos, mas = np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.3, 0.4, 9.0])[:3]
+        pos.flags.writeable = mas.base.flags.writeable = mas.flags.writeable = False
+        s = StieltjesString((0.0, 1.0), pos, mas)
+        assert s.positions is pos and s.masses is mas
+        strided = np.array([0.2, 9.0, 0.5, 9.0, 0.8])[::2]
+        single = np.array([0.3, 0.3, 0.4], dtype=np.float32)
+        for array in (strided, strided.base, single):
+            array.flags.writeable = False
+        s = StieltjesString((0.0, 1.0), strided, single)  # not C-contiguous float64: copied
+        assert s.positions.flags.c_contiguous and s.masses.dtype == np.float64
+        assert not np.shares_memory(s.positions, strided)
+
+    def test_measure_arrays_read_only_and_shared(self, third_fifth):
+        tree = sample_tree(third_fifth, StopRule.resolution(1e-3), 4)
+        for cells in (leaf_cells(tree), build_cells(tree, 3), *measure.piece_cells(tree, 3)):
+            atoms = atomize(cells)
+            for array in (cells.left, cells.right, cells.mass, atoms.positions, atoms.masses):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+            s = StieltjesString.from_measure(atoms)
+            assert np.shares_memory(s.positions, atoms.positions)
+            assert np.shares_memory(s.masses, atoms.masses)
+        assert np.shares_memory(build_cells(tree, 3).mass, tree.nodes.mass)  # a view
 
 
 class TestUniformString:
