@@ -9,8 +9,9 @@ the ancestor is born at time 0. The fundamental martingale
             - sum_{first n individuals} e^(-alpha sigma),
 
 evaluated at the Malthusian tilt alpha = gamma_r, has mean one for every n
-and converges to the random limit W. The z process counts individuals
-born after time t to mothers born at or before t.
+and converges to the random limit W; the martingale functions take alpha
+from the caller (`exponent.solve_recursive_exponent` solves it). The z
+process counts individuals born after time t to mothers born at or before t.
 
 The population up to t_max is the labelled tree of its (model, seed), grown with each node
 born by t_max expanded; its `tree.NodeTable` numbers the nodes generation by generation,
@@ -34,7 +35,6 @@ import numpy as np
 
 from ._rng import Address, root_states
 from .ifs import IfsModel
-from .exponent import solve_recursive_exponent
 from .tree import NodeTable, _grow, format_address, node_addresses, write_table
 
 FOREST_BIRTHS = 16_384  # seeds grow as forests of about this many expected births
@@ -113,17 +113,15 @@ def forests(model: IfsModel, t_max: float, seeds: Sequence[int],
         yield from runs or (simulate_population(model, t_max, seed) for seed in group)
 
 
-def _increments(run: PopulationRun, alpha: Optional[float], mothers: np.ndarray) -> List[float]:
-    """R_(k+1) - R_k for each mother row; alpha defaults to gamma_r of the model."""
-    alpha = solve_recursive_exponent(run.model) if alpha is None else alpha
+def _increments(run: PopulationRun, alpha: float, mothers: np.ndarray) -> List[float]:
+    """R_(k+1) - R_k for each mother row."""
     first = run.first.tolist()
     # first[] increases, so the mothers and their children lie below first[max(mothers) + 1]
     e = list(map(math.exp, (-alpha * run.sigma[:first[mothers.max(initial=0) + 1]]).tolist()))
     return [math.fsum(e[first[f]:first[f + 1]]) - e[f] for f in mothers.tolist()]
 
 
-def martingale_R_by_root(run: PopulationRun, n: int,
-                         alpha: Optional[float] = None) -> List[Optional[float]]:
+def martingale_R_by_root(run: PopulationRun, n: int, alpha: float) -> List[Optional[float]]:
     """R_n of each root, in seed order, None where n is outside 0..(its births)."""
     inside = (n >= 0) & (np.diff(run.starts, append=run.order.size) >= n)
     rows = run.starts[inside, None] + np.arange(n if inside.any() else 0)  # n <= some births
@@ -131,7 +129,7 @@ def martingale_R_by_root(run: PopulationRun, n: int,
     return [1.0 + math.fsum(islice(steps, n)) if ok else None for ok in inside.tolist()]
 
 
-def martingale_traces(run: PopulationRun, alpha: Optional[float] = None) -> List[List[float]]:
+def martingale_traces(run: PopulationRun, alpha: float) -> List[List[float]]:
     """[R_0, R_1, ..., R_N] of each root, in seed order, accumulated in birth order."""
     steps = _increments(run, alpha, run.order)
     bounds = run.starts.tolist() + [len(steps)]
@@ -143,7 +141,7 @@ def _require_one_seed(run: PopulationRun) -> None:
         raise ValueError(f"needs a one-seed run, got {len(run.seeds)} seeds")
 
 
-def martingale_trace(run: PopulationRun, alpha: Optional[float] = None) -> List[float]:
+def martingale_trace(run: PopulationRun, alpha: float) -> List[float]:
     """[R_0, R_1, ..., R_N] for the whole materialized one-seed population."""
     _require_one_seed(run)
     return martingale_traces(run, alpha)[0]
@@ -189,8 +187,8 @@ def export_events_csv(run: PopulationRun, path: str | Path, header: str = "") ->
                  for k, e in enumerate(run.events)))
 
 
-def export_martingale_csv(run: PopulationRun, path: str | Path,
-                          alpha: Optional[float] = None, header: str = "") -> None:
+def export_martingale_csv(run: PopulationRun, path: str | Path, alpha: float,
+                          header: str = "") -> None:
     write_table(path, header, ("n", "R_n"), enumerate(martingale_trace(run, alpha)))
 
 

@@ -155,6 +155,8 @@ def cmd_curve(args) -> int:
             string = depth_string(tree, stop.value)
         else:
             string = StieltjesString.from_measure(atomize(leaf_cells(tree)))
+        verdicts = [check_bracketing(tree, stop.value, float(x))
+                    for x in (grid if args.check_bracketing else ())]
     except CollapsedCells as err:
         _fail(f"{err}; lower --depth" if stop.kind == "depth" else f"{err}; raise --epsilon")
     except ValueError as err:
@@ -162,10 +164,8 @@ def cmd_curve(args) -> int:
     samples = counting_curve(string, grid)
     export_curve_csv(samples, args.out, header=_header(model, args.seed),
                      boundary=args.boundary)
-    if args.check_bracketing:
-        for x in grid:
-            ok = check_bracketing(tree, stop.value, float(x))
-            print(f"x={float(x)!r} bracketing={'true' if ok else 'false'}")
+    for x, ok in zip(grid, verdicts):
+        print(f"x={float(x)!r} bracketing={'true' if ok else 'false'}")
     return 0
 
 

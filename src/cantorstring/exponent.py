@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from .ifs import IfsModel, Letter
 
@@ -31,10 +31,10 @@ LATTICE_TOL, MAX_MULTIPLE = 1e-9, 10 ** 6  # classify_lattice: integer closeness
 # validates the model once per object and raises ValueError("invalid model: ...").
 
 
-def _bisect(fn: Callable[[float], float], *, rel_tol: float) -> Tuple[float, float]:
-    """Bracket (lo, hi) of the root of fn, where fn(x) > 0 means x lies below it.
+def _root(fn: Callable[[float], float], rel_tol: float = 1e-16) -> float:
+    """Root of fn, where fn(x) > 0 means x lies below it: the midpoint of the last bracket.
 
-    hi doubles from 1.0 until fn(hi) <= 0, then the bracket halves until
+    hi doubles from 1.0 until fn(hi) <= 0, then the bracket (lo, hi) halves until
     hi - lo <= rel_tol * max(1.0, hi). It also stops once the midpoint is
     no longer strictly inside: the bracket cannot move after that, and the
     stop bounds the loop even where rel_tol is below the float spacing.
@@ -52,12 +52,6 @@ def _bisect(fn: Callable[[float], float], *, rel_tol: float) -> Tuple[float, flo
             lo = mid
         else:
             hi = mid
-    return lo, hi
-
-
-def _root(fn: Callable[[float], float]) -> float:
-    """Root of a strictly decreasing fn with fn(0) > 0, resolved to the last bit."""
-    lo, hi = _bisect(fn, rel_tol=1e-16)
     return 0.5 * (lo + hi)
 
 
@@ -90,8 +84,7 @@ def hausdorff_dimension(letter: Letter) -> float:
         return 1.0
     # hi <= 1 keeps the 1e-17 stop absolute: below dimension 1/32 it fires
     # before the bracket converges
-    lo, hi = _bisect(lambda d: math.fsum(r ** d for r in ratios) - 1.0, rel_tol=1e-17)
-    return 0.5 * (lo + hi)
+    return _root(lambda d: math.fsum(r ** d for r in ratios) - 1.0, rel_tol=1e-17)
 
 
 # ---------------------------------------------------------------------------

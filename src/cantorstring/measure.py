@@ -4,10 +4,11 @@ The cell of an address is the image R [a, b] + C of the base interval
 under the composed maps along its path, and its mass M is the product of
 the path's weights. The tree's node table holds R, C and M, so a measure
 is a slice of it: one generation, or every leaf in lexicographic
-(preorder) address order, or the root children's pieces, grown as one
-forest and split at the roots' preorder ranges. A measure keeps its node
-table and its index into it (a slice, or the leaf array), so addresses and
-`Cell` tuples are built only when read, from `tree.node_addresses`.
+(preorder) address order. A measure keeps its node table and its index
+into it (a slice, or the leaf array), so addresses and `Cell` tuples are
+built only when read, from `tree.node_addresses`. The bracketing pieces are
+no measure of their own: `stieltjes.check_bracketing` cuts them from a
+generation's string at the root children's preorder ranges.
 Atomization collapses every cell to a point mass at its midpoint; that
 discrete surrogate is what the string solver consumes. Cells and atoms are
 read-only, so a string built from them shares their arrays instead of copying.
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ._rng import Address, child_state, root_states
-from .tree import NodeTable, RandomTree, _grow, node_addresses
+from ._rng import Address
+from .tree import NodeTable, RandomTree, node_addresses
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,6 @@ def build_cells(tree: RandomTree, n: int) -> MeasureApprox:
     """Cells of generation n: geometry S_ii([a, b]), mass = weight product."""
     _require_depth(tree, n)
     return _cells(tree, n, tree.nodes, slice(*tree.nodes.levels[n:n + 2].tolist()))
-
-
-def piece_cells(tree: RandomTree, n: int) -> List[MeasureApprox]:
-    """Per root child i, generation n - 1 of the subtree at i, addresses relative to i:
-    one forest of the root children, grown n - 1 generations deep (tree generations
-    1..n - 1 are complete), split where its ranks pass each root's (ranks increase along
-    a generation; each slice bit for bit the child alone)."""
-    _require_depth(tree, n, least=1)
-    root = root_states([tree.seed])  # every tree is sampled from its seed
-    kids = child_state(root, np.arange(1, tree.nodes.first[1], dtype=np.uint64))  # 1..n_maps
-    forest = _grow(tree.model, kids, depth=n - 1)
-    lo, hi = forest.levels[n - 1:n + 1].tolist()
-    bounds = [*(lo + forest.rank[lo:hi].searchsorted(forest.rank[:kids.size])).tolist(), hi]
-    return [_cells(tree, n - 1, forest, slice(*ends)) for ends in zip(bounds, bounds[1:])]
 
 
 def leaf_cells(tree: RandomTree) -> MeasureApprox:

@@ -41,6 +41,10 @@ come from _block_sweep, the numpy reference:
 _CHUNK_ROWS rows at a time, one column per (boundary, shift). Its safeguard
 is tested once per chunk: before the first pivot below it the unguarded
 recurrence is the guarded one, so the chunk is redone from that row on.
+
+The Dirichlet-Neumann bracketing check cuts the depth-n string at the root
+children's cells: each piece is a string over a slice of the whole string's
+atoms, so the C loop reads it through interior pointers of shared arrays.
 """
 from __future__ import annotations
 
@@ -53,7 +57,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import _native
-from .measure import AtomizedMeasure, atomize, build_cells, piece_cells
+from .measure import AtomizedMeasure, CollapsedCells, _require_depth, atomize, build_cells
 from .tree import RandomTree, write_table
 
 TIE_SHIFT = 1.0 + 1e-15
@@ -306,24 +310,35 @@ def depth_string(tree: RandomTree, n: int) -> StieltjesString:
 def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     """Four-term chain between the whole string and its root-child pieces.
 
-        sum_i N_D^(i)(r_i m_i x) <= N_D(x) <= N_N(x) <= sum_i N_N^(i)(r_i m_i x)
+        sum_i N_D^(i)(x) <= N_D(x) <= N_N(x) <= sum_i N_N^(i)(x)
 
-    The whole string is the depth-n atomization; piece i is the depth-(n-1)
-    atomization of the subtree rooted at child i (`piece_cells`, one forest),
-    evaluated at the composed scale r_i * m_i * x. The strings are built on
-    the first call for (tree, n) and kept in ``tree.memo``; each string then
-    costs one count call, both boundaries in one pass of the C loop.
+    The whole string is the depth-n atomization; piece i is that string cut to
+    root child i's cell S_i([a, b]), its atoms views of the whole string's: the
+    nodes of generation n in child i's preorder range. Rescaled, the sums are
+    the self-similar sum_i N^(i)(r_i m_i x) over the child subtrees. The pieces
+    are cut on the first call for (tree, n) and kept in ``tree.memo``; each
+    string then costs one count call, both boundaries in one pass of the C loop.
+    Raises CollapsedCells where depth-n cells are so narrow, against the float
+    spacing, that a piece's atoms do not lie strictly inside its cell.
     """
     if not x >= 0:
         raise ValueError("spectral parameter x must be >= 0")
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:
-        root = tree.model.letters[tree.nodes.letter[0]]
-        memo[n] = [(s.ratio * w, StieltjesString.from_measure(atomize(cells)))
-                   for s, w, cells in zip(root.maps, root.weights, piece_cells(tree, n))]
+        _require_depth(tree, n, least=1)
+        whole, kids, rank = depth_string(tree, n), build_cells(tree, 1), tree.nodes.rank
+        lo, hi = tree.nodes.levels[n:n + 2].tolist()
+        cuts = [*rank[lo:hi].searchsorted(rank[kids.index]).tolist(), hi - lo]
+        pieces = []
+        for a, b, i, j in zip(kids.left.tolist(), kids.right.tolist(), cuts, cuts[1:]):
+            positions = whole.positions[i:j]
+            if not (a < positions[0] and positions[-1] < b):
+                raise CollapsedCells(f"cells at depth {n} collapsed below float spacing: a "
+                                     f"root child's atoms are not strictly inside {(a, b)}")
+            pieces.append(StieltjesString((a, b), positions, whole.masses[i:j]))
+        memo[n] = pieces
     whole_d, whole_n = _pair(depth_string(tree, n), x)
-    pieces = [_pair(piece, scale * x) for scale, piece in memo[n]]
-    sum_d, sum_n = (sum(column) for column in zip(*pieces))
+    sum_d, sum_n = (sum(column) for column in zip(*(_pair(piece, x) for piece in memo[n])))
     return sum_d <= whole_d <= whole_n <= sum_n
 
 

@@ -198,7 +198,6 @@ class RandomTree:
     """
 
     model: IfsModel
-    seed: int
     nodes: NodeTable
     memo: Dict[str, dict] = field(default_factory=dict)
 
@@ -224,7 +223,7 @@ def sample_tree(model: IfsModel, stop: StopRule, seed: int) -> RandomTree:
     """Sample the labelled tree for (model, stop, seed); fully deterministic.
     Raises ValueError when the tree would have more than MAX_NODES nodes."""
     limit = {"depth": stop.value} if stop.kind == "depth" else {"min_length": stop.value}
-    return RandomTree(model, seed, _grow(model, root_states([seed]), **limit))
+    return RandomTree(model, _grow(model, root_states([seed]), **limit))
 
 
 def format_address(address: Address) -> str:

@@ -136,7 +136,7 @@ class TestSimulation:
 class TestMartingale:
     def test_r0_is_one(self, third_fifth):
         run = simulate_population(third_fifth, 5.0, 1)
-        assert martingale_R_by_root(run, 0) == [1.0]
+        assert martingale_R_by_root(run, 0, solve_recursive_exponent(third_fifth)) == [1.0]
 
     def test_single_letter_identically_one(self, middle_third):
         gamma = solve_recursive_exponent(middle_third)
@@ -184,8 +184,9 @@ class TestMartingale:
 
     def test_out_of_range_rejected(self, third_fifth):
         run = simulate_population(third_fifth, 1.0, 0)
-        assert martingale_R_by_root(run, len(run.events) + 1) == [None]
-        assert martingale_R_by_root(run, -1) == [None]
+        gamma = solve_recursive_exponent(third_fifth)
+        assert martingale_R_by_root(run, len(run.events) + 1, gamma) == [None]
+        assert martingale_R_by_root(run, -1, gamma) == [None]
 
 
 class TestEstimateW:
@@ -356,13 +357,13 @@ PIN_MODELS = {"third-fifth": third_fifth_model,
 @pytest.mark.parametrize("name, seed", [(name, seed) for name in POPULATION_DIGESTS
                                         for seed in range(10)])
 def test_population_bits_pinned(name, seed, both_paths):
-    t = 10.0
+    t, model = 10.0, PIN_MODELS[name]()
     for path in both_paths():
-        run = simulate_population(PIN_MODELS[name](), t, seed)
+        run = simulate_population(model, t, seed)
         h = hashlib.sha256()
         for e in run.events:
             h.update(f"{e.address}|{e.sigma.hex()}|{e.letter_id}\n".encode())
-        for value in martingale_trace(run):
+        for value in martingale_trace(run, solve_recursive_exponent(model)):
             h.update(repr(value).encode() + b"\n")
         for u in np.linspace(0.0, t, 8).tolist():
             h.update(f"{z_process(run, u)}\n".encode())
@@ -389,15 +390,16 @@ def test_forest_events_are_the_one_seed_events(third_fifth):
 def test_one_seed_statistics_refuse_forests(third_fifth):
     forest = branching.simulate_populations(third_fifth, 6.0, [3, 4, 5])
     births = [len(simulate_population(third_fifth, 6.0, seed)) for seed in (3, 4, 5)]
+    gamma = solve_recursive_exponent(third_fifth)
     with pytest.raises(ValueError, match="one-seed"):
-        martingale_trace(forest)
+        martingale_trace(forest, gamma)
     with pytest.raises(ValueError, match="one-seed"):
         z_process(forest, 1.0)
     assert z_by_root(forest, 1.0) == [z_process(simulate_population(third_fifth, 6.0, seed), 1.0)
                                       for seed in (3, 4, 5)]
     assert births[0] < len(forest)  # n between root 0's births and the forest's
-    assert martingale_R_by_root(forest, births[0] + 1)[0] is None  # the per-root forms
-    assert [len(trace) - 1 for trace in martingale_traces(forest)] == births
+    assert martingale_R_by_root(forest, births[0] + 1, gamma)[0] is None  # the per-root forms
+    assert [len(trace) - 1 for trace in martingale_traces(forest, gamma)] == births
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ Core claims:
       are byte-identical across re-runs; a tree past MAX_NODES or a string
       with an overflowing link (interior or boundary) exits 2 before any
       file is written, and so do cells collapsed below the float spacing,
-      naming --depth or --epsilon; a depth of 2^64 is refused at the node
+      naming --depth or --epsilon, and bracketing pieces whose first atom
+      rounds onto its cell's end; a depth of 2^64 is refused at the node
       budget without growing the tree
     - --check-bracketing reports true on every grid point
     - branching writes event/martingale/z files; mean-R over seeds is near 1
@@ -315,7 +316,7 @@ class TestCurve:
         monkeypatch.setattr(cli, "build_cells", counting, raising=False)
         run_cli(["curve", "--model", tf_model, "--seed", 3, "--depth", 5,
                  "--grid", "1:1e4:8", "--out", tmp_path / "c.csv", "--check-bracketing"])
-        assert depths.count(5) == 1  # the root-child pieces are depth 4
+        assert depths.count(5) == 1  # the pieces are cut from it, on the depth-1 cells
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_collapsed_cells_exit_2(self, tmp_path, capsys, seed):
@@ -338,6 +339,25 @@ class TestCurve:
         for stop in (["--depth", 6, "--check-bracketing"], ["--epsilon", "1e-15"]):
             assert run_cli(["curve", "--model", model, "--seed", seed, *stop,
                             "--grid", "1:1e3:5", "--out", out]) == 0
+
+    def test_collapsed_pieces_exit_2(self, tmp_path, capsys):
+        from cantorstring import random_model, save_model
+        model = tmp_path / "thin.json"
+        # map ratios 0.0068: the depth-8 string counts, but a root child's first atom
+        # rounds onto its cell's left end, where the bracketing sums would read false
+        save_model(random_model(2, balanced=True), model)
+        out = tmp_path / "c.csv"
+        args = ["curve", "--model", model, "--seed", 0, "--out", out]
+        with pytest.raises(SystemExit) as err:
+            run_cli([*args, "--depth", 8, "--check-bracketing"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "at depth 8 collapsed below float spacing" in message
+        assert message.rstrip().endswith("; lower --depth")
+        assert not out.exists()
+        for stop in (["--depth", 8], ["--depth", 7, "--check-bracketing"]):
+            assert run_cli([*args, *stop]) == 0
+        assert "false" not in capsys.readouterr().out
 
     def test_boundary_selection(self, tf_model, tmp_path):
         out = tmp_path / "c.csv"

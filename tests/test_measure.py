@@ -11,10 +11,10 @@ Core claims:
     - atomization puts the full cell mass at the midpoint, and refuses cells
       whose midpoints do not increase strictly inside the interval
     - generation n+1 equals the root-children pushforward (self-similarity)
-      of the piece cells; piece i's cells are child i's letter's maps at
-      depth 1, and pieces need a complete generation n >= 1; a deep tree's
-      pieces at generation n come from an n-generation forest, bit for bit
-      those of the depth-n tree
+      of the child subtrees' cells (the reference forest); subtree i's cells
+      are child i's letter's maps at depth 1; bracketing pieces need a
+      complete generation n >= 1, and a deep tree's pieces at depth n are
+      byte for byte slices of the depth-n tree's string
     - leaf and depth-8 atoms keep the bits recorded from the dict-tree code
 """
 import hashlib
@@ -32,9 +32,11 @@ from cantorstring import (
     sample_tree,
     third_fifth_model,
 )
-from cantorstring import measure
+from cantorstring import check_bracketing, measure
 from cantorstring.measure import Cell
+from cantorstring.stieltjes import depth_string
 from cantorstring.tree import StopRule
+from conftest import child_bounds, forest_piece_cells
 
 SEED_ROOT_THIRD = 1  # third-fifth model: root label is "third" for this seed
 
@@ -182,12 +184,13 @@ class TestAtomize:
             atomize(build_cells(tree, depth))
 
 
-def self_similar(tree, n, tol=1e-10):
-    """Generation n+1 cells == root-child piece cells pushed through the root maps."""
+def self_similar(tree, n, seed, pieces=None, tol=1e-10):
+    """Generation n+1 cells == root-child piece cells pushed through the root maps
+    (by default the reference forest's, `forest_piece_cells`)."""
     whole = measure.build_cells(tree, n + 1)
     root_letter = tree.letter_at(())
     pushed = []
-    pieces = measure.piece_cells(tree, n + 1)
+    pieces = forest_piece_cells(tree, n + 1, seed) if pieces is None else pieces
     for i, (s, w, piece) in enumerate(zip(root_letter.maps, root_letter.weights, pieces), start=1):
         for c in piece.cells:
             pushed.append(Cell((i,) + c.address, s(c.left), s(c.right), w * c.mass))
@@ -200,32 +203,27 @@ def self_similar(tree, n, tol=1e-10):
 class TestSelfSimilarity:
     def test_trivial_depth(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(1), 5)
-        assert self_similar(tree, 0)
+        assert self_similar(tree, 0, 5)
 
     def test_random_trees(self, third_fifth):
         for seed in range(20):
             tree = sample_tree(third_fifth, StopRule.depth(4), seed)
-            assert self_similar(tree, 3)
+            assert self_similar(tree, 3, seed)
 
-    def test_corrupted_mass_detected(self, third_fifth, monkeypatch):
+    def test_corrupted_mass_detected(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 5)
-        assert self_similar(tree, 1)
-        real = measure.piece_cells
-
-        def corrupted(t, n):
-            # only the first piece is perturbed, by 1e-6 >> tol
-            first, *rest = real(t, n)
-            c = first.cells[0]
-            return [SimpleNamespace(cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
-                                    + first.cells[1:]), *rest]
-
-        monkeypatch.setattr(measure, "piece_cells", corrupted)
-        assert not self_similar(tree, 1)
+        assert self_similar(tree, 1, 5)
+        # only the first piece is perturbed, by 1e-6 >> tol
+        first, *rest = forest_piece_cells(tree, 2, 5)
+        c = first.cells[0]
+        corrupted = SimpleNamespace(cells=(Cell(c.address, c.left, c.right, c.mass + 1e-6),)
+                                    + first.cells[1:])
+        assert not self_similar(tree, 1, 5, [corrupted, *rest])
 
     def test_piece_child_labels(self, third_fifth):
         for seed in range(6):
             tree = sample_tree(third_fifth, StopRule.depth(2), seed)
-            pieces = measure.piece_cells(tree, 2)
+            pieces = forest_piece_cells(tree, 2, seed)
             assert len(pieces) == tree.letter_at(()).n_maps
             for i, piece in enumerate(pieces, start=1):
                 letter = tree.letter_at((i,))
@@ -238,29 +236,28 @@ class TestSelfSimilarity:
         levels, first = tree.nodes.levels, tree.nodes.first
         leaf = first[1:] == first[:-1]  # an empty child range
         complete = next(k for k in range(levels.size - 1) if leaf[levels[k]:levels[k + 1]].any())
-        assert len(measure.piece_cells(tree, complete)) == tree.letter_at(()).n_maps
+        check_bracketing(tree, complete, 1.0)
+        assert len(tree.memo["bracketing"][complete]) == tree.letter_at(()).n_maps
         for n in (0, complete + 1, levels.size - 1):
             with pytest.raises(ValueError):
-                measure.piece_cells(tree, n)
+                check_bracketing(tree, n, 1.0)
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_shallow_pieces_of_deep_tree(self, third_fifth, monkeypatch, seed):
-        """piece_cells(deep tree, n) grows an n-generation forest, bit for bit the
-        pieces of the same seed sampled to depth n."""
-        real, depths = measure._grow, []
-        monkeypatch.setattr(measure, "_grow", lambda *args, **limits:
-                            depths.append((out := real(*args, **limits)).levels.size - 1) or out)
+    def test_shallow_pieces_of_deep_tree(self, third_fifth, seed):
+        """A deep tree's bracketing pieces at depth n are, byte for byte, slices of the
+        depth-n string of the same seed sampled to depth n, on its root children's cells."""
         deep = sample_tree(third_fifth, StopRule.depth(10), seed)
         for n in range(1, 10):
             shallow = sample_tree(third_fifth, StopRule.depth(n), seed)
-            got, want = measure.piece_cells(deep, n), measure.piece_cells(shallow, n)
-            assert depths[-2:] == [n, n]
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.generation == b.generation == n - 1
-                for k in ("left", "right", "mass"):
-                    assert getattr(a, k).tobytes() == getattr(b, k).tobytes()
-            assert [c.address for c in got[-1].cells] == [c.address for c in want[-1].cells]
+            whole, kids = depth_string(shallow, n), build_cells(shallow, 1)
+            check_bracketing(deep, n, 1.0)
+            bounds = child_bounds(shallow, n)
+            pieces = deep.memo["bracketing"][n]
+            assert len(pieces) == len(bounds) - 1 == kids.mass.size
+            for k, (piece, lo, hi) in enumerate(zip(pieces, bounds, bounds[1:])):
+                assert piece.interval == (kids.left[k], kids.right[k])
+                assert piece.positions.tobytes() == whole.positions[lo:hi].tobytes()
+                assert piece.masses.tobytes() == whole.masses[lo:hi].tobytes()
 
 
 # sha256 of positions.tobytes() then masses.tobytes(), recorded from the

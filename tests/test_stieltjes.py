@@ -46,14 +46,20 @@ Core claims:
       1e-150 and boundary links down to 1e-300 still count exactly
     - counting_curve keeps every count of a 3672-atom string at 120 shifts
       (sha256 digest recorded from the per-boundary numpy sweep)
-    - single-shift counts of the depth-8 bracketing strings, exact ties,
+    - single-shift counts of depth-8 whole and child-subtree strings, exact ties,
       zero pivots and overflowing shifts keep their values (sha256 digest
       recorded from the one-boundary-per-call plain-float loop)
     - the pinned digests hold on both count paths
     - the per-tree bracketing memo changes neither verdicts nor the tree;
-      filling one entry grows the root children as one forest, and every
-      piece string keeps its bits (sha256 digest recorded from the
+      filling one entry grows nothing: each piece is the whole depth-n
+      string's atoms on one root child's cell, views that share the whole
+      string's read-only arrays, byte for byte slices of a fresh tree's string
+    - the pieces' four sums at x equal those of the child subtrees' strings
+      (the reference forest) at r_i m_i x, on both count paths, and those
+      strings keep their bits (sha256 digest recorded from the
       one-subtree-at-a-time builder)
+    - a piece whose atoms are not strictly inside its cell (depth-8 cells of
+      map ratio 0.0068) is refused as CollapsedCells naming the depth
     - a CSV export to an unknown boundary is refused
 """
 import ctypes
@@ -98,12 +104,14 @@ from cantorstring.stieltjes import (
     export_curve_csv,
 )
 from cantorstring.tree import StopRule
+from conftest import child_bounds, forest_piece_cells, forest_pieces
 
 
 CURVE_COUNTS_DIGEST = "35540df57d7afccccc9311bfbdbeea6f3676ffd128a4e178a285c27945e363cb"
 SINGLE_SHIFT_DIGEST = "c08fc4f756bbab9b00677fdbe7a5d07e1fff7d6f83dfb95d5025027f41c8b2d5"
-# sha256 of every bracketing piece's scale, positions and masses at depths 1..8,
-# recorded from the one-subtree-at-a-time piece builder
+# sha256 of every child subtree string's scale, positions and masses at depths 1..8 (the
+# former bracketing pieces, now `forest_pieces`), recorded from the one-subtree-at-a-time
+# piece builder
 PIECE_DIGESTS = [
     ("third-fifth", 1379, "275c7f282d9189eb922d2d62e4032ada82a6a00be0322f930cca4c3b55a30834"),
     ("middle-third", 510, "54ec6f5e8edb5a1691ece50b8293d6868bba6813b5592b7422d42986038ed9e6"),
@@ -366,15 +374,18 @@ def former_string_arrays(interval, positions, masses):
 
 
 def construction_cases():
-    """(interval, positions, masses) of: epsilon = 1e-6 leaf atoms, depth-6 atoms and their
-    bracketing pieces, unsorted input with repeats, one atom, and links too short."""
+    """(interval, positions, masses) of: epsilon = 1e-6 leaf atoms, depth-6 atoms, their
+    bracketing pieces and the child subtrees' atoms (the reference forest), unsorted input
+    with repeats, one atom, and links too short."""
     model = third_fifth_model()
     for seed in (0, 1):
         yield atomize(leaf_cells(sample_tree(model, StopRule.resolution(1e-6), seed)))
     for seed in (2, 3):
         tree = sample_tree(model, StopRule.depth(6), seed)
         yield atomize(build_cells(tree, 6))
-        yield from map(atomize, measure.piece_cells(tree, 6))
+        check_bracketing(tree, 6, 0.0)
+        yield from ((p.interval, p.positions, p.masses) for p in tree.memo["bracketing"][6])
+        yield from map(atomize, forest_piece_cells(tree, 6, seed))
     yield (0.0, 1.0), [0.7, 0.2, 0.5, 0.2, 0.9, 0.5, 0.2], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
     yield (-2.0, 3.0), np.array([0.25]), np.array([1.5])
     yield (0.0, 1.0), [1e-200, 2e-200, 0.5], [1.0, 1.0, 1.0]  # interior 1/l**2 overflows
@@ -439,7 +450,7 @@ class TestOwnership:
 
     def test_measure_arrays_read_only_and_shared(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.resolution(1e-3), 4)
-        for cells in (leaf_cells(tree), build_cells(tree, 3), *measure.piece_cells(tree, 3)):
+        for cells in (leaf_cells(tree), build_cells(tree, 3), *forest_piece_cells(tree, 3, 4)):
             atoms = atomize(cells)
             for array in (cells.left, cells.right, cells.mass, atoms.positions, atoms.masses):
                 assert not array.flags.writeable
@@ -449,6 +460,20 @@ class TestOwnership:
             assert np.shares_memory(s.positions, atoms.positions)
             assert np.shares_memory(s.masses, atoms.masses)
         assert np.shares_memory(build_cells(tree, 3).mass, tree.nodes.mass)  # a view
+
+    def test_pieces_share_whole_string(self, third_fifth):
+        tree = sample_tree(third_fifth, StopRule.depth(5), 6)
+        check_bracketing(tree, 5, 1.0)
+        whole = stieltjes.depth_string(tree, 5)
+        start = 0
+        for piece in tree.memo["bracketing"][5]:
+            for mine, shared in ((piece.positions, whole.positions), (piece.masses, whole.masses)):
+                assert mine.ctypes.data == shared.ctypes.data + 8 * start  # a view, in place
+                assert np.shares_memory(mine, shared) and not mine.flags.writeable
+                with pytest.raises(ValueError):
+                    mine[0] = 0.5
+            start += piece.n
+        assert start == whole.n
 
 
 class TestUniformString:
@@ -685,16 +710,15 @@ class TestSweepPaths:
                 assert c.count_neumann == dense_count(s, c.x, "neumann")
 
     def test_single_shift_counts_pinned(self, third_fifth, both_paths):
-        # whole string and every piece of the depth-8 bracketing memo at the
-        # shifts check_bracketing uses; then uniform(2) and a 3-atom string at
+        # whole string and every child subtree's string (the reference forest) at
+        # the shifts check_bracketing once used; then uniform(2) and a 3-atom string at
         # exact ties (8, 16), zero pivots (x' = 12, 16 and 8, 4), 0 and shifts
         # where x' m overflows to a -inf pivot; on both count paths
         for path in both_paths():
             lines = []
             for seed in range(5):
                 tree = sample_tree(third_fifth, StopRule.depth(8), seed)
-                check_bracketing(tree, 8, 1.0)
-                parts = [(1.0, stieltjes.depth_string(tree, 8))] + tree.memo["bracketing"][8]
+                parts = [(1.0, stieltjes.depth_string(tree, 8))] + forest_pieces(tree, 8, seed)
                 for x in np.geomspace(1.0, 1e6, 12):
                     for scale, s in parts:
                         y = scale * float(x)
@@ -956,15 +980,13 @@ class TestBracketing:
     def test_self_similar_outer_slack(self, middle_third):
         # single letter: the outer terms differ by at most 2 per child
         tree = sample_tree(middle_third, StopRule.depth(6), 0)
-        whole = StieltjesString.from_measure(atomize(build_cells(tree, 6)))
         letter = middle_third.letters[0]
         for x in (10.0, 1e3, 1e5):
             assert check_bracketing(tree, 6, x)
             sum_d = sum_n = 0
-            for s, w, cells in zip(letter.maps, letter.weights, measure.piece_cells(tree, 6)):
-                piece = StieltjesString.from_measure(atomize(cells))
-                sum_d += count_dirichlet(piece, s.ratio * w * x)
-                sum_n += count_neumann(piece, s.ratio * w * x)
+            for scale, piece in forest_pieces(tree, 6, 0):
+                sum_d += count_dirichlet(piece, scale * x)
+                sum_n += count_neumann(piece, scale * x)
             assert sum_n - sum_d <= 2 * letter.n_maps
 
     def test_memo_matches_fresh_trees(self, third_fifth):
@@ -980,24 +1002,62 @@ class TestBracketing:
         assert set(tree.memo["bracketing"]) == {4, 6}
         fresh = sample_tree(third_fifth, StopRule.depth(6), 11)
         for n in (4, 6):
-            for (_, piece), cells in zip(tree.memo["bracketing"][n], measure.piece_cells(fresh, n)):
-                assert piece.positions.tobytes() == atomize(cells).positions.tobytes()
+            whole, bounds = stieltjes.depth_string(fresh, n), child_bounds(fresh, n)
+            pieces = tree.memo["bracketing"][n]
+            assert len(pieces) == len(bounds) - 1
+            for piece, lo, hi in zip(pieces, bounds, bounds[1:]):
+                assert piece.positions.tobytes() == whole.positions[lo:hi].tobytes()
+                assert piece.masses.tobytes() == whole.masses[lo:hi].tobytes()
         assert table_bytes(tree) == before and table_bytes(fresh) == before
 
-    def test_one_forest_per_memo_entry(self, third_fifth, monkeypatch):
-        real, calls = measure._grow, []
-        monkeypatch.setattr(measure, "_grow",
-                            lambda *args, **limits: calls.append(args) or real(*args, **limits))
-        tree = sample_tree(third_fifth, StopRule.depth(6), 5)
+    def test_memo_grows_nothing(self, third_fifth, monkeypatch):
+        """Filling the memo cuts the sampled tree's string: no module's _grow is called."""
+        tree, calls = sample_tree(third_fifth, StopRule.depth(6), 5), []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cantorstring") and hasattr(module, "_grow"):
+                monkeypatch.setattr(module, "_grow", lambda *args, **limits: calls.append(args))
         for x in (10.0, 1e3, 1e5):
-            check_bracketing(tree, 6, x)
-        assert len(calls) == 1 and len(calls[0][1]) == tree.letter_at(()).n_maps
+            for n in (6, 3):
+                check_bracketing(tree, n, x)
+        assert calls == [] and set(tree.memo["bracketing"]) == {3, 6}
+
+    def test_collapsed_pieces_refused(self):
+        """Map ratios 0.0068: depth-8 atoms lie a few ulps apart and the first atom of a
+        root child rounds onto its cell's left end, where the sums would read false."""
+        model, grid = random_model(2, balanced=True), np.geomspace(1.0, 1e6, 12)
+        for seed in range(3):
+            tree = sample_tree(model, StopRule.depth(8), seed)
+            stieltjes.depth_string(tree, 8)  # the whole string is not collapsed
+            with pytest.raises(measure.CollapsedCells, match="at depth 8 collapsed"):
+                check_bracketing(tree, 8, 1.0)
+            assert 8 not in tree.memo["bracketing"]
+            assert all(check_bracketing(tree, 7, float(x)) for x in grid)
+
+    def test_pieces_match_forest_sums(self, balanced_pair, both_paths):
+        """The four sums of the cut pieces at x equal those of the child subtrees' strings
+        (the reference forest) at r_i m_i x, on both count paths."""
+        extra = [0.0, 1e-3, 1e12, 1e300]
+        grid = np.array([*np.geomspace(1.0, 1e6, 12), *extra])
+        cases = [(third_fifth_model(), 8, seed, grid) for seed in range(50)]
+        for model in (single_letter_model(middle_third_letter()), balanced_pair,
+                      random_model(1), random_model(6)):
+            cases += [(model, n, seed, np.array(extra)) for n in range(1, 8) for seed in range(10)]
+        strings = []  # grown once: growth paths are compared elsewhere
+        for model, n, seed, xs in cases:
+            tree = sample_tree(model, StopRule.depth(n), seed)
+            check_bracketing(tree, n, 0.0)
+            strings.append((tree.memo["bracketing"][n], forest_pieces(tree, n, seed), xs))
+        for path in both_paths():
+            for (pieces, reference, xs), (model, n, seed, _) in zip(strings, cases):
+                got = sum(_counts(piece, xs) for piece in pieces)
+                want = sum(_counts(piece, scale * xs) for scale, piece in reference)
+                assert got.tolist() == want.tolist(), (path, model.letters[0].id, n, seed)
 
     @pytest.mark.parametrize("name, atoms, digest", PIECE_DIGESTS,
                              ids=[name for name, _, _ in PIECE_DIGESTS])
     def test_piece_bits_pinned(self, name, atoms, digest, request, both_paths):
-        """Depth-n tree of seed 3n + 1 for n = 1..8; every piece keeps every bit, on both
-        growth (and count) paths."""
+        """Depth-n tree of seed 3n + 1 for n = 1..8; every child subtree's string (the
+        reference forest, the former pieces) keeps every bit, on both growth paths."""
         model = {"third-fifth": third_fifth_model,
                  "middle-third": lambda: single_letter_model(middle_third_letter()),
                  "balanced-pair": lambda: request.getfixturevalue("balanced_pair"),
@@ -1007,8 +1067,7 @@ class TestBracketing:
             h, total = hashlib.sha256(), 0
             for n in range(1, 9):
                 tree = sample_tree(model, StopRule.depth(n), 3 * n + 1)
-                check_bracketing(tree, n, 0.0)
-                for scale, piece in tree.memo["bracketing"][n]:
+                for scale, piece in forest_pieces(tree, n, 3 * n + 1):
                     for array in (np.float64(scale), piece.positions, piece.masses):
                         h.update(array.tobytes())
                     total += piece.n

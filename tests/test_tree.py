@@ -16,8 +16,9 @@ Core claims:
       population reads sigma and first from the table without copying them
     - letter, rank and first are int32 (MAX_NODES < 2^31), only populations
       store sigma, and a tree's table takes at most 36 B a node
-    - every address view (generations, root-child pieces, leaves, forests and
-      their birth events) equals its reference definition over a preorder walk
+    - every address view (generations, the reference forest's root-child pieces,
+      leaves, forests and their birth events) equals its reference definition over
+      a preorder walk
     - resolution stop expands exactly the cells no shorter than epsilon
     - a tree past MAX_NODES is refused; an invalid model is refused, also
       after an equal model with a looser tol was sampled
@@ -32,8 +33,8 @@ Core claims:
       walks; a tree of exactly that size still grows
     - on drawn models, limits and seed lists (hypothesis, derandomized) both
       paths grow the same table or refuse with the same message, and the
-      preorder root ranges, the pieces and per-root z equal the old walk
-      down `first`
+      preorder root ranges and per-root z equal the old walk down `first`, and
+      check_bracketing's pieces are the depth-n atoms between that walk's bounds
 """
 import functools
 import math
@@ -53,9 +54,10 @@ from cantorstring import _native
 from cantorstring._rng import child_state, root_states, splitmix64
 from cantorstring.branching import PopulationRun, simulate_populations, z_by_root
 from cantorstring.ifs import model_from_dict, model_to_dict
-from cantorstring.measure import piece_cells
+from cantorstring.measure import CollapsedCells
+from cantorstring.stieltjes import check_bracketing, depth_string
 from cantorstring.tree import StopRule, node_addresses
-from conftest import tie_model
+from conftest import forest_piece_cells, tie_model
 
 ARRAYS = ("letter", "ratio", "offset", "mass", "sigma", "rank", "first", "levels")
 DTYPES = dict(zip(ARRAYS, (np.int32, *[np.float64] * 4, np.int32, np.int32, np.int64)))
@@ -261,7 +263,7 @@ class TestNodeTable:
                                np.arange(1, tree.nodes.first[1], dtype=np.uint64))
             grown = [tree.nodes, sample_tree(model, StopRule.resolution(2e-3), 2).nodes,
                      tree_module._grow(model, root_states(range(4)), depth=3),
-                     tree_module._grow(model, kids, depth=4)]  # piece_cells' forest
+                     tree_module._grow(model, kids, depth=4)]  # forest_piece_cells' forest
             for seeds in ([7], [3, 4, 5]):
                 run = simulate_populations(model, 6.0, seeds)
                 assert run.sigma is run.nodes.sigma and run.first is run.nodes.first
@@ -290,7 +292,7 @@ class TestNodeTable:
         assert tree_module.MAX_NODES < 2**31
         for _ in both_paths():
             tree = sample_tree(third_fifth, StopRule.resolution(1e-4), 0)
-            piece = piece_cells(sample_tree(third_fifth, StopRule.depth(5), 0), 5)[0]
+            piece = forest_piece_cells(sample_tree(third_fifth, StopRule.depth(5), 0), 5, 0)[0]
             run = simulate_population(third_fifth, 8.0, 0)
             for nodes in (tree.nodes, piece.nodes, run.nodes):
                 for name, dtype in DTYPES.items():
@@ -341,7 +343,7 @@ def test_address_views_match_reference(name, stop, seed):
         assert [c.address for c in build_cells(tree, n).cells] == addresses[
             levels[n]:levels[n + 1]]
     for n in complete[1:]:
-        pieces = piece_cells(tree, n)
+        pieces = forest_piece_cells(tree, n, seed)
         assert [[c.address for c in piece.cells] for piece in pieces] == [
             [a[1:] for a in everything if len(a) == n and a[0] == i]
             for i in range(1, len(pieces) + 1)]
@@ -651,18 +653,26 @@ class TestGrowthDifferential:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(drawn_models(), st.integers(0, 2**64 - 1), st.integers(1, 6))
     def test_pieces_split_at_root_ranges(self, model, seed, depth):
+        """check_bracketing's piece i is the depth-n string's atoms between child i's
+        bounds of a walk down `first` from the root's children, on child i's cell."""
         with mock.patch.object(tree_module, "MAX_NODES", self.CAP):
             try:
                 tree = sample_tree(model, StopRule.depth(depth), seed)
             except ValueError:
                 return
-            kids = child_state(root_states([seed]),
-                               np.arange(1, tree.nodes.first[1], dtype=np.uint64))
+            first, levels = tree.nodes.first, tree.nodes.levels
+            ends = np.arange(first[0], first[1] + 1)  # generation n's bounds, n = 1 first
             for n in range(1, depth + 1):
-                forest = tree_module._grow(model, kids, depth=n - 1)
-                ends = root_bounds(forest)[n - 1].tolist()
-                pieces = piece_cells(tree, n)
-                assert len(pieces) == kids.size
-                for piece, lo, hi in zip(pieces, ends, ends[1:]):
-                    assert piece.mass.tobytes() == forest.mass[lo:hi].tobytes()
-                    assert piece.left.tobytes() == forest.offset[lo:hi].tobytes()
+                try:
+                    check_bracketing(tree, n, 1.0)
+                except CollapsedCells:  # tiny ratios: cells at depth n collapsed
+                    return
+                whole, kids = depth_string(tree, n), build_cells(tree, 1)
+                pieces = tree.memo["bracketing"][n]
+                assert len(pieces) == kids.mass.size
+                cuts = (ends - levels[n]).tolist()
+                for k, (piece, lo, hi) in enumerate(zip(pieces, cuts, cuts[1:])):
+                    assert piece.interval == (kids.left[k], kids.right[k])
+                    assert piece.positions.tobytes() == whole.positions[lo:hi].tobytes()
+                    assert piece.masses.tobytes() == whole.masses[lo:hi].tobytes()
+                ends = first[ends]
