@@ -8,7 +8,6 @@ command reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
 import os
@@ -98,29 +97,30 @@ def _stop_rule(args) -> StopRule:
 def _write_json(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        _write_all([(out, lambda path: Path(path).write_text(text))])
     else:
         sys.stdout.write(text)
 
 
 def _write_all(outputs: Sequence[Tuple[Optional[str], Callable[[str], None]]]) -> None:
-    """write(temporary) for each (path, write) with a path, then every temporary moved onto
-    its path: an output that cannot be written leaves none of them behind."""
-    staged = []
+    """Call write(target) for each (path, write) with a path; a failed write raises OSError
+    naming the path. A missing path or a regular file (by lstat) is staged: its target is a
+    temporary, moved onto it once every output is written. Any other path (a symlink, FIFO,
+    device or directory) is its own target, written after the temporaries and never taken
+    back. So a failed output leaves every regular file as it was, and no temporary."""
+    outputs = [(path, write) for path, write in outputs if path]
+    staged = {path: f"{path}.{os.getpid()}.tmp" for path, _ in outputs
+              if not os.path.lexists(path) or os.path.isfile(path) and not os.path.islink(path)}
     try:
-        for path, write in outputs:
-            if path:
-                if os.path.isdir(path):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-                staged.append((f"{path}.{os.getpid()}.tmp", path))
-                try:
-                    write(staged[-1][0])
-                except OSError as err:
-                    raise OSError(err.errno, err.strerror, path) from err
-        for temporary, path in staged:
+        for path, write in sorted(outputs, key=lambda output: output[0] not in staged):
+            try:
+                write(staged.get(path, path))
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, path) from err
+        for path, temporary in staged.items():
             os.replace(temporary, path)
     finally:
-        for temporary, _ in staged:
+        for temporary in staged.values():
             if os.path.exists(temporary):
                 os.remove(temporary)
 
@@ -162,8 +162,8 @@ def cmd_curve(args) -> int:
     except ValueError as err:
         _fail(str(err))
     samples = counting_curve(string, grid)
-    export_curve_csv(samples, args.out, header=_header(model, args.seed),
-                     boundary=args.boundary)
+    _write_all([(args.out, lambda path: export_curve_csv(
+        samples, path, header=_header(model, args.seed), boundary=args.boundary))])
     for x, ok in zip(grid, verdicts):
         print(f"x={float(x)!r} bracketing={'true' if ok else 'false'}")
     return 0

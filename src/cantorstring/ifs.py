@@ -99,6 +99,16 @@ class IfsModel:
         """Addresses of the contiguous `tables` arrays, taken once, for the compiled growth."""
         return tuple(array.ctypes.data for array in self.tables)
 
+    @cached_property
+    def extreme_steps(self) -> Tuple[Tuple[float, float], ...]:
+        """(cell length, birth time) after k < 64 steps of the least ratio and the largest
+        tau of `tables` from the root, by the walks' float steps, taken once for `_grow`."""
+        r_min, tau_max = float(self.tables[2].min()), float(self.tables[5].max())
+        steps = [(self.interval[1] - self.interval[0], 0.0)]
+        while len(steps) < 64:
+            steps.append((steps[-1][0] * r_min, steps[-1][1] + tau_max))
+        return tuple(steps)
+
 
 def make_letter(letter_id: str, maps: Sequence[Tuple[float, float]], weights: Sequence[float]) -> Letter:
     """Build a Letter from (ratio, offset) pairs."""

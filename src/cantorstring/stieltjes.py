@@ -321,8 +321,6 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     Raises CollapsedCells where depth-n cells are so narrow, against the float
     spacing, that a piece's atoms do not lie strictly inside its cell.
     """
-    if not x >= 0:
-        raise ValueError("spectral parameter x must be >= 0")
     memo = tree.memo.setdefault("bracketing", {})
     if n not in memo:
         _require_depth(tree, n, least=1)

@@ -83,15 +83,19 @@ def _grow(model: IfsModel, states: np.ndarray, depth: int = sys.maxsize,
     an invalid model (model.tables validates it) and, ending in `remedy`, past MAX_NODES.
     The compiled walks of _native.c count the generations, refusing before anything is
     allocated, then fill the table; without the library the numpy loop grows it."""
-    tables, library = model.tables, _native.library()
-    # every letter has >= 2 maps, so R roots grown to depth D alone have at least
-    # R (2^(D+1) - 1) nodes: a depth too deep for MAX_NODES is refused without a walk
-    if min_length == -math.inf and max_sigma == math.inf and (
-            states.size * (2 ** (int(min(depth, 64)) + 1) - 1) > MAX_NODES):
-        _refuse(-1, remedy)
+    tables, library, (a, b) = model.tables, _native.library(), model.interval
+    # every letter has >= 2 maps, so R roots whose nodes above depth D all expand have at
+    # least R (2^(D+1) - 1) nodes. Rounding is monotone: no node of depth k has a shorter
+    # cell or a later birth than k steps of the least ratio and the largest tau give. So a
+    # growth that must pass MAX_NODES this way is refused without a walk (past MAX_NODES
+    # roots, least D is 0 and any refusal is right)
+    if states.size:
+        least = (MAX_NODES // states.size + 1).bit_length() - 1  # least D past MAX_NODES
+        length, sigma = model.extreme_steps[least - 1]  # depth least - 1 must expand
+        if depth >= least and length >= min_length and sigma <= max_sigma:
+            _refuse(-1, remedy)
     if library is None:
         return _grow_numpy(model, states, depth, min_length, max_sigma, remedy)
-    a, b = model.interval
     states = np.ascontiguousarray(states, np.uint64)  # the walks read states.size of them
     head = (*model.table_addresses, tables[-1].size, min(depth, sys.maxsize), min_length,
             max_sigma, states.size, states.ctypes.data, b - a, MAX_NODES)

@@ -19,19 +19,28 @@ Core claims:
       and its meta names the seed that ran;
       a population past MAX_NODES exits 2 naming --tmax, and a mean-R batch
       whose forest is past it is regrown seed by seed to the same bytes
-    - an output path that cannot be written (a missing directory, or a directory)
-      exits 2 naming it, for every output flag, and leaves none of the command's
-      outputs behind (an existing file keeps its bytes)
+    - an output path that cannot be written (a missing directory, a directory, or
+      a write that fails partway) exits 2 naming it, for every output flag, and
+      leaves none of the command's outputs behind (an existing file keeps its
+      bytes, no temporary is left, and a symlink after the failing output is not
+      written through)
+    - a symlink or a FIFO given as an output stays what it is and receives the
+      bytes a regular file would, for every output flag
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
     - curve, exponent and branching run in an interpreter where importing
       scipy fails, and importing the package imports no scipy
 """
+import contextlib
+import errno
 import json
 import math
 import os
+import select
 import subprocess
 import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -526,31 +535,136 @@ OUTPUT_FLAGS = {  # every output flag of every command, given a path after --mod
 }
 
 
+def run_output(command, model, out):
+    """Run OUTPUT_FLAGS[command] with its output path out."""
+    name, *flags = OUTPUT_FLAGS[command]
+    return run_cli([name, "--model", model, *flags, out])
+
+
+def write_half(path, text, *args, **kwargs):
+    """Path.write_text cut short, as a full disk or a file size limit cuts it."""
+    with open(path, "w") as file:
+        file.write(text[:len(text) // 2])
+    raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    """A FIFO and a thread draining it: yields (path, received), where received() returns
+    the bytes read. The read end is opened before any writer, without blocking, so opening
+    the write end never waits and a FIFO replaced by a file leaves no reader hanging."""
+    path = tmp_path / "fifo.out"
+    os.mkfifo(path)
+    fd, chunks, done = os.open(path, os.O_RDONLY | os.O_NONBLOCK), [], threading.Event()
+
+    def drain():  # until the writer closes the FIFO, or received() or teardown stops it
+        while not done.is_set():
+            if select.select([fd], [], [], 0.01)[0]:
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    return
+                chunks.append(chunk)
+
+    def received():
+        done.set()
+        reader.join(timeout=5)
+        assert not reader.is_alive()
+        with contextlib.suppress(BlockingIOError):  # what the thread had not read yet
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    yield path, received
+    done.set()
+    reader.join(timeout=5)
+    os.close(fd)
+
+
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "dangling-link"])
     @pytest.mark.parametrize("command", OUTPUT_FLAGS)
     def test_exit_2(self, tf_model, tmp_path, capsys, command, target):
+        # a symlink into a missing directory is written through, not replaced by a file
         out = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
-        name, *flags = OUTPUT_FLAGS[command]
+        if target == "dangling-link":
+            out = tmp_path / "x.out"
+            out.symlink_to("missing/x.out")
         with pytest.raises(SystemExit) as err:
-            run_cli([name, "--model", tf_model, *flags, out])
+            run_output(command, tf_model, out)
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+        assert out.is_symlink() or target != "dangling-link"
 
-    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
-    def test_no_output_left(self, tf_model, tmp_path, capsys, bad):
-        # the events CSV is written first, but none is left when a later output fails;
-        # an existing file at a path keeps its bytes
-        events, z_out = tmp_path / "events.csv", tmp_path / "z.csv"
-        z_out.write_text("kept\n")
-        failing = tmp_path / "missing" / "m.csv" if bad == "missing-dir" else tmp_path
+    @pytest.mark.parametrize("command", OUTPUT_FLAGS)
+    def test_failed_write_keeps_file(self, tf_model, tmp_path, capsys, monkeypatch, command):
+        # the write fails partway: the file keeps its bytes, no temporary is left, and the
+        # message names the path
+        out = tmp_path / "x.out"
+        out.write_text("previous\n" * 500)
+        monkeypatch.setattr(Path, "write_text", write_half)
         with pytest.raises(SystemExit) as err:
-            run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
-                     "--out", events, "--martingale-out", failing, "--z-out", z_out])
+            run_output(command, tf_model, out)
         assert err.value.code == 2
-        assert capsys.readouterr().err.startswith(f"cannot write {failing}: ")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.csv"]
-        assert z_out.read_text() == "kept\n"
+        assert capsys.readouterr().err == f"cannot write {out}: File too large\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.out"]
+        assert out.read_text() == "previous\n" * 500
+
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory", "dangling-link"])
+    def test_no_output_left(self, tf_model, tmp_path, capsys, bad):
+        # the events CSV is written first, but none is left when a later output fails, be
+        # it staged or opened in place (a symlink into a missing directory, which staging
+        # would replace with a file); an existing file at a path keeps its bytes, and an
+        # output opened in place (a symlink) is written only after every staged one
+        for z_kind in ("regular", "symlink"):
+            root = tmp_path / z_kind
+            root.mkdir()
+            events, z_out, z_target = (root / name for name in ("events.csv", "z.csv", "z0"))
+            if z_kind == "symlink":
+                z_target.write_text("kept\n")
+                z_out.symlink_to(z_target.name)
+            else:
+                z_out.write_text("kept\n")
+            failing = root / "missing" / "m.csv" if bad == "missing-dir" else root
+            if bad == "dangling-link":
+                failing = root / "m.csv"
+                failing.symlink_to("missing/m.csv")
+            with pytest.raises(SystemExit) as err:
+                run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
+                         "--out", events, "--martingale-out", failing, "--z-out", z_out])
+            assert err.value.code == 2
+            assert capsys.readouterr().err.startswith(f"cannot write {failing}: ")
+            assert sorted(p.name for p in root.iterdir()) == sorted(
+                (["m.csv"] if bad == "dangling-link" else [])
+                + (["z.csv", "z0"] if z_kind == "symlink" else ["z.csv"]))
+            assert z_out.is_symlink() == (z_kind == "symlink")
+            assert z_out.read_text() == "kept\n"
+
+
+class TestInPlaceOutput:
+    """A path that is not a regular file is written as named, to the same bytes."""
+
+    @pytest.mark.parametrize("command", OUTPUT_FLAGS)
+    def test_symlink_written_through(self, tf_model, tmp_path, command):
+        plain, link, target = tmp_path / "plain.out", tmp_path / "link.out", tmp_path / "t"
+        run_output(command, tf_model, plain)
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        run_output(command, tf_model, link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "plain.out", "t"]
+
+    @pytest.mark.parametrize("command", OUTPUT_FLAGS)
+    def test_fifo_streamed(self, tf_model, tmp_path, fifo, command):
+        path, received = fifo
+        plain = tmp_path / "plain.out"
+        run_output(command, tf_model, plain)
+        run_output(command, tf_model, path)
+        assert path.is_fifo()
+        assert received() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.out", "plain.out"]
 
 
 def fresh_python(code, *args):

@@ -3,6 +3,8 @@
 Core claims:
     - gamma_r of the third-fifth model matches an independent brentq solve
       of (1/6)^g + (1/15)^g = 5/6 and the literature value 0.396403
+    - a model the loosest tolerance admits with f(1) > 1 has its root found
+      past the first bracket, with residual 0
     - closed forms: ln2/ln6 for the middle-third letter, 1/2 for the
       Lebesgue-like letter, Hausdorff dimensions ln2/ln3 and ln3/ln5
     - gamma_h has the log-mean closed form and is strictly below gamma_r
@@ -68,6 +70,19 @@ class TestRecursiveExponent:
             model = random_model(seed)
             gamma = solve_recursive_exponent(model)
             assert abs(mean_product_power(model, gamma) - 1.0) <= 1e-14
+
+    def test_bracket_expands_past_one(self):
+        # the loosest tolerance, 1e-3, admits cells overlapping by ~1e-3 and weights
+        # summing to ~1 + 1e-3: f(1) > 1, so the root lies past the first bracket [0, 1]
+        letter = make_letter("loose", [(1 - 1e-9, 0.0), (1e-3 + 1e-9, 1 - 1e-3 - 1e-9)],
+                             (1 - 1e-9, 9.999e-4))
+        model = IfsModel((0.0, 1.0), (letter,), (1.0,), tol=1e-3)
+        assert ifs.validate_model(model) == []
+        assert mean_product_power(model, 1.0) > 1.0
+        gamma = solve_recursive_exponent(model)
+        assert gamma == 1.4242218536371447
+        assert mean_product_power(model, gamma) - 1.0 == 0.0
+        assert solve_homogeneous_exponent(model) == gamma  # one letter: gamma_h is gamma_r
 
     def test_f_strictly_decreasing(self):
         for seed in range(10):

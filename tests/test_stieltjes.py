@@ -9,7 +9,8 @@ Core claims:
     - Dirichlet-Neumann gap stays in {0, 1, 2}; counts are monotone and
       saturate at n
     - exact mass and geometric scaling identities of the pencil
-    - the four-term bracketing chain holds on sampled trees
+    - the four-term bracketing chain holds on sampled trees, and a negative
+      or NaN x is refused with the counts' message
     - the compiled C loop and the chunked numpy reference sweep (both
       boundaries at once) give identical counts at 1, 2, 3, 8, 9, 17 and 40
       shifts and across the C loop's 256-shift tile (257 and 600), ties,
@@ -970,6 +971,15 @@ class TestBracketing:
     def test_trivial_at_zero(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(3), 2)
         assert check_bracketing(tree, 3, 0.0)
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan])
+    def test_bad_x_refused(self, third_fifth, x, both_paths):
+        # the count of the whole string refuses x, as every count does
+        tree = sample_tree(third_fifth, StopRule.depth(3), 2)
+        for _ in both_paths():
+            with pytest.raises(ValueError) as err:
+                check_bracketing(tree, 3, x)
+            assert str(err.value) == "spectral parameter x must be >= 0"
 
     def test_random_trees(self, third_fifth):
         for seed in range(25):

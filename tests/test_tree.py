@@ -28,9 +28,11 @@ Core claims:
       numpy loop does, refuses the same trees (a depth past int64 included),
       never draws a letter of probability 0, and refuses a tree before it
       allocates its arrays
-    - a depth-only growth whose 2^(D+1) - 1 nodes a root already pass
-      MAX_NODES is refused, with the walk's message, before either path
-      walks; a tree of exactly that size still grows
+    - a growth whose 2^(D+1) - 1 nodes a root already pass MAX_NODES, because
+      every node above depth D must expand under the depth, the least ratio's
+      cell lengths and the largest tau's birth times, is refused, with the
+      walk's message, before either path walks; a tree of exactly that size
+      still grows, at either end of the length and birth limits that give it
     - on drawn models, limits and seed lists (hypothesis, derandomized) both
       paths grow the same table or refuse with the same message, and the
       preorder root ranges and per-root z equal the old walk down `first`, and
@@ -422,6 +424,20 @@ def both_growths(both_paths, model, states, **limits):
     return out
 
 
+def refused_unwalked(monkeypatch, grow, message):
+    """grow() raises ValueError(message) on both paths with the walks forbidden."""
+    def walked(*args, **kwargs):
+        raise AssertionError("a growth past the size bound was walked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "_grow_numpy", walked)
+        for library in (mock.Mock(grow_count=walked, grow_fill=walked), None):
+            patch.setattr(_native, "library", lambda: library)
+            with pytest.raises(ValueError) as err:
+                grow()
+            assert str(err.value) == message
+
+
 def assert_same_tables(compiled, reference):
     for name in ARRAYS:
         got, want = getattr(compiled, name), getattr(reference, name)
@@ -492,16 +508,21 @@ class TestCompiledGrowth:
     @pytest.mark.parametrize("depth", [23, 2**64, sys.maxsize])
     def test_too_deep_refused_before_walking(self, third_fifth, depth, monkeypatch):
         # 2^24 - 1 > 10^7 nodes: a root grown to depth 23 alone passes MAX_NODES
-        def walked(*args, **kwargs):
-            raise AssertionError("a depth-only tree past the size bound was walked")
+        refused_unwalked(monkeypatch, lambda: sample_tree(third_fifth, StopRule.depth(depth), 0),
+                         "tree would exceed 10000000 nodes; "
+                         "use a larger epsilon or a smaller depth")
 
-        monkeypatch.setattr(tree_module, "_grow_numpy", walked)
-        for library in (mock.Mock(grow_count=walked, grow_fill=walked), None):
-            monkeypatch.setattr(_native, "library", lambda: library)
-            with pytest.raises(ValueError) as err:
-                sample_tree(third_fifth, StopRule.depth(depth), 0)
-            assert str(err.value) == ("tree would exceed 10000000 nodes; "
-                                      "use a larger epsilon or a smaller depth")
+    @pytest.mark.parametrize("grow, remedy", [
+        (lambda model: sample_tree(model, StopRule.resolution(1e-300), 0),
+         "use a larger epsilon or a smaller depth"),
+        (lambda model: simulate_population(model, 1e308, 0), "use a smaller --tmax")],
+        ids=["epsilon-1e-300", "tmax-1e308"])
+    def test_too_fine_or_late_refused_before_walking(self, third_fifth, grow, remedy,
+                                                      monkeypatch):
+        # every node above depth 23 expands, as under a depth of 23: the cells stay
+        # longer than epsilon and the births come before t_max
+        refused_unwalked(monkeypatch, lambda: grow(third_fifth),
+                         f"tree would exceed 10000000 nodes; {remedy}")
 
     @pytest.mark.parametrize("roots", [1, 3])
     def test_size_bound_is_exact_for_two_maps(self, roots, both_paths, monkeypatch):
@@ -515,6 +536,32 @@ class TestCompiledGrowth:
         refused = both_growths(both_paths, model, states, depth=6)
         assert refused == [f"tree would exceed {size - 1} nodes; "
                            "use a larger epsilon or a smaller depth"] * 2
+
+    @pytest.mark.parametrize("roots", [1, 3])
+    def test_sigma_and_length_bounds_are_exact(self, roots, both_paths, monkeypatch):
+        # every middle-third node has 2 children, a cell r times its parent's and a birth
+        # tau after it: at either end of the limits under which the walk grows depth D,
+        # the bound lets both paths grow the R (2^(D+1) - 1) nodes, and it refuses them
+        # under a budget of one node fewer without a walk
+        model, states = single_letter_model(middle_third_letter()), root_states(range(roots))
+        (r,), (tau,) = set(model.tables[2].tolist()), set(model.tables[5].tolist())
+        length, sigma = [model.interval[1] - model.interval[0]], [0.0]
+        for _ in range(7):  # depth k's length and birth, by the walk's own float steps
+            length.append(length[-1] * r)
+            sigma.append(sigma[-1] + tau)
+        for depth in range(1, 7):
+            size = roots * (2 ** (depth + 1) - 1)
+            for limits in ({"max_sigma": sigma[depth - 1]},
+                           {"max_sigma": math.nextafter(sigma[depth], -math.inf)},
+                           {"min_length": length[depth - 1]},
+                           {"min_length": math.nextafter(length[depth], math.inf)}):
+                monkeypatch.setattr(tree_module, "MAX_NODES", size)
+                grown = both_growths(both_paths, model, states, **limits)
+                assert [nodes.letter.size for nodes in grown] == [size] * 2, limits
+                monkeypatch.setattr(tree_module, "MAX_NODES", size - 1)
+                refused_unwalked(monkeypatch, lambda: tree_module._grow(model, states, **limits),
+                                 f"tree would exceed {size - 1} nodes; "
+                                 "use a larger epsilon or a smaller depth")
 
     def test_refusal_allocates_no_arrays(self, third_fifth, monkeypatch):
         # the count walk refuses before any generation array is allocated; the numpy
