@@ -40,8 +40,10 @@
    A merged lane keeps off = cn - cd, runs the Dirichlet step alone, and
    gets dn = dd and cn = cd + off back before a row whose diagonals differ
    and at the end: its counts and last pivots keep their bits. Narrower
-   sweeps save too few divides to pay for this; one shift keeps both chains
-   in registers and guards with the branch. */
+   sweeps save too few divides to pay for this, and the plain sweep's rows
+   are unrolled and jammed two at a time at -O3, which a live width that
+   changes after any row rules out; one shift keeps both chains in registers
+   and guards with the branch. */
 #include <float.h>
 #include <stdint.h>
 #include <string.h>

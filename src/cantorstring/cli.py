@@ -8,6 +8,7 @@ command reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -107,8 +108,14 @@ def _write_all(outputs: Sequence[Tuple[Optional[str], Callable[[str], None]]]) -
     naming the path. A missing path or a regular file (by lstat) is staged: its target is a
     temporary, moved onto it once every output is written. Any other path (a symlink, FIFO,
     device or directory) is its own target, written after the temporaries and never taken
-    back. So a failed output leaves every regular file as it was, and no temporary."""
+    back. So a failed output leaves every regular file as it was, and no temporary. Two
+    outputs that resolve to one file (not a character device such as /dev/null) are
+    refused before any write: staging would fold them onto one temporary."""
     outputs = [(path, write) for path, write in outputs if path]
+    targets = [os.path.realpath(path) for path, _ in outputs]
+    for k, (path, _) in enumerate(outputs):
+        if targets[k] in targets[:k] and not Path(path).is_char_device():
+            raise OSError(errno.EINVAL, "another output names the same file", path)
     staged = {path: f"{path}.{os.getpid()}.tmp" for path, _ in outputs
               if not os.path.lexists(path) or os.path.isfile(path) and not os.path.islink(path)}
     try:

@@ -89,10 +89,11 @@ def _frozen(values: Sequence[float]) -> np.ndarray:
 class StieltjesString:
     """Point masses on an interval, with the pencils' diagonals cached.
 
-    Atoms must lie strictly inside (a, b); coincident positions are merged
-    at construction (masses summed), so interior links are strictly
-    positive. A link whose 1/l overflows is rejected, and so is an interior
-    one whose 1/l**2 does: the pivot recurrence squares the off-diagonal.
+    Atoms must lie strictly inside (a, b) at strictly increasing positions,
+    as atomized measures do, so interior links are strictly positive;
+    unsorted or repeated positions are refused. A link whose 1/l overflows
+    is rejected, and so is an interior one whose 1/l**2 does: the pivot
+    recurrence squares the off-diagonal.
     Links and diagonals are built in place. Positions and masses are kept
     as given if they are C-contiguous float64 arrays no one can write (read-
     only down the .base chain, as atoms are), else copied; all are read-only.
@@ -109,11 +110,8 @@ class StieltjesString:
             raise ValueError("interval, positions and masses must be finite")
         if np.any(mas <= 0):
             raise ValueError("masses must be positive")
-        if not (pos[1:] > pos[:-1]).all():  # unsorted or repeated: sort, then merge repeats
-            order = np.argsort(pos, kind="stable")
-            pos, mas = pos[order], mas[order]
-            keep = np.concatenate(([True], np.diff(pos) > 0))
-            pos, mas = pos[keep], np.add.reduceat(mas, np.flatnonzero(keep))
+        if not (pos[1:] > pos[:-1]).all():
+            raise ValueError("positions must be strictly increasing")
         if pos[0] <= a or pos[-1] >= b:
             raise ValueError("atoms must lie strictly inside the interval")
         self.interval = (a, b)

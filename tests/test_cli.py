@@ -26,6 +26,8 @@ Core claims:
       written through)
     - a symlink or a FIFO given as an output stays what it is and receives the
       bytes a regular file would, for every output flag
+    - two outputs naming one file (the same name, a.csv and ./a.csv, a symlink and
+      its target) exit 2 naming it before any write; /dev/null may be named thrice
     - compare rules strictly-less on third-fifth and finds zero violations
       on a random batch
     - curve, exponent and branching run in an interpreter where importing
@@ -640,6 +642,32 @@ class TestUnwritableOutput:
                 + (["z.csv", "z0"] if z_kind == "symlink" else ["z.csv"]))
             assert z_out.is_symlink() == (z_kind == "symlink")
             assert z_out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("form", ["same-name", "dot-path", "symlink"])
+    def test_one_file_named_twice_exit_2(self, tf_model, tmp_path, capsys, monkeypatch, form):
+        # staging folded the paths onto one temporary: the file held only the z table
+        monkeypatch.chdir(tmp_path)
+        outputs = {"same-name": ["same.csv"] * 3, "dot-path": ["a.csv", "./a.csv", "b.csv"],
+                   "symlink": ["t.csv", "b.csv", "link.csv"]}[form]
+        if form == "symlink":
+            Path("t.csv").write_text("kept\n")
+            Path("link.csv").symlink_to("t.csv")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as err:
+            run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4,
+                     *(arg for pair in zip(("--out", "--martingale-out", "--z-out"), outputs)
+                       for arg in pair)])
+        assert err.value.code == 2
+        twice = "link.csv" if form == "symlink" else outputs[1]
+        assert capsys.readouterr().err == (
+            f"cannot write {twice}: another output names the same file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert form != "symlink" or Path("t.csv").read_text() == "kept\n"
+
+    def test_dev_null_named_thrice(self, tf_model, capsys):
+        run_cli(["branching", "--model", tf_model, "--seed", 1, "--tmax", 4, "--out",
+                 os.devnull, "--martingale-out", os.devnull, "--z-out", os.devnull])
+        assert capsys.readouterr().err == ""
 
 
 class TestInPlaceOutput:

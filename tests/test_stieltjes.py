@@ -19,9 +19,10 @@ Core claims:
     - sweeps of 32 shifts or more stop sweeping a Neumann chain once its
       pivot has the Dirichlet pivot's bits, and still give every count and
       last pivot of the plain two-chain recurrence: on long third-fifth
-      strings (the numpy replay of the merge rule shows which lanes merge)
-      and on crafted pencils whose diagonals differ in an interior row but
-      not in the last, with a NaN lane and +0/-0 pivots, which never merge
+      strings at 1 to 257 shifts, 31 and 32 among them (the numpy replay of
+      the merge rule shows which lanes merge) and on crafted pencils whose
+      diagonals differ in an interior row but not in the last, with a NaN
+      lane and +0/-0 pivots, which never merge
     - on drawn strings (hypothesis, derandomized: masses 1e-300..1e300,
       equal masses, uniform strings, zero-pivot shapes) and drawn shifts
       (0, 5e-324, 1e300, inf, repeats; widths 1-300, every remainder mod 4)
@@ -32,8 +33,8 @@ Core claims:
     - StieltjesString.uniform names a negative or non-integer atom count
     - the constructor builds its links, squares and diagonals in place and keeps the
       bytes of the former np.diff / concatenate expressions: on epsilon = 1e-6 leaf
-      strings, depth strings and pieces, unsorted input with repeats, one atom, and the
-      refusals of links that are too short (same message)
+      strings, depth strings and pieces, one atom, and the refusals of unsorted or
+      repeated positions and of links that are too short (same message)
     - a string copies its inputs unless they are C-contiguous float64 arrays that no
       one can write (read-only down the whole .base chain): writing to an input or to
       its writeable base afterwards leaves the string's bytes unchanged; cells and atoms
@@ -213,13 +214,13 @@ def lane_cases():
 
 def merging_cases():
     """(string, shifts) of TestSweepPaths.test_merged_lanes: third-fifth strings of ~2 000 and
-    ~700 atoms at 1, 3, 17, 120 and 257 sorted shifts up to 1e9."""
+    ~700 atoms at 1, 2, 3, 17, 31, 32, 120 and 257 sorted shifts up to 1e9."""
     rng = random.Random(59)
     cases = []
     for seed, epsilon in ((0, 1e-5), (1, 3e-5)):
         tree = sample_tree(third_fifth_model(), StopRule.resolution(epsilon), seed)
         s = StieltjesString.from_measure(atomize(leaf_cells(tree)))
-        for width in (1, 3, 17, 120, 257):
+        for width in (1, 2, 3, 17, 31, 32, 120, 257):
             cases.append((s, np.array(sorted(10 ** rng.uniform(0, 9) for _ in range(width)))
                           * TIE_SHIFT))
     return cases
@@ -342,25 +343,23 @@ class TestBasics:
             assert count_dirichlet(s, x) == dense_count(s, x, "dirichlet")
             assert count_neumann(s, x) == dense_count(s, x, "neumann")
 
-    def test_duplicate_atoms_merged(self):
-        s = StieltjesString((0.0, 1.0), [0.5, 0.5, 0.7], [0.3, 0.2, 0.5])
-        assert s.n == 2
-        assert s.masses.tolist() == [0.5, 0.5]
+    def test_unsorted_or_repeated_atoms_refused(self):
+        # no sort and merge: atomized measures and their pieces are strictly increasing
+        for positions in ([0.5, 0.5, 0.7], [0.7, 0.2, 0.5], [0.2, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="positions must be strictly increasing"):
+                StieltjesString((0.0, 1.0), positions, [0.3, 0.2, 0.5])
 
 
 def former_string_arrays(interval, positions, masses):
     """positions, masses, _b2, _diags and _pivmin as the constructor once built them, from
     np.diff gaps, concatenated links and a zeroed diagonal block: the bit-for-bit reference
-    of the in-place build. Raises the same ValueError for a link that is too short."""
+    of the in-place build. Raises the same ValueError for positions that do not increase
+    strictly and for a link that is too short."""
     a, b = float(interval[0]), float(interval[1])
     pos, mas = np.array(positions, dtype=float), np.array(masses, dtype=float)
     gaps = np.diff(pos)
     if not (gaps > 0).all():
-        order = np.argsort(pos, kind="stable")
-        pos, mas = pos[order], mas[order]
-        keep = np.concatenate(([True], np.diff(pos) > 0))
-        pos, mas = pos[keep], np.add.reduceat(mas, np.flatnonzero(keep))
-        gaps = np.diff(pos)
+        raise ValueError("positions must be strictly increasing")
     links = np.concatenate(([pos[0] - a], gaps, [b - pos[-1]]))
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / links
@@ -376,8 +375,8 @@ def former_string_arrays(interval, positions, masses):
 
 def construction_cases():
     """(interval, positions, masses) of: epsilon = 1e-6 leaf atoms, depth-6 atoms, their
-    bracketing pieces and the child subtrees' atoms (the reference forest), unsorted input
-    with repeats, one atom, and links too short."""
+    bracketing pieces and the child subtrees' atoms (the reference forest), one atom, and
+    the refusals: unsorted input with repeats and links too short."""
     model = third_fifth_model()
     for seed in (0, 1):
         yield atomize(leaf_cells(sample_tree(model, StopRule.resolution(1e-6), seed)))
@@ -414,7 +413,7 @@ class TestConstruction:
                 new, old = np.asarray(new), np.asarray(old)
                 assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape,
                                                                  old.tobytes())
-        assert refused == 3
+        assert refused == 4
 
 
 class TestOwnership:
@@ -654,9 +653,9 @@ class TestSweepPaths:
         # long third-fifth strings at shifts up to 1e9: within the first half of the
         # string the top lanes' Dirichlet and Neumann pivots get the same bits and the C
         # loop sweeps them once; the lowest lanes never merge. The last row's diagonals differ, so
-        # every merged lane is restored before it. Widths 1, 3 and 17 sweep both chains
-        # throughout, 257 crosses the tile with a merging 256-lane tile and a lone lane
-        # and its pad lane
+        # every merged lane is restored before it. Widths 1, 2, 3, 17 and 31 sweep both
+        # chains throughout, 32 is the narrowest merging sweep, 257 crosses the tile with a
+        # merging 256-lane tile and a lone lane and its pad lane
         for s, shifts in merging_cases():
             width = shifts.size
             pivots, counts = kernel_sweep(kernel, s._diags, s.masses, s._b2, s._pivmin, shifts)
@@ -806,7 +805,7 @@ class TestBaselineBuild:
         _native._build(built)
         baseline = _native._typed(ctypes.CDLL(str(built)))
         cases = sweep_case_matrix()
-        assert len(cases) == 94
+        assert len(cases) == 100
         for diags, masses, b2, pivmin, shifts in cases:
             pivots, counts = kernel_sweep(kernel, diags, masses, b2, pivmin, shifts)
             expected, expected_counts = kernel_sweep(baseline, diags, masses, b2, pivmin, shifts)
