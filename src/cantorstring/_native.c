@@ -43,7 +43,13 @@
    sweeps save too few divides to pay for this, and the plain sweep's rows
    are unrolled and jammed two at a time at -O3, which a live width that
    changes after any row rules out; one shift keeps both chains in registers
-   and guards with the branch. */
+   and guards with the branch (step).
+
+   Bracketing. bracket_counts steps four independent chains in one pass over a
+   string's rows at one shift, so four divides are in flight, not two: the
+   string's and those of the piece that owns the row (rows cuts[p] to cuts[p + 1]
+   - 1, with its own diagonals, b2 and pivmin). Each is step from d = 1 at its
+   first row, so each count has the bits of a one-shift call on its string. */
 #include <float.h>
 #include <stdint.h>
 #include <string.h>
@@ -126,6 +132,18 @@ static inline __attribute__((always_inline)) void sweep(SWEEP_ARGS, int merge)
 SWEEP(plain_sweep, 0)
 SWEEP(merging_sweep, 1)
 
+typedef struct { double d; int64_t count; } Chain;  /* a one-shift chain's pivot and count */
+
+static inline void step(Chain *chain, double diag, double xm, double b, double pivmin)
+{
+    chain->d = (diag - xm) - b / chain->d;
+    if (chain->d < pivmin) {
+        chain->count++;
+        if (chain->d > -pivmin)
+            chain->d = -pivmin;
+    }
+}
+
 void sturm_counts(SWEEP_ARGS)
 {
     if (ns >= MERGE_MIN) {
@@ -133,19 +151,36 @@ void sturm_counts(SWEEP_ARGS)
     } else if (ns > 1) {
         plain_sweep(n, ns, pivmin, diags, mass, b2, shifts, pivots, counts);
     } else if (ns == 1) {
-        double d[2] = {1.0, 1.0};
-        int64_t c[2] = {0, 0};
-        for (int64_t k = 0; k < n; k++)
-            for (int g = 0; g < 2; g++) {
-                d[g] = (diags[g * n + k] - mass[k] * shifts[0]) - b2[k] / d[g];
-                if (d[g] < pivmin) {
-                    c[g]++;
-                    if (d[g] > -pivmin)
-                        d[g] = -pivmin;
-                }
-            }
-        pivots[0] = d[0], pivots[1] = d[1], counts[0] = c[0], counts[1] = c[1];
+        Chain c[2] = {{1.0, 0}, {1.0, 0}};
+        for (int64_t k = 0; k < n; k++) {
+            const double xm = mass[k] * shifts[0];
+            step(&c[0], diags[k], xm, b2[k], pivmin);
+            step(&c[1], diags[n + k], xm, b2[k], pivmin);
+        }
+        pivots[0] = c[0].d, pivots[1] = c[1].d, counts[0] = c[0].count, counts[1] = c[1].count;
     }
+}
+
+void bracket_counts(int64_t n, double x, double pivmin, const double *restrict diags,
+                    const double *restrict mass, const double *restrict b2, int64_t pieces,
+                    const int64_t *restrict cuts, const double *restrict piece_pivmin,
+                    const double *restrict piece_diags, const double *restrict piece_b2,
+                    int64_t *restrict counts)
+{
+    Chain whole[2] = {{1.0, 0}, {1.0, 0}};
+    counts[2] = counts[3] = 0;
+    for (int64_t p = 0; p < pieces; p++) {
+        Chain piece[2] = {{1.0, 0}, {1.0, 0}};
+        for (int64_t k = cuts[p]; k < cuts[p + 1]; k++) {
+            const double xm = mass[k] * x;
+            step(&whole[0], diags[k], xm, b2[k], pivmin);
+            step(&whole[1], diags[n + k], xm, b2[k], pivmin);
+            step(&piece[0], piece_diags[k], xm, piece_b2[k], piece_pivmin[p]);
+            step(&piece[1], piece_diags[n + k], xm, piece_b2[k], piece_pivmin[p]);
+        }
+        counts[2] += piece[0].count, counts[3] += piece[1].count > 1 ? piece[1].count : 1;
+    }
+    counts[0] = whole[0].count, counts[1] = whole[1].count > 1 ? whole[1].count : 1;
 }
 
 

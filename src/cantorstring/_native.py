@@ -1,4 +1,4 @@
-"""The compiled loops of _native.c: the Sturm count sweep and the tree growth walks.
+"""The compiled loops of _native.c: the Sturm count sweep, the bracketing pass, tree growth.
 
 The first count or growth of a process compiles _native.c with sysconfig's CC,
 else cc, and `-O3 -shared -fPIC -ffp-contract=off` into $XDG_CACHE_HOME/cantorstring
@@ -34,6 +34,7 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # root length, max_nodes
 _GROW = (_P,) * 7 + (_I, _I, _D, _D, _I, _P, _D, _I)
 _SIGNATURES = {"sturm_counts": (_I, _I, _D) + (_P,) * 6,
+               "bracket_counts": (_I, _D, _D) + (_P,) * 3 + (_I,) + (_P,) * 5,
                "grow_count": _GROW + (_I, _P),
                "grow_fill": _GROW + (_I,) + (_P,) * 8}
 

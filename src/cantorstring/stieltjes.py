@@ -44,12 +44,15 @@ recurrence is the guarded one, so the chunk is redone from that row on.
 
 The Dirichlet-Neumann bracketing check cuts the depth-n string at the root
 children's cells: each piece is a string over a slice of the whole string's
-atoms, so the C loop reads it through interior pointers of shared arrays.
+atoms, views of shared arrays. With the pieces' diagonals and b2 joined once,
+one pass of the C loop counts the whole string and the piece that owns each
+row, four one-shift chains in step: every sum keeps its bits.
 """
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
@@ -220,7 +223,8 @@ def _counts(string: StieltjesString, xs: Sequence[float]) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not (xs >= 0).all():
         raise ValueError("spectral parameter x must be >= 0")
-    shifts = xs * TIE_SHIFT
+    with np.errstate(over="ignore"):  # x' overflows to inf near the float maximum, as in _pair
+        shifts = xs * TIE_SHIFT
     library = _native.library()
     if library is None:
         counts = _block_sweep(string, shifts)
@@ -305,6 +309,31 @@ def depth_string(tree: RandomTree, n: int) -> StieltjesString:
     return strings[n]
 
 
+def _piece_inputs(whole: StieltjesString, pieces: Sequence[StieltjesString]) -> tuple:
+    """bracket_counts' arrays of the pieces that cut whole (their atoms, in turn, are whole's),
+    joined, and their addresses: cuts, pivmin, diagonals, b2."""
+    arrays = (np.array([0, *accumulate(p.n for p in pieces)], dtype=np.int64),
+              np.array([p._pivmin for p in pieces]),
+              np.concatenate([p._diags for p in pieces], axis=1),
+              np.concatenate([p._b2 for p in pieces]))
+    if arrays[0][-1] != whole.n:  # the C pass reads whole's rows up to the last cut
+        raise ValueError(f"pieces hold {arrays[0][-1]} atoms, the whole string {whole.n}")
+    return arrays, tuple(array.ctypes.data for array in arrays)
+
+
+def _four_counts(whole: StieltjesString, pieces: Sequence[StieltjesString], inputs,
+                 x: float) -> Tuple[int, int, int, int]:
+    """(N_D(x), N_N(x)) of whole and their sums over its pieces, as _pair gives each, in one
+    C call (inputs = _piece_inputs(whole, pieces)); else, or if _pair refuses x, by _pair."""
+    library = _native.library()
+    if library is None or not x >= 0:
+        return (*_pair(whole, x), *map(sum, zip(*(_pair(piece, x) for piece in pieces))))
+    counts = (ctypes.c_int64 * 4)()
+    library.bracket_counts(whole.n, x * TIE_SHIFT, whole._pivmin, *whole._pointers,
+                           len(pieces), *inputs[1], counts)
+    return tuple(counts)
+
+
 def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     """Four-term chain between the whole string and its root-child pieces.
 
@@ -314,12 +343,14 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
     root child i's cell S_i([a, b]), its atoms views of the whole string's: the
     nodes of generation n in child i's preorder range. Rescaled, the sums are
     the self-similar sum_i N^(i)(r_i m_i x) over the child subtrees. The pieces
-    are cut on the first call for (tree, n) and kept in ``tree.memo``; each
-    string then costs one count call, both boundaries in one pass of the C loop.
+    are cut on the first call for (tree, n) and kept in ``tree.memo``, with the
+    joined piece arrays of _piece_inputs; each call then counts all four sums in
+    one pass of the C loop over the whole string's rows (_four_counts).
     Raises CollapsedCells where depth-n cells are so narrow, against the float
     spacing, that a piece's atoms do not lie strictly inside its cell.
     """
     memo = tree.memo.setdefault("bracketing", {})
+    inputs = tree.memo.setdefault("bracketing_inputs", {})
     if n not in memo:
         _require_depth(tree, n, least=1)
         whole, kids, rank = depth_string(tree, n), build_cells(tree, 1), tree.nodes.rank
@@ -332,9 +363,9 @@ def check_bracketing(tree: RandomTree, n: int, x: float) -> bool:
                 raise CollapsedCells(f"cells at depth {n} collapsed below float spacing: a "
                                      f"root child's atoms are not strictly inside {(a, b)}")
             pieces.append(StieltjesString((a, b), positions, whole.masses[i:j]))
+        inputs[n] = _piece_inputs(whole, pieces)
         memo[n] = pieces
-    whole_d, whole_n = _pair(depth_string(tree, n), x)
-    sum_d, sum_n = (sum(column) for column in zip(*(_pair(piece, x) for piece in memo[n])))
+    whole_d, whole_n, sum_d, sum_n = _four_counts(depth_string(tree, n), memo[n], inputs[n], x)
     return sum_d <= whole_d <= whole_n <= sum_n
 
 

@@ -61,7 +61,16 @@ Core claims:
       strings keep their bits (sha256 digest recorded from the
       one-subtree-at-a-time builder)
     - a piece whose atoms are not strictly inside its cell (depth-8 cells of
-      map ratio 0.0068) is refused as CollapsedCells naming the depth
+      map ratio 0.0068) is refused as CollapsedCells naming the depth, and
+      leaves no memo entry
+    - the one-pass count of the whole string and its pieces gives N_D, N_N
+      and the pieces' two sums of one-shift counts, on both count paths:
+      single-atom pieces, 2 to RANDOM_MAX_MAPS pieces, zero pivots, a pivot
+      that only the whole string's pivmin counts, a Neumann count that needs
+      the floor, and shifts up to the float maximum and inf; pieces that do
+      not cover the whole string are refused before the C pass; the four
+      counts of 50 depth-8 trees keep their values (sha256 digest recorded
+      from the per-piece one-shift counts) on both growth and count paths
     - a CSV export to an unknown boundary is refused
 """
 import ctypes
@@ -97,12 +106,14 @@ from cantorstring import (
     third_fifth_model,
 )
 from cantorstring import _native, measure, stieltjes
+from cantorstring.ifs import RANDOM_MAX_MAPS
 from cantorstring.stieltjes import (
     TIE_SHIFT,
     _SAFMIN,
     _block_sweep,
     _compiled_sweep,
     _counts,
+    _pair,
     export_curve_csv,
 )
 from cantorstring.tree import StopRule
@@ -111,6 +122,9 @@ from conftest import child_bounds, forest_piece_cells, forest_pieces
 
 CURVE_COUNTS_DIGEST = "35540df57d7afccccc9311bfbdbeea6f3676ffd128a4e178a285c27945e363cb"
 SINGLE_SHIFT_DIGEST = "c08fc4f756bbab9b00677fdbe7a5d07e1fff7d6f83dfb95d5025027f41c8b2d5"
+# sha256 of the four bracketing counts of third-fifth depth-8 trees, seeds 0-49, at the 12-point
+# grid and the extreme shifts, recorded from the per-piece one-shift counts (_pair) summed
+FOUR_COUNTS_DIGEST = "004fcc1fd20fa7520f9395f957f6b5e42a9179f9251bb18fe3fb3579d36123cb"
 # sha256 of every child subtree string's scale, positions and masses at depths 1..8 (the
 # former bracketing pieces, now `forest_pieces`), recorded from the one-subtree-at-a-time
 # piece builder
@@ -275,6 +289,8 @@ def kernel():
 
 
 EXTREME_SHIFTS = [0.0, 5e-324, 1e300, 1.7e308, math.inf]
+# as EXTREME_SHIFTS, but x' = x * TIE_SHIFT of the float maximum overflows to inf
+BRACKET_EXTREMES = [0.0, 5e-324, 1e300, 1.7976931348623157e308, math.inf]
 
 
 class TestBasics:
@@ -1039,7 +1055,7 @@ class TestBracketing:
             stieltjes.depth_string(tree, 8)  # the whole string is not collapsed
             with pytest.raises(measure.CollapsedCells, match="at depth 8 collapsed"):
                 check_bracketing(tree, 8, 1.0)
-            assert 8 not in tree.memo["bracketing"]
+            assert 8 not in tree.memo["bracketing"] and 8 not in tree.memo["bracketing_inputs"]
             assert all(check_bracketing(tree, 7, float(x)) for x in grid)
 
     def test_pieces_match_forest_sums(self, balanced_pair, both_paths):
@@ -1081,6 +1097,72 @@ class TestBracketing:
                         h.update(array.tobytes())
                     total += piece.n
             assert (total, h.hexdigest()) == (atoms, digest), path
+
+    def test_kernel_sums_match_pieces(self, third_fifth, both_paths):
+        """The four counts of one pass over the whole string's rows equal its one-shift counts
+        and the pieces' summed (_pair each), on both count paths: single-atom pieces (depth
+        1), root letters of 2, 3 and RANDOM_MAX_MAPS maps, hand-built pieces with zero pivots
+        or a pivmin of their own, a piece whose Neumann count needs the floor, and the extreme
+        shifts."""
+        grid = [float(x) for x in np.geomspace(1.0, 1e6, 12)]
+        cases = []
+        for model, n, seed in [(third_fifth, 1, 0), (third_fifth, 1, 3), (third_fifth, 8, 4),
+                               (random_model(2), 5, 0), (random_model(4), 5, 1),
+                               (random_model(1), 4, 2), (random_model(5), 6, 1),
+                               (third_fifth, 2, 0)]:
+            tree = sample_tree(model, StopRule.depth(n), seed)
+            check_bracketing(tree, n, 0.0)
+            pieces = tree.memo["bracketing"][n]
+            assert n > 1 or {piece.n for piece in pieces} == {1}
+            cases.append((stieltjes.depth_string(tree, n), pieces, grid + BRACKET_EXTREMES))
+        assert [len(pieces) for _, pieces, _ in cases[3:6]] == [2, 3, RANDOM_MAX_MAPS]
+        # piece 0 of third-fifth depth 2, seed 0: at x = 0 its last Neumann pivot rounds
+        # above zero, so only the floor counts the zero mode
+        assert _block_sweep(cases[-1][1][0], np.zeros(1))[1, 0] == 0
+        # uniform(2) (zero pivots at x' = 12, 16) and the 3-atom string of
+        # test_vanishing_pivot_safeguard (x' = 8, 4), cut from one string on (0, 2)
+        whole = StieltjesString((0.0, 2.0), [0.25, 0.75, 1.25, 1.5, 1.75], [0.5, 0.5, 1, 1, 1])
+        pieces = [StieltjesString((0.0, 1.0), whole.positions[:2], whole.masses[:2]),
+                  StieltjesString((1.0, 2.0), whole.positions[2:], whole.masses[2:])]
+        shapes = [StieltjesString.uniform(2), ZERO_PIVOT_SHAPES[1][0]]
+        assert [p._diags.tobytes() for p in pieces] == [p._diags.tobytes() for p in shapes]
+        zeros = [x / TIE_SHIFT for x in (12.0, 16.0, 8.0, 4.0)]
+        cases.append((whole, pieces, zeros + grid + BRACKET_EXTREMES))
+        # a one-atom piece whose pivot at x = 0, 4e-281, lies between its own pivmin and the
+        # whole string's (raised by the other piece's 1.1e-16 link): counted only with the
+        # whole string's
+        whole = StieltjesString((0.0, 1e281), [0.5, math.nextafter(0.5, 1), 5e280], [1, 1, 1])
+        pieces = [StieltjesString((0.0, 1.0), whole.positions[:2], whole.masses[:2]),
+                  StieltjesString((1.0, 1e281), whole.positions[2:], whole.masses[2:])]
+        assert pieces[1]._pivmin < pieces[1]._diags[0, 0] == 4e-281 < whole._pivmin
+        cases.append((whole, pieces, [0.0, 1e-300, 1.0] + BRACKET_EXTREMES))
+        with pytest.raises(ValueError, match="pieces hold 1 atoms, the whole string 3"):
+            stieltjes._piece_inputs(whole, pieces[1:])  # the C pass would read past them
+        for path in both_paths():
+            for whole, pieces, xs in cases:
+                inputs = stieltjes._piece_inputs(whole, pieces)
+                for x in xs:
+                    want = (*_pair(whole, x), *map(sum, zip(*(_pair(p, x) for p in pieces))))
+                    assert stieltjes._four_counts(whole, pieces, inputs, x) == want, (path, x)
+
+    def test_four_counts_pinned(self, third_fifth, both_paths):
+        """N_D, N_N and the pieces' two sums of third-fifth depth-8 trees, seeds 0-49, at the
+        bracket-deep grid and the extreme shifts keep their values, on both growth and count
+        paths."""
+        xs = [float(x) for x in np.geomspace(1.0, 1e6, 12)] + BRACKET_EXTREMES
+        for path in both_paths():
+            lines = []
+            for seed in range(50):
+                tree = sample_tree(third_fifth, StopRule.depth(8), seed)
+                check_bracketing(tree, 8, 0.0)
+                args = (stieltjes.depth_string(tree, 8), tree.memo["bracketing"][8],
+                        tree.memo["bracketing_inputs"][8])
+                for x in xs:
+                    d, n, sum_d, sum_n = stieltjes._four_counts(*args, x)
+                    lines.append(f"{seed},{x!r},{d},{n},{sum_d},{sum_n}")
+            assert len(lines) == 850
+            text = "\n".join(lines)
+            assert hashlib.sha256(text.encode()).hexdigest() == FOUR_COUNTS_DIGEST, path
 
     def test_requires_positive_depth(self, third_fifth):
         tree = sample_tree(third_fifth, StopRule.depth(2), 2)
